@@ -76,7 +76,7 @@ def _cmd_simulate(args) -> int:
     if args.length < 1:
         raise ValueError(f"length must be >= 1, got {args.length}")
     if not args.out:
-        raise ValueError("simulate writes a binary path dump; --out is required")
+        raise ValueError("simulate writes its path to a file; --out is required")
     mode = parse_start_mode(args.mode)
     path = sample_path(law, args.length - 1, mode, seed=args.seed, stream=0)
     dump_path(path, args.out)
@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--law", required=True, help="law JSON (inline or a file path)")
     p.add_argument("--out", help="write the table here instead of stdout")
 
-    p = add("simulate", _cmd_simulate, "sample one path and write a binary dump")
+    p = add("simulate", _cmd_simulate, "sample one path and write it as a line of 0/1 digits")
     p.add_argument("--law", required=True, help="law JSON (inline or a file path)")
     p.add_argument("--length", type=int, required=True, help="number of positions")
     p.add_argument("--seed", type=int, default=0)
@@ -221,7 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=["stationary", "renewal"], default="stationary",
         help="start from the stationary window law or at a renewal",
     )
-    p.add_argument("--out", required=True, help="dump file (.npz plus a JSON sidecar)")
+    p.add_argument(
+        "--out", required=True,
+        help="dump file: one ASCII line of 0/1 digits, plus a JSON sidecar at <out>.json",
+    )
 
     p = add("evaluate", _cmd_evaluate, "run a replicated experiment and write the report")
     p.add_argument("--config", help="experiment config JSON file; flags override it")

@@ -25,12 +25,15 @@ from .paths import StartMode, parse_start_mode, sample_path
 from .schemes import (
     SCHEME_TAGS,
     EstimateEvent,
+    EventColumns,
     OfflineEstimate,
     SchemeConfig,
     iter_eps,
     iter_log,
-    iter_offline,
-    iter_poly,
+    # run_experiment scores offline from its columns; the name stays
+    # here because bench/traced.py wraps evaluation.iter_offline
+    iter_offline,  # noqa: F401
+    scheme_columns,
 )
 
 __all__ = [
@@ -47,6 +50,9 @@ __all__ = [
     "emit_report",
     "report_from_json",
 ]
+
+# Rows scored per vectorized step; bounds the scorer's temporaries.
+_BLOCK = 1 << 15
 
 CSV_COLUMNS = (
     "replicate",
@@ -80,12 +86,15 @@ class _Scorer:
             value = self._theta[age] = residual_mean(self.law, age)
         return value
 
-    def tv(self, counts: tuple[tuple[int, int], ...], m: int, age: int) -> float:
+    def _residual_law(self, age: int) -> tuple[tuple[float, ...], float]:
         cached = self._residual.get(age)
         if cached is None:
             probs = residual_law(self.law, age).probs
             cached = self._residual[age] = (probs, math.fsum(probs))
-        probs, total = cached
+        return cached
+
+    def tv(self, counts: tuple[tuple[int, int], ...], m: int, age: int) -> float:
+        probs, total = self._residual_law(age)
         size = len(probs)
         acc = 0.0
         seen = 0.0
@@ -95,6 +104,61 @@ class _Scorer:
             seen += q
         # mass of the true law at values the histogram never hit
         return acc + max(0.0, total - seen)
+
+    def _per_age(self, ages: np.ndarray, truth) -> np.ndarray:
+        table = np.zeros(int(ages.max()) + 1 if ages.size else 0)
+        present = np.flatnonzero(np.bincount(ages))
+        table[present] = [truth(age) for age in present.tolist()]
+        return table[ages]
+
+    def thetas(self, ages: np.ndarray) -> np.ndarray:
+        return self._per_age(ages, self.theta)
+
+    def score_columns(self, cols: EventColumns) -> tuple[np.ndarray, np.ndarray]:
+        """(abs_err, tv) of every row, equal bit for bit to scoring each
+        row's histogram with theta and tv.
+
+        tv runs value-major: for each residual value in ascending order,
+        one vectorized step adds that value's term to every row whose
+        window holds it, so each row sees the same float operations in
+        the same order as the loop in tv.
+        """
+        ages, lo, hi, m = cols.age, cols.lo, cols.hi, cols.m
+        err = cols.sum / m
+        err -= self.thetas(ages)
+        np.abs(err, out=err)
+        acc = np.zeros(ages.size)
+        seen = np.zeros(ages.size)
+        if not ages.size:
+            return err, acc
+        residuals = cols.residuals
+        # residual value l at age a has mass probs[a + l]; pad with zeros
+        # for lengths past the support, which the law never produces
+        probs = np.zeros(max(self.law.support, int(ages.max()) + int(residuals.max()) + 1))
+        probs[: self.law.support] = self.law.probs
+        tails = np.asarray(self.law.tails)
+        # running count of one value over the class-ordered residuals
+        running = np.zeros(residuals.size + 1, dtype=np.int32)
+        for value in np.flatnonzero(np.bincount(residuals)).tolist():
+            np.cumsum(residuals == value, dtype=np.int32, out=running[1:])
+            for start in range(0, ages.size, _BLOCK):
+                rows = slice(start, start + _BLOCK)
+                counts = running[hi[rows]] - running[lo[rows]]
+                hit = counts.nonzero()[0]
+                if not hit.size:
+                    continue
+                counts = counts[hit]
+                hit += start
+                age = ages[hit]
+                q = probs[age + value] / tails[age]
+                acc[hit] += np.abs(counts / m[hit] - q)
+                seen[hit] += q
+        # mass of the true law at values the histogram never hit
+        missed = self._per_age(ages, lambda age: self._residual_law(age)[1])
+        missed -= seen
+        np.maximum(missed, 0.0, out=missed)
+        acc += missed
+        return err, acc
 
 
 @dataclass(frozen=True, slots=True)
@@ -376,18 +440,67 @@ class EvalReport:
         )
 
 
+# Schemes scored one event at a time; poly and offline are scored from
+# their columns (schemes.scheme_columns) instead.
 _SCHEME_ITERATORS = {
-    "poly": iter_poly,
     "log": iter_log,
     "eps": iter_eps,
 }
 
 
-def _final_decile(values: array) -> array:
+def _final_decile(values):
     count = len(values)
     if count == 0:
         return values
     return values[count - math.ceil(count / 10) :]
+
+
+def _score_stream(scorer, config, bits, replicate, records):
+    """(errs, tvs) of a streaming scheme, scored as its events arrive."""
+    errs = array("d")
+    tvs = array("d")
+    for event in _SCHEME_ITERATORS[config.scheme](bits, config.scheme_config):
+        age = event.run_age
+        theta = scorer.theta(age)
+        err = abs(event.estimate - theta)
+        tv = scorer.tv(event.residual_counts, event.sample_count, age)
+        errs.append(err)
+        tvs.append(tv)
+        if config.keep_records:
+            records.append(
+                ScoredRecord(
+                    replicate=replicate,
+                    scheme=config.scheme,
+                    ordinal=event.ordinal,
+                    time=event.time,
+                    run_age=age,
+                    estimate=event.estimate,
+                    theta=theta,
+                    abs_err=err,
+                    tv=tv,
+                )
+            )
+    return errs, tvs
+
+
+def _score_columns(scorer, config, bits, replicate, records):
+    """(errs, tvs) of a columnar scheme; offline rows are keyed by position."""
+    cols = scheme_columns(config.scheme, bits, config.scheme_config)
+    errs, tvs = scorer.score_columns(cols)
+    if config.keep_records:
+        times = cols.time.tolist()
+        ordinals = times if config.scheme == "offline" else range(1, len(times) + 1)
+        rows = zip(
+            ordinals,
+            times,
+            cols.age.tolist(),
+            (cols.sum / cols.m).tolist(),
+            scorer.thetas(cols.age).tolist(),
+            errs.tolist(),
+            tvs.tolist(),
+        )
+        records.extend(ScoredRecord(replicate, config.scheme, *row) for row in rows)
+    return errs, tvs
 
 
 def run_experiment(config: ExperimentConfig) -> EvalReport:
@@ -395,6 +508,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     scorer = _Scorer(law)
     horizon = config.length - 1
     offline = config.scheme == "offline"
+    score = _score_stream if config.scheme in _SCHEME_ITERATORS else _score_columns
     pooled_err: list[float] = []
     pooled_tv: list[float] = []
     summaries = []
@@ -407,42 +521,8 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
             seed=config.base_seed,
             stream=replicate,
         ).bits
-        errs = array("d")
-        tvs = array("d")
-        event_count = 0
-        good = [0] * len(config.tolerances) if offline else None
-        if offline:
-            rows = iter_offline(bits)
-        else:
-            rows = _SCHEME_ITERATORS[config.scheme](bits, config.scheme_config)
-        for event in rows:
-            if offline and not event.defined:
-                continue
-            event_count += 1
-            age = event.run_age
-            theta = scorer.theta(age)
-            err = abs(event.estimate - theta)
-            tv = scorer.tv(event.residual_counts, event.sample_count, age)
-            errs.append(err)
-            tvs.append(tv)
-            if offline:
-                for slot, tolerance in enumerate(config.tolerances):
-                    if err <= tolerance and tv <= tolerance:
-                        good[slot] += 1
-            if config.keep_records:
-                records.append(
-                    ScoredRecord(
-                        replicate=replicate,
-                        scheme=config.scheme,
-                        ordinal=event.position if offline else event.ordinal,
-                        time=event.position if offline else event.time,
-                        run_age=age,
-                        estimate=event.estimate,
-                        theta=theta,
-                        abs_err=err,
-                        tv=tv,
-                    )
-                )
+        errs, tvs = score(scorer, config, bits, replicate, records)
+        event_count = len(errs)
         tail_err = _final_decile(errs)
         tail_tv = _final_decile(tvs)
         pooled_err.extend(tail_err)
@@ -451,8 +531,8 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
         if offline:
             # positions 0..length-1 all exist on the sampled path
             densities = tuple(
-                (tolerance, good[slot] / config.length)
-                for slot, tolerance in enumerate(config.tolerances)
+                (tolerance, int(np.count_nonzero((errs <= tolerance) & (tvs <= tolerance))) / config.length)
+                for tolerance in config.tolerances
             )
         summaries.append(
             ReplicateSummary(

@@ -13,6 +13,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 __all__ = [
     "PROB_TOL",
@@ -94,6 +97,14 @@ class RenewalLaw:
         if L < len(self.overshoots):
             return self.overshoots[L]
         return 0.0
+
+    @cached_property
+    def length_cdf(self) -> np.ndarray:
+        """Read-only ``P(K <= k) = 1 - tails[k + 1]``, built once per law;
+        the final entry is exactly 1."""
+        cdf = 1.0 - np.asarray(self.tails[1:])
+        cdf.setflags(write=False)
+        return cdf
 
 
 @dataclass(frozen=True)

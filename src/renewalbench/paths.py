@@ -82,20 +82,13 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _length_cdf(law: RenewalLaw) -> np.ndarray:
-    # P(K <= k) = 1 - T_{k+1}; final entry is exactly 1.
-    return 1.0 - np.asarray(law.tails[1:])
-
-
 def _draw_run_lengths(law: RenewalLaw, rng: np.random.Generator, count: int) -> np.ndarray:
-    cdf = _length_cdf(law)
-    u = rng.random(count)
-    return np.searchsorted(cdf, u, side="right")
+    return np.searchsorted(law.length_cdf, rng.random(count), side="right")
 
 
 def sample_run_length(law: RenewalLaw, rng: np.random.Generator) -> int:
     """Draw one run length k with probability p_k."""
-    return int(np.searchsorted(_length_cdf(law), rng.random(), side="right"))
+    return int(np.searchsorted(law.length_cdf, rng.random(), side="right"))
 
 
 def _runs_to_bits(runs: np.ndarray) -> np.ndarray:

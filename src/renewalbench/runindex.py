@@ -1,4 +1,6 @@
-"""Streaming index over an observed bit sequence.
+"""Streaming index over an observed bit sequence, for the log and eps
+schemes.  poly and offline take the same facts from one columnar scan
+of the whole path instead (schemes.prefix_scan).
 
 Feeds one bit at a time and maintains, in O(1) amortized work per bit:
 

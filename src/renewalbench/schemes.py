@@ -1,10 +1,9 @@
-"""Streaming estimators of the residual run length in a binary path.
+"""Causal estimators of the residual run length in a binary path.
 
-All four schemes make a single left-to-right pass.  At selected
-positions (data-driven stopping times) they emit the empirical
-distribution of past residuals observed at the same run age as the
-current position, together with its mean.  They differ only in when
-they stop and which past occurrences they average:
+At selected positions (data-driven stopping times) each scheme emits
+the empirical distribution of past residuals observed at the same run
+age as the current position, together with its mean.  They differ only
+in when they stop and which past occurrences they average:
 
   poly     fires when the age class holds at least t^(1-gamma)
            completed occurrences; averages the last ceil(t^(1-gamma)).
@@ -17,6 +16,14 @@ they stop and which past occurrences they average:
   eps      fires when ages below the current one account for at most
            t(1 - epsilon/2) positions; averages all prior occurrences.
 
+poly and offline read their windows from one columnar scan of the
+whole path (prefix_scan): the run age of every position, its rank in
+its age class, and the class residuals with their prefix sums.  A
+firing at t still reads no bit past t.  Its window holds only earlier
+positions of the same age, and those lie in runs that completed before
+t, because an age cannot recur inside the open run.  log and eps make a
+single left-to-right pass over a RunIndex.
+
 Estimates are exact rationals (integer sums over integer counts)
 converted to float by a single division, so the emitted mean equals the
 mean of the emitted distribution bit for bit.
@@ -28,7 +35,8 @@ import math
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import lru_cache
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,6 +48,10 @@ __all__ = [
     "SchemeConfig",
     "EstimateEvent",
     "OfflineEstimate",
+    "PrefixScan",
+    "EventColumns",
+    "prefix_scan",
+    "scheme_columns",
     "iter_poly",
     "iter_log",
     "iter_eps",
@@ -135,21 +147,25 @@ def _as_positions(bits) -> Sequence[int]:
 
 
 class _Window:
-    """Histogram of log.residuals[lo:hi] maintained under sliding ends."""
+    """Histogram of residuals[lo:hi] maintained under sliding ends.
+
+    A window stays inside one age class.  It starts empty at ``start``,
+    the lower end of its first window, so that alignment reads only the
+    window itself.
+    """
 
     __slots__ = ("lo", "hi", "counts", "rsum", "_snap", "_snap_key")
 
-    def __init__(self):
-        self.lo = 0
-        self.hi = 0
+    def __init__(self, start: int = 0):
+        self.lo = start
+        self.hi = start
         self.counts: dict[int, int] = {}
         self.rsum = 0
         self._snap: tuple[tuple[int, int], ...] = ()
-        self._snap_key = (0, 0)
+        self._snap_key = (start, start)
 
-    def align(self, log, lo: int, hi: int):
+    def align(self, residuals, lo: int, hi: int):
         counts = self.counts
-        residuals = log.residuals
         while self.hi < hi:
             value = residuals[self.hi]
             counts[value] = counts.get(value, 0) + 1
@@ -218,38 +234,155 @@ def _warn_gamma_poly(config: SchemeConfig):
         )
 
 
+class PrefixScan(NamedTuple):
+    """Prefix facts of a path from its first zero psi on, as columns.
+
+    Row i of ``ages`` and ``rank`` is position psi + i: its run age, and
+    how many earlier positions had that age.  Those earlier positions
+    all lie in completed runs, since ages only grow inside a run.
+
+    The same positions in class order, by (age, position), give
+    ``order`` (their row), ``residuals`` (the ones their run still had
+    to come; 0 in the open run, where it is unknown) and the exact
+    prefix sums ``prefix``.  Age class a holds class-order entries
+    ``starts[a]:starts[a + 1]``, completed occurrences first.
+    """
+
+    psi: int
+    ages: np.ndarray
+    rank: np.ndarray
+    order: np.ndarray
+    residuals: np.ndarray
+    prefix: np.ndarray
+    starts: np.ndarray
+
+
+def prefix_scan(bits) -> PrefixScan:
+    """Scan a whole path at once.  A path without a zero has no rows."""
+    # array methods rather than numpy functions: on the short paths of
+    # the adversary's Monte Carlo the call overhead is the cost
+    arr = bits if isinstance(bits, np.ndarray) else np.asarray(_as_positions(bits))
+    zeros = (arr == 0).nonzero()[0]
+    if not zeros.size:
+        none = np.zeros(0, dtype=np.intp)
+        return PrefixScan(arr.size, none, none, none, none, np.zeros(1, dtype=np.int64), none)
+    psi = int(zeros[0])
+    size = arr.size - psi
+    ends = np.empty(zeros.size, dtype=zeros.dtype)  # one past each run
+    ends[:-1] = zeros[1:]
+    ends[-1] = arr.size
+    runs = ends - zeros  # positions per run, its zero included
+    ages = np.arange(psi, arr.size) - zeros.repeat(runs)
+    residuals = (runs - 1).repeat(runs) - ages
+    residuals[zeros[-1] - psi :] = 0
+    order = ages.argsort(kind="stable")
+    sizes = np.bincount(ages)
+    starts = np.zeros(sizes.size + 1, dtype=sizes.dtype)
+    sizes.cumsum(out=starts[1:])
+    rank = np.empty_like(ages)
+    rank[order] = np.arange(size) - starts[:-1].repeat(sizes)
+    # a leading 0 makes prefix[k] the sum of the first k residuals
+    padded = np.zeros(size + 1, dtype=np.int64)
+    padded[1:] = residuals[order]
+    return PrefixScan(psi, ages, rank, order, padded[1:], padded.cumsum(), starts)
+
+
+class EventColumns(NamedTuple):
+    """Estimates of poly or offline on one path, one row per estimate.
+
+    Row i averaged ``residuals[lo[i]:hi[i]]``, the class-ordered
+    residuals of the scan: ``m[i]`` values whose exact total is
+    ``sum[i]``.
+    """
+
+    residuals: np.ndarray
+    time: np.ndarray
+    age: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    m: np.ndarray
+    sum: np.ndarray
+
+
+def _columns(scan: PrefixScan, rows: np.ndarray, m: np.ndarray, count: np.ndarray) -> EventColumns:
+    """Rows whose window is entries count - m .. count of their class."""
+    age = scan.ages[rows]
+    hi = scan.starts[age]
+    hi += count
+    lo = hi - m
+    total = scan.prefix[hi]
+    total -= scan.prefix[lo]
+    rows += scan.psi
+    return EventColumns(scan.residuals, rows, age, lo, hi, m, total)
+
+
+@lru_cache(maxsize=4)
+def _window_sizes(n: int, exponent: float) -> np.ndarray:
+    """math.ceil(t ** exponent) for t in 0..n-1, read-only.
+
+    numpy's power may differ from Python's in the last place.  That
+    moves the ceiling only where t ** exponent lies next to an integer,
+    so exactly those entries are recomputed with Python's pow.
+    """
+    power = np.power(np.arange(n, dtype=np.float64), exponent)
+    sizes = np.ceil(power).astype(np.intp)
+    near = np.flatnonzero(np.abs(power - np.rint(power)) <= power * 1e-9)
+    for t in near.tolist():
+        sizes[t] = math.ceil(t**exponent)
+    sizes.setflags(write=False)
+    return sizes
+
+
+def _poly_columns(scan: PrefixScan, gamma: float) -> EventColumns:
+    """poly fires at t > psi when its age class holds at least
+    t^(1-gamma) completed occurrences.  The rank is an integer, so that
+    means rank >= m = ceil(t^(1-gamma)); it then averages the last m."""
+    psi = scan.psi
+    sizes = _window_sizes(psi + scan.rank.size, 1.0 - gamma)[psi:]
+    rows = (scan.rank[1:] >= sizes[1:]).nonzero()[0]
+    rows += 1
+    return _columns(scan, rows, sizes[rows], scan.rank[rows])
+
+
+def _offline_columns(scan: PrefixScan) -> EventColumns:
+    """offline averages the whole completed class; rank 0 is undefined
+    and has no row."""
+    rows = scan.rank.nonzero()[0]
+    count = scan.rank[rows]
+    return _columns(scan, rows, count, count)
+
+
+def scheme_columns(tag: str, bits, config: SchemeConfig) -> EventColumns:
+    """Columns of a columnar scheme (poly or offline) on a whole path."""
+    if tag == "poly":
+        gamma = _need(config, "gamma")
+        _warn_gamma_poly(config)
+        return _poly_columns(prefix_scan(bits), gamma)
+    if tag == "offline":
+        return _offline_columns(prefix_scan(bits))
+    raise ValueError(f"scheme {tag!r} has no columnar form; expected 'poly' or 'offline'")
+
+
 def iter_poly(bits, config: SchemeConfig) -> Iterator[EstimateEvent]:
     gamma = _need(config, "gamma")
     _warn_gamma_poly(config)
-    return _iter_poly(_as_positions(bits), gamma)
+    scan = prefix_scan(bits)
+    return _poly_events(scan, _poly_columns(scan, gamma))
 
 
-def _iter_poly(bits, gamma: float) -> Iterator[EstimateEvent]:
-    index = RunIndex(track_ages=False)
-    feed = index.feed
-    classes = index.classes
+def _poly_events(scan: PrefixScan, cols: EventColumns) -> Iterator[EstimateEvent]:
+    # one incremental histogram per age class: rebuilding each event's
+    # histogram from its window costs more than the scan on short paths
+    residuals = scan.residuals.tolist()
+    firsts = (scan.order[cols.lo] + scan.psi).tolist()
     windows: dict[int, _Window] = {}
-    exponent = 1.0 - gamma
-    ordinal = 0
-    for t, bit in enumerate(bits):
-        feed(bit)
-        psi = index.psi
-        if psi is None or t <= psi:
-            continue
-        tau = index.current_tau
-        log = classes.get(tau)
-        if log is None:
-            continue
-        count = len(log.positions)
-        threshold = t**exponent
-        if count < threshold:
-            continue
-        m = math.ceil(threshold)  # <= count: count is an int >= threshold
+    rows = zip(cols.time.tolist(), cols.age.tolist(), cols.lo.tolist(), cols.hi.tolist(), firsts)
+    for ordinal, (t, tau, lo, hi, first) in enumerate(rows, 1):
         window = windows.get(tau)
         if window is None:
-            window = windows[tau] = _Window()
-        window.align(log, count - m, count)
-        ordinal += 1
+            window = windows[tau] = _Window(lo)
+        window.align(residuals, lo, hi)
+        m = hi - lo
         yield EstimateEvent(
             ordinal=ordinal,
             time=t,
@@ -257,7 +390,7 @@ def _iter_poly(bits, gamma: float) -> Iterator[EstimateEvent]:
             estimate=window.rsum / m,
             residual_counts=window.snapshot(),
             sample_count=m,
-            window_start=log.positions[count - m],
+            window_start=first,
             window_end=t,
         )
 
@@ -364,7 +497,7 @@ def _iter_eps(bits, epsilon: float) -> Iterator[EstimateEvent]:
         window = windows.get(tau)
         if window is None:
             window = windows[tau] = _Window()
-        window.align(log, 0, count)
+        window.align(log.residuals, 0, count)
         ordinal += 1
         yield EstimateEvent(
             ordinal=ordinal,
@@ -392,26 +525,25 @@ def run_eps(bits, config: SchemeConfig) -> list[EstimateEvent]:
 
 def iter_offline(bits) -> Iterator[OfflineEstimate]:
     """Windowless per-position estimates, one for every position >= psi."""
-    index = RunIndex(track_ages=False)
-    feed = index.feed
-    classes = index.classes
+    return _offline_rows(prefix_scan(bits))
+
+
+def _offline_rows(scan: PrefixScan) -> Iterator[OfflineEstimate]:
+    residuals = scan.residuals.tolist()
+    starts = scan.starts.tolist()
     windows: dict[int, _Window] = {}
-    for n, bit in enumerate(_as_positions(bits)):
-        feed(bit)
-        if index.psi is None:
-            continue
-        tau = index.current_tau
-        log = classes.get(tau)
-        count = len(log.positions) if log is not None else 0
+    rows = zip(scan.ages.tolist(), scan.rank.tolist())
+    for position, (tau, count) in enumerate(rows, scan.psi):
         if count == 0:
-            yield OfflineEstimate(n, tau, 0, None, ())
+            yield OfflineEstimate(position, tau, 0, None, ())
             continue
+        lo = starts[tau]
         window = windows.get(tau)
         if window is None:
-            window = windows[tau] = _Window()
-        window.align(log, 0, count)
+            window = windows[tau] = _Window(lo)
+        window.align(residuals, lo, lo + count)
         yield OfflineEstimate(
-            position=n,
+            position=position,
             run_age=tau,
             sample_count=count,
             estimate=window.rsum / count,

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import renewalbench
 from renewalbench.cli import main
 from renewalbench.evaluation import CSV_COLUMNS, report_from_json
 from renewalbench.paths import load_path
@@ -184,3 +189,25 @@ class TestSelftest:
         assert code == 0
         assert "6/6 checks passed" in out
         assert "FAIL" not in out
+
+    def test_sabotage_still_fails_under_python_O(self):
+        # python -O strips assert statements; the checks must not rely on them
+        script = (
+            "import sys\n"
+            "from renewalbench import selfcheck\n"
+            "selfcheck.run_poly = lambda bits, config: []\n"
+            "selfcheck.stationary_zero_prob = lambda law: 0.0\n"
+            "failures = selfcheck.run_selftest(lambda line: None)\n"
+            "print(f'optimize={sys.flags.optimize} failures={failures}')\n"
+        )
+        src = str(Path(renewalbench.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "optimize=1 failures=2"

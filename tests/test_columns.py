@@ -1,0 +1,132 @@
+"""The columnar scan and scorer against the per-event path.
+
+run_experiment scores poly and offline from the columns of one prefix
+scan; score_events and good_index_density score the events that
+run_scheme builds one at a time.  Both must give the same floats, bit
+for bit, and poly's window sizes must equal Python's ceil(t ** e).
+"""
+
+import math
+
+import pytest
+
+from renewalbench.evaluation import (
+    ExperimentConfig,
+    good_index_density,
+    run_experiment,
+    score_events,
+)
+from renewalbench.laws import make_law
+from renewalbench.paths import StartMode, sample_path
+from renewalbench.schemes import (
+    SchemeConfig,
+    _window_sizes,
+    prefix_scan,
+    ref_run,
+    run_offline,
+    run_poly,
+    run_scheme,
+)
+
+LAWS = [
+    {"type": "geometric", "q": 0.5, "truncate": 60},
+    {"type": "geometric", "q": 0.8, "truncate": 200},
+    {"type": "zipf", "s": 3.0, "truncate": 10_000},
+    {"type": "zipf", "s": 2.2, "truncate": 500},
+    {"type": "explicit", "p": [0.0, 0.25, 0.0, 0.0, 0.5, 0.0, 0.25]},
+    {"type": "explicit", "p": [0.4, 0.0, 0.6]},
+]
+TOLERANCES = (0.02, 0.1, 0.35, 1.5)
+
+
+@pytest.mark.parametrize("spec", LAWS, ids=lambda spec: spec["type"])
+@pytest.mark.parametrize("mode", list(StartMode), ids=lambda mode: mode.value)
+@pytest.mark.parametrize("scheme", ["poly", "offline"])
+def test_columnar_records_equal_per_event_scores(spec, mode, scheme):
+    config = ExperimentConfig(
+        law=spec,
+        scheme=scheme,
+        scheme_config=SchemeConfig(gamma=0.3),
+        length=6000,
+        start_mode=mode,
+        replicates=2,
+        base_seed=11,
+        tolerances=TOLERANCES,
+        keep_records=True,
+    )
+    report = run_experiment(config)
+    law = make_law(spec)
+    expected = []
+    for replicate, summary in enumerate(report.replicate_summaries):
+        bits = sample_path(law, config.length - 1, mode, seed=11, stream=replicate).bits
+        events = run_scheme(scheme, bits, config.scheme_config)
+        scored = score_events(law, events, scheme=scheme, replicate=replicate)
+        assert summary.event_count == len(scored)
+        expected.extend(scored)
+        if scheme == "offline":
+            assert summary.good_index_density == tuple(
+                (tolerance, good_index_density(events, law, tolerance, config.length - 1))
+                for tolerance in TOLERANCES
+            )
+    assert expected
+    assert [r.row() for r in report.records] == [r.row() for r in expected]
+
+
+def test_paths_without_estimates():
+    # no zero at all, a lone zero, and a path too short to fire
+    config = SchemeConfig(gamma=0.5)
+    for bits in ([1] * 50, [1, 1, 0, 1], [0, 1]):
+        assert run_poly(bits, config) == ref_run("poly", bits, config) == []
+        assert run_offline(bits) == ref_run("offline", bits, config)
+        assert prefix_scan(bits).rank.size == len(bits) - (bits.index(0) if 0 in bits else len(bits))
+    for scheme in ("poly", "offline"):
+        report = run_experiment(
+            ExperimentConfig(
+                law={"type": "explicit", "p": [0.0, 0.0, 1.0]},
+                scheme=scheme,
+                scheme_config=config,
+                length=2,
+                start_mode=StartMode.AT_RENEWAL,
+                keep_records=True,
+            )
+        )
+        assert report.replicate_summaries[0].event_count == 0
+        assert report.records == ()
+        assert math.isnan(report.pooled.median_tv)
+
+
+@pytest.mark.parametrize("gamma", [0.05, 0.1, 0.2, 0.25, 0.3, 1 / 3, 0.45, 0.5, 0.6, 0.75, 0.9])
+def test_window_sizes_equal_python_ceil(gamma):
+    exponent = 1.0 - gamma
+    sizes = _window_sizes(50_000, exponent)
+    assert not sizes.flags.writeable
+    assert sizes.tolist() == [math.ceil(t**exponent) for t in range(50_000)]
+
+
+def _rank_at(t, rank):
+    """A path whose position t sits at age 2 with exactly `rank` earlier
+    positions of age 2: rank runs of two ones, zeros, then a run whose
+    second one is at t."""
+    bits = [0, 1, 1] * rank
+    bits += [0] * (t - 2 - len(bits))
+    return bits + [0, 1, 1, 1, 0]
+
+
+@pytest.mark.parametrize(
+    "gamma, t, m",
+    [(0.5, 16, 4), (0.5, 49, 7), (0.5, 144, 12), (0.5, 961, 31), (0.3, 1024, 128)],
+)
+def test_threshold_at_exact_powers(gamma, t, m):
+    # t^(1-gamma) is the integer m (1024 ** 0.7 rounds to just below 128)
+    config = SchemeConfig(gamma=gamma)
+    assert math.ceil(t ** (1.0 - gamma)) == m
+    for rank in (m - 1, m):
+        bits = _rank_at(t, rank)
+        assert len(bits) == t + 3 and prefix_scan(bits).rank[t] == rank
+        events = run_poly(bits, config)
+        assert events == ref_run("poly", bits, config)
+        at_t = [e for e in events if e.time == t]
+        if rank < m:
+            assert at_t == []
+        else:
+            assert [(e.run_age, e.sample_count) for e in at_t] == [(2, m)]

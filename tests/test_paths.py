@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from renewalbench.laws import make_law, stationary_zero_prob
+from renewalbench.laws import make_law, perturb, stationary_zero_prob
 from renewalbench.paths import (
     Path,
     PathError,
@@ -122,6 +122,19 @@ class TestScalarDraws:
         u = np.array([0.0, 0.4999, 0.5, 0.7999, 0.8, 0.9999])
         ks = np.searchsorted(cdf, u, side="right")
         assert ks.tolist() == [0, 0, 1, 1, 2, 2]
+
+    def test_length_cdf_built_once_per_law(self):
+        law = make_law({"type": "explicit", "p": [0.5, 0.3, 0.2]})
+        cdf = law.length_cdf
+        assert cdf is law.length_cdf
+        assert cdf.tolist() == (1.0 - np.asarray(law.tails[1:])).tolist()
+        assert cdf[-1] == 1.0
+        with pytest.raises(ValueError):
+            cdf[0] = 0.25
+        moved = perturb(law, 4, 0.1)
+        assert moved.length_cdf is not cdf
+        assert moved.length_cdf.tolist() == (1.0 - np.asarray(moved.tails[1:])).tolist()
+        assert cdf.tolist() == (1.0 - np.asarray(law.tails[1:])).tolist()
 
 
 class TestLawAgreement:
