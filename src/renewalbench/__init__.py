@@ -1,9 +1,10 @@
 """Estimation of residual run lengths in binary renewal processes.
 
-Streaming estimators with data-dependent firing times, a seeded path
-sampler, an experiment harness that scores estimates against the exact
-conditional law, and a staged adversarial construction that fools any
-fixed estimator at carefully placed windows.
+Causal estimators with data-dependent firing times, all read from one
+columnar prefix scan of the path, a seeded path sampler, an experiment
+harness that scores estimates against the exact conditional law, and a
+staged adversarial construction that fools any fixed estimator at
+carefully placed windows.
 """
 
 from .laws import (
@@ -24,7 +25,6 @@ from .laws import (
     tv_l1,
 )
 from .paths import Path, PathError, StartMode, dump_path, load_path, parse_start_mode, sample_path
-from .runindex import RunIndex
 from .schemes import (
     SCHEME_TAGS,
     EstimateEvent,
@@ -54,7 +54,6 @@ from .evaluation import (
     report_from_json,
     run_experiment,
     score_events,
-    theta_oracle,
 )
 from .adversary import (
     BudgetExhausted,
@@ -65,7 +64,6 @@ from .adversary import (
     advance_stage,
     audit_json,
     fooling_probability,
-    mean_shift,
     mu_L_shift,
     stage0,
     tv_prefix_exact,

@@ -36,7 +36,6 @@ __all__ = [
     "BudgetExhausted",
     "FoolingResult",
     "stage0",
-    "mean_shift",
     "mu_L_shift",
     "tv_prefix_exact",
     "fooling_probability",
@@ -125,15 +124,6 @@ def stage0(truncate: int = 60) -> StageState:
     """Halving run-length law, the construction's starting point."""
     law = make_law({"type": "geometric", "q": 0.5, "truncate": truncate})
     return StageState(stage=0, markers=(0,), law_history=(law,))
-
-
-def mean_shift(delta: float, k: int) -> float:
-    """Mean increase from moving delta of mass from index 0 to index k."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return k * delta
 
 
 def mu_L_shift(law: RenewalLaw, L: int, delta: float, k: int) -> float:

@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import math
-from array import array
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -28,10 +27,8 @@ from .schemes import (
     EventColumns,
     OfflineEstimate,
     SchemeConfig,
-    iter_eps,
-    iter_log,
-    # run_experiment scores offline from its columns; the name stays
-    # here because bench/traced.py wraps evaluation.iter_offline
+    # run_experiment scores every scheme from its columns; the name
+    # stays here because bench/traced.py wraps evaluation.iter_offline
     iter_offline,  # noqa: F401
     scheme_columns,
 )
@@ -42,7 +39,6 @@ __all__ = [
     "AggregateStats",
     "ReplicateSummary",
     "EvalReport",
-    "theta_oracle",
     "score_events",
     "firing_density",
     "good_index_density",
@@ -67,9 +63,13 @@ CSV_COLUMNS = (
 )
 
 
-def theta_oracle(law: RenewalLaw, age: int) -> float:
-    """Exact conditional mean residual at the given run age."""
-    return residual_mean(law, age)
+def _stable_order(keys: np.ndarray, dtype) -> np.ndarray:
+    """Stable argsort of nonnegative integers as `dtype` indices; numpy
+    radix-sorts 16-bit keys, several times faster than its merge sort
+    of 64-bit ones."""
+    if keys.max() < 1 << 16:
+        keys = keys.astype(np.uint16)
+    return keys.argsort(kind="stable").astype(dtype, copy=False)
 
 
 class _Scorer:
@@ -79,6 +79,8 @@ class _Scorer:
         self.law = law
         self._theta: dict[int, float] = {}
         self._residual: dict[int, tuple[tuple[float, ...], float]] = {}
+        self._total: dict[int, float] = {}
+        self._probs = np.asarray(law.probs)
 
     def theta(self, age: int) -> float:
         value = self._theta.get(age)
@@ -92,6 +94,16 @@ class _Scorer:
             probs = residual_law(self.law, age).probs
             cached = self._residual[age] = (probs, math.fsum(probs))
         return cached
+
+    def _residual_total(self, age: int) -> float:
+        """The fsum of the residual law's masses at this age, from the
+        same quotients as residual_law but without keeping them: on a
+        long support the tuples of many ages would dominate memory."""
+        total = self._total.get(age)
+        if total is None:
+            masses = self._probs[age:] / self.law.tails[age]
+            total = self._total[age] = math.fsum(masses.tolist())
+        return total
 
     def tv(self, counts: tuple[tuple[int, int], ...], m: int, age: int) -> float:
         probs, total = self._residual_law(age)
@@ -122,6 +134,12 @@ class _Scorer:
         one vectorized step adds that value's term to every row whose
         window holds it, so each row sees the same float operations in
         the same order as the loop in tv.
+
+        A step reads only the rows whose window can hold one of the
+        value's entries, so the work follows the (row, value) terms
+        summed, not the number of distinct values times the rows: on a
+        heavy-tailed path one long run adds hundreds of values that
+        only a few windows hold.
         """
         ages, lo, hi, m = cols.age, cols.lo, cols.hi, cols.m
         err = cols.sum / m
@@ -135,29 +153,67 @@ class _Scorer:
         # residual value l at age a has mass probs[a + l]; pad with zeros
         # for lengths past the support, which the law never produces
         probs = np.zeros(max(self.law.support, int(ages.max()) + int(residuals.max()) + 1))
-        probs[: self.law.support] = self.law.probs
+        probs[: self.law.support] = self._probs
         tails = np.asarray(self.law.tails)
-        # running count of one value over the class-ordered residuals
+        # Indices that are only bisected or read once are kept in 32 bits
+        # where they fit.  ends and begins stay native: they index the
+        # running count, and numpy widens narrower indices on every gather.
+        index = np.int32 if residuals.size < 1 << 31 else np.intp
+        # class-order entries of each value, ascending
+        by_value = _stable_order(residuals, index)
+        bounds = np.zeros(int(residuals.max()) + 2, dtype=np.intp)
+        np.bincount(residuals).cumsum(out=bounds[1:])
+        # Rows in class order.  A window lies inside its age class, so
+        # the rows whose window can hold an entry in [first, last] are one
+        # slice: from the first row that reaches past first, up to the
+        # last row that starts at or before last.  acc and seen follow
+        # this order until the end.
+        by_class = _stable_order(ages, index)
+        ends = hi[by_class]
+        begins = lo[by_class]
+        # the furthest end up to each row, and the least start from it on
+        reach = np.maximum.accumulate(ends).astype(index)
+        latest = np.minimum.accumulate(begins[::-1])[::-1].astype(index)
+        row_age = ages[by_class]
+        row_m = m.astype(index)[by_class]
+        # running count of one value over the residuals the rows span
         running = np.zeros(residuals.size + 1, dtype=np.int32)
-        for value in np.flatnonzero(np.bincount(residuals)).tolist():
-            np.cumsum(residuals == value, dtype=np.int32, out=running[1:])
-            for start in range(0, ages.size, _BLOCK):
-                rows = slice(start, start + _BLOCK)
-                counts = running[hi[rows]] - running[lo[rows]]
+        for value in (bounds[1:] - bounds[:-1]).nonzero()[0].tolist():
+            entries = by_value[bounds[value] : bounds[value + 1]]
+            first = int(reach.searchsorted(entries[0], side="right"))
+            stop = int(latest.searchsorted(entries[-1], side="right"))
+            if first >= stop:
+                continue
+            # Count a window's entries from the running count where that
+            # costs less than bisecting the entries for every row.
+            base, top = int(latest[first]), int(reach[stop - 1])
+            dense = top - base < (stop - first) * (3 + entries.size.bit_length())
+            if dense:
+                running[base] = 0
+                hits = residuals[base:top] == value
+                np.cumsum(hits, dtype=np.int32, out=running[base + 1 : top + 1])
+            for start in range(first, stop, _BLOCK):
+                rows = slice(start, min(start + _BLOCK, stop))
+                if dense:
+                    counts = running[ends[rows]] - running[begins[rows]]
+                else:
+                    counts = entries.searchsorted(ends[rows])
+                    counts -= entries.searchsorted(begins[rows])
                 hit = counts.nonzero()[0]
                 if not hit.size:
                     continue
                 counts = counts[hit]
                 hit += start
-                age = ages[hit]
+                age = row_age[hit]
                 q = probs[age + value] / tails[age]
-                acc[hit] += np.abs(counts / m[hit] - q)
+                acc[hit] += np.abs(counts / row_m[hit] - q)
                 seen[hit] += q
         # mass of the true law at values the histogram never hit
-        missed = self._per_age(ages, lambda age: self._residual_law(age)[1])
+        missed = self._per_age(row_age, self._residual_total)
         missed -= seen
         np.maximum(missed, 0.0, out=missed)
-        acc += missed
+        missed += acc
+        acc[by_class] = missed  # back to row order
         return err, acc
 
 
@@ -440,12 +496,10 @@ class EvalReport:
         )
 
 
-# Schemes scored one event at a time; poly and offline are scored from
-# their columns (schemes.scheme_columns) instead.
-_SCHEME_ITERATORS = {
-    "log": iter_log,
-    "eps": iter_eps,
-}
+# run_experiment scores every scheme from its columns and calls no
+# iterator from here; the empty table stays because bench/traced.py
+# wraps its entries.
+_SCHEME_ITERATORS: dict = {}
 
 
 def _final_decile(values):
@@ -455,36 +509,9 @@ def _final_decile(values):
     return values[count - math.ceil(count / 10) :]
 
 
-def _score_stream(scorer, config, bits, replicate, records):
-    """(errs, tvs) of a streaming scheme, scored as its events arrive."""
-    errs = array("d")
-    tvs = array("d")
-    for event in _SCHEME_ITERATORS[config.scheme](bits, config.scheme_config):
-        age = event.run_age
-        theta = scorer.theta(age)
-        err = abs(event.estimate - theta)
-        tv = scorer.tv(event.residual_counts, event.sample_count, age)
-        errs.append(err)
-        tvs.append(tv)
-        if config.keep_records:
-            records.append(
-                ScoredRecord(
-                    replicate=replicate,
-                    scheme=config.scheme,
-                    ordinal=event.ordinal,
-                    time=event.time,
-                    run_age=age,
-                    estimate=event.estimate,
-                    theta=theta,
-                    abs_err=err,
-                    tv=tv,
-                )
-            )
-    return errs, tvs
-
-
 def _score_columns(scorer, config, bits, replicate, records):
-    """(errs, tvs) of a columnar scheme; offline rows are keyed by position."""
+    """(errs, tvs) of the scheme's estimates on one path; offline rows
+    are keyed by position."""
     cols = scheme_columns(config.scheme, bits, config.scheme_config)
     errs, tvs = scorer.score_columns(cols)
     if config.keep_records:
@@ -508,7 +535,6 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     scorer = _Scorer(law)
     horizon = config.length - 1
     offline = config.scheme == "offline"
-    score = _score_stream if config.scheme in _SCHEME_ITERATORS else _score_columns
     pooled_err: list[float] = []
     pooled_tv: list[float] = []
     summaries = []
@@ -521,7 +547,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
             seed=config.base_seed,
             stream=replicate,
         ).bits
-        errs, tvs = score(scorer, config, bits, replicate, records)
+        errs, tvs = _score_columns(scorer, config, bits, replicate, records)
         event_count = len(errs)
         tail_err = _final_decile(errs)
         tail_tv = _final_decile(tvs)

@@ -134,20 +134,22 @@ def _build(probs: list[float], provenance: dict) -> RenewalLaw:
     total = math.fsum(probs)
     if abs(total - 1.0) > SUM_TOL:
         raise LawError(f"masses sum to {total!r}, expected 1 within {SUM_TOL}")
-    norm = tuple(p / total for p in probs)
+    return _tabulate(tuple(p / total for p in probs), provenance)
 
+
+def _tabulate(probs: tuple[float, ...], provenance: dict) -> RenewalLaw:
+    """The law with masses ``probs`` as given, and its derived tables."""
     # Backward accumulation keeps the tails exactly monotone and makes
     # tails[L] - tails[L+1] == probs[L] hold to full precision.
-    n = len(norm)
+    n = len(probs)
     tails = [0.0] * (n + 1)
     for L in range(n - 1, -1, -1):
-        tails[L] = tails[L + 1] + norm[L]
+        tails[L] = tails[L + 1] + probs[L]
     overshoots = [0.0] * (n + 1)
     for L in range(n - 1, -1, -1):
         overshoots[L] = overshoots[L + 1] + tails[L + 1]
-
     return RenewalLaw(
-        probs=norm,
+        probs=probs,
         tails=tuple(tails),
         mean=overshoots[0],
         overshoots=tuple(overshoots),
@@ -321,26 +323,13 @@ def perturb(law: RenewalLaw, to_index: int, delta: float) -> RenewalLaw:
     probs[: law.support] = law.probs
     probs[0] -= delta
     probs[to_index] += delta
-
-    tails = [0.0] * (n + 1)
-    for L in range(n - 1, -1, -1):
-        tails[L] = tails[L + 1] + probs[L]
-    overshoots = [0.0] * (n + 1)
-    for L in range(n - 1, -1, -1):
-        overshoots[L] = overshoots[L + 1] + tails[L + 1]
     provenance = {
         "type": "perturbed",
         "base": law.provenance,
         "to_index": int(to_index),
         "delta": float(delta),
     }
-    return RenewalLaw(
-        probs=tuple(probs),
-        tails=tuple(tails),
-        mean=overshoots[0],
-        overshoots=tuple(overshoots),
-        provenance=provenance,
-    )
+    return _tabulate(tuple(probs), provenance)
 
 
 def tv_l1(a, b) -> float:

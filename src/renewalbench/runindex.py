@@ -1,6 +1,8 @@
-"""Streaming index over an observed bit sequence, for the log and eps
-schemes.  poly and offline take the same facts from one columnar scan
-of the whole path instead (schemes.prefix_scan).
+"""Streaming index over an observed bit sequence.
+
+No scheme reads it: all four take the same facts from one columnar scan
+of the whole path (schemes.prefix_scan).  It stays as the per-bit
+baseline whose feed cost bench/traced.py times.
 
 Feeds one bit at a time and maintains, in O(1) amortized work per bit:
 

@@ -16,13 +16,14 @@ in when they stop and which past occurrences they average:
   eps      fires when ages below the current one account for at most
            t(1 - epsilon/2) positions; averages all prior occurrences.
 
-poly and offline read their windows from one columnar scan of the
-whole path (prefix_scan): the run age of every position, its rank in
-its age class, and the class residuals with their prefix sums.  A
-firing at t still reads no bit past t.  Its window holds only earlier
-positions of the same age, and those lie in runs that completed before
-t, because an age cannot recur inside the open run.  log and eps make a
-single left-to-right pass over a RunIndex.
+Every scheme reads its windows from one columnar scan of the whole
+path (prefix_scan): the run age of every position, its rank in its age
+class, and the class residuals with their prefix sums.  A firing at t
+still reads no bit past t.  Its window holds only earlier positions of
+the same age, and those lie in runs that completed before t, because an
+age cannot recur inside the open run.  eps's occupancy count is a
+prefix fact too: the positions of [psi, t] below the current age are
+the open run's own, plus, at each of its ages, that position's rank.
 
 Estimates are exact rationals (integer sums over integer counts)
 converted to float by a single division, so the emitted mean equals the
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
@@ -41,7 +41,6 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .laws import LawError, gamma_limit
-from .runindex import RunIndex
 
 __all__ = [
     "SCHEME_TAGS",
@@ -222,7 +221,7 @@ def _warn_gamma_poly(config: SchemeConfig):
         warnings.warn(
             f"declared_alpha={alpha} admits no gamma (needs alpha > 2)",
             UserWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
         return
     if config.gamma >= limit:
@@ -230,7 +229,17 @@ def _warn_gamma_poly(config: SchemeConfig):
             f"gamma={config.gamma} is not below min(1-2/alpha, 1/3)="
             f"{limit:.6g} for declared_alpha={alpha}",
             UserWarning,
-            stacklevel=3,
+            stacklevel=4,
+        )
+
+
+def _warn_gamma_log(gamma: float):
+    if gamma >= 1.0 / 3.0:
+        warnings.warn(
+            f"gamma={gamma} is not below 1/3; the log scheme's guarantees "
+            "assume gamma < 1/3",
+            UserWarning,
+            stacklevel=4,
         )
 
 
@@ -288,7 +297,7 @@ def prefix_scan(bits) -> PrefixScan:
 
 
 class EventColumns(NamedTuple):
-    """Estimates of poly or offline on one path, one row per estimate.
+    """Estimates of one scheme on one path, one row per estimate.
 
     Row i averaged ``residuals[lo[i]:hi[i]]``, the class-ordered
     residuals of the scan: ``m[i]`` values whose exact total is
@@ -304,12 +313,9 @@ class EventColumns(NamedTuple):
     sum: np.ndarray
 
 
-def _columns(scan: PrefixScan, rows: np.ndarray, m: np.ndarray, count: np.ndarray) -> EventColumns:
-    """Rows whose window is entries count - m .. count of their class."""
-    age = scan.ages[rows]
-    hi = scan.starts[age]
-    hi += count
-    lo = hi - m
+def _columns(scan: PrefixScan, rows: np.ndarray, age: np.ndarray, lo: np.ndarray, m: np.ndarray) -> EventColumns:
+    """Rows whose window is the m class-order entries from lo on."""
+    hi = lo + m
     total = scan.prefix[hi]
     total -= scan.prefix[lo]
     rows += scan.psi
@@ -341,174 +347,194 @@ def _poly_columns(scan: PrefixScan, gamma: float) -> EventColumns:
     sizes = _window_sizes(psi + scan.rank.size, 1.0 - gamma)[psi:]
     rows = (scan.rank[1:] >= sizes[1:]).nonzero()[0]
     rows += 1
-    return _columns(scan, rows, sizes[rows], scan.rank[rows])
+    age = scan.ages[rows]
+    m = sizes[rows]
+    lo = scan.starts[age]
+    lo += scan.rank[rows]
+    lo -= m
+    return _columns(scan, rows, age, lo, m)
+
+
+# 2^s for every scale s a position can have
+_POWERS = np.left_shift(1, np.arange(63, dtype=np.int64))
+
+
+@lru_cache(maxsize=4)
+def _log_window_sizes(exponent: float) -> np.ndarray:
+    """ceil(2.0 ** (s * exponent)) for every scale s, by Python's pow."""
+    sizes = np.array([math.ceil(2.0 ** (s * exponent)) for s in range(_POWERS.size)])
+    sizes.setflags(write=False)
+    return sizes
+
+
+def _log_columns(scan: PrefixScan, gamma: float) -> EventColumns:
+    """log fires at t > psi when the age tau = age(t) first recurred
+    after psi below log2(t), and the completed occurrences of tau at
+    positions in (s, 2^s), s = floor(log2 t), number at least
+    needed = ceil(2^(s(1-gamma))); it averages the first needed of them.
+
+    Those occurrences lie before 2^s <= t, so all of them completed
+    before t, and later runs only add positions past t: the window of
+    one (age, scale) never changes.
+    """
+    psi, ages, order, starts = scan.psi, scan.ages, scan.order, scan.starts
+    span = psi + ages.size
+    # first position after psi of each age: the head of its class, but
+    # the second entry for age 0, whose head is psi itself
+    first = order[starts[:-1]]
+    if first.size and starts[1] > 1:
+        first[0] = order[1]
+    first += psi
+    # bit_length(t) for t = psi .. span - 1
+    bit_length = _POWERS.searchsorted(np.arange(psi, span), "right")
+    # 2^first < t, i.e. first < bit_length(t - 1)
+    rows = (first[ages[1:]] < bit_length[:-1]).nonzero()[0]
+    rows += 1
+    # a row that passes has age <= first < bit_length(span), and so has
+    # its scale bit_length(t) - 1: a grid of (age, scale) cells below
+    # bit_length(span) holds the window of every row
+    scales = span.bit_length()
+    cell = ages[rows]
+    cell *= scales
+    cell += bit_length[rows]
+    cell -= 1
+    del bit_length
+    tau, scale = np.divmod(np.arange(min(first.size, scales) * scales), scales)
+    # class entries in (age, position) order, as one sorted key
+    key = ages[order]
+    key *= span
+    key += order
+    key += psi
+    tau *= span
+    lo = key.searchsorted(tau + scale, "right")
+    tau += _POWERS[scale]
+    count = key.searchsorted(tau, "left")
+    del key
+    count -= lo
+    m = _log_window_sizes(1.0 - gamma)[scale]
+    fired = (count >= m)[cell].nonzero()[0]
+    rows = rows[fired]
+    cell = cell[fired]
+    return _columns(scan, rows, ages[rows], lo[cell], m[cell])
+
+
+def _eps_columns(scan: PrefixScan, epsilon: float) -> EventColumns:
+    """eps fires at t > psi when at most t(1 - epsilon/2) positions of
+    [psi, t] have an age below tau = age(t), and averages the whole
+    completed class of tau if it is not empty.
+
+    The open run holds tau of those positions, one at each age below
+    tau.  At each of those ages the completed ones number the rank of
+    the open run's position, so the count is tau + rank[t - tau .. t - 1].
+    """
+    ages, rank = scan.ages, scan.rank
+    ranked = np.zeros(ages.size + 1, dtype=np.int64)
+    rank.cumsum(out=ranked[1:])
+    rows = np.arange(ages.size)
+    below = ranked[rows]
+    below -= ranked[rows - ages]
+    below += ages
+    rows += scan.psi
+    # psi's own row has rank 0, so t > psi holds for every row fired
+    fires = below <= rows * (1.0 - 0.5 * epsilon)
+    fires &= rank > 0
+    rows = fires.nonzero()[0]
+    age = ages[rows]
+    return _columns(scan, rows, age, scan.starts[age], rank[rows])
 
 
 def _offline_columns(scan: PrefixScan) -> EventColumns:
     """offline averages the whole completed class; rank 0 is undefined
     and has no row."""
     rows = scan.rank.nonzero()[0]
-    count = scan.rank[rows]
-    return _columns(scan, rows, count, count)
+    age = scan.ages[rows]
+    return _columns(scan, rows, age, scan.starts[age], scan.rank[rows])
 
 
-def scheme_columns(tag: str, bits, config: SchemeConfig) -> EventColumns:
-    """Columns of a columnar scheme (poly or offline) on a whole path."""
+def _scan_columns(tag: str, bits, config: SchemeConfig) -> tuple[PrefixScan, EventColumns]:
+    """Checks the config for the scheme, warns where its guarantees do
+    not hold, then scans the path and builds the scheme's columns."""
     if tag == "poly":
         gamma = _need(config, "gamma")
         _warn_gamma_poly(config)
-        return _poly_columns(prefix_scan(bits), gamma)
+        scan = prefix_scan(bits)
+        return scan, _poly_columns(scan, gamma)
+    if tag == "log":
+        gamma = _need(config, "gamma")
+        _warn_gamma_log(gamma)
+        scan = prefix_scan(bits)
+        return scan, _log_columns(scan, gamma)
+    if tag == "eps":
+        epsilon = _need(config, "epsilon")
+        scan = prefix_scan(bits)
+        return scan, _eps_columns(scan, epsilon)
     if tag == "offline":
-        return _offline_columns(prefix_scan(bits))
-    raise ValueError(f"scheme {tag!r} has no columnar form; expected 'poly' or 'offline'")
+        scan = prefix_scan(bits)
+        return scan, _offline_columns(scan)
+    raise ValueError(f"unknown scheme tag {tag!r}; expected one of {SCHEME_TAGS}")
+
+
+def scheme_columns(tag: str, bits, config: SchemeConfig) -> EventColumns:
+    """Columns of one scheme's estimates on a whole path."""
+    return _scan_columns(tag, bits, config)[1]
+
+
+def _positions(scan: PrefixScan, entries: np.ndarray) -> np.ndarray:
+    """Path positions of class-order entries."""
+    return scan.order[entries] + scan.psi
 
 
 def iter_poly(bits, config: SchemeConfig) -> Iterator[EstimateEvent]:
-    gamma = _need(config, "gamma")
-    _warn_gamma_poly(config)
-    scan = prefix_scan(bits)
-    return _poly_events(scan, _poly_columns(scan, gamma))
-
-
-def _poly_events(scan: PrefixScan, cols: EventColumns) -> Iterator[EstimateEvent]:
-    # one incremental histogram per age class: rebuilding each event's
-    # histogram from its window costs more than the scan on short paths
-    residuals = scan.residuals.tolist()
-    firsts = (scan.order[cols.lo] + scan.psi).tolist()
-    windows: dict[int, _Window] = {}
-    rows = zip(cols.time.tolist(), cols.age.tolist(), cols.lo.tolist(), cols.hi.tolist(), firsts)
-    for ordinal, (t, tau, lo, hi, first) in enumerate(rows, 1):
-        window = windows.get(tau)
-        if window is None:
-            window = windows[tau] = _Window(lo)
-        window.align(residuals, lo, hi)
-        m = hi - lo
-        yield EstimateEvent(
-            ordinal=ordinal,
-            time=t,
-            run_age=tau,
-            estimate=window.rsum / m,
-            residual_counts=window.snapshot(),
-            sample_count=m,
-            window_start=first,
-            window_end=t,
-        )
+    scan, cols = _scan_columns("poly", bits, config)
+    return _events(scan, cols, _positions(scan, cols.lo), cols.time)
 
 
 def iter_log(bits, config: SchemeConfig) -> Iterator[EstimateEvent]:
-    gamma = _need(config, "gamma")
-    if gamma >= 1.0 / 3.0:
-        warnings.warn(
-            f"gamma={gamma} is not below 1/3; the log scheme's guarantees "
-            "assume gamma < 1/3",
-            UserWarning,
-            stacklevel=2,
-        )
-    return _iter_log(_as_positions(bits), gamma)
-
-
-def _iter_log(bits, gamma: float) -> Iterator[EstimateEvent]:
-    index = RunIndex(track_ages=False)
-    feed = index.feed
-    classes = index.classes
-    first_seen = index.first_seen
-    exponent = 1.0 - gamma
-    # (age, scale) -> finished event payload; the first c occurrences in
-    # a scale window never change once present, so one computation serves
-    # every later firing at that key
-    cache: dict[tuple[int, int], tuple] = {}
-    ordinal = 0
-    for t, bit in enumerate(bits):
-        feed(bit)
-        psi = index.psi
-        if psi is None or t <= psi:
-            continue
-        tau = index.current_tau
-        first = first_seen.get(tau)
-        # recurrence strictly below log2(t); for integer positions that
-        # is exactly 2^first < t, guarded to keep the shift small
-        if first is None or first >= t.bit_length() or (1 << first) >= t:
-            continue
-        scale = t.bit_length() - 1
-        key = (tau, scale)
-        payload = cache.get(key)
-        if payload is None:
-            log = classes.get(tau)
-            if log is None:
-                continue
-            positions = log.positions
-            start = bisect_right(positions, scale)
-            stop = bisect_left(positions, 1 << scale, start)
-            needed = math.ceil(2.0 ** (scale * exponent))
-            if stop - start < needed:
-                continue
-            used_stop = start + needed
-            counts: dict[int, int] = {}
-            for value in log.residuals[start:used_stop]:
-                counts[value] = counts.get(value, 0) + 1
-            payload = (
-                log.range_sum(start, used_stop) / needed,
-                tuple(sorted(counts.items())),
-                needed,
-                positions[start],
-                positions[used_stop - 1],
-            )
-            cache[key] = payload
-        ordinal += 1
-        yield EstimateEvent(
-            ordinal=ordinal,
-            time=t,
-            run_age=tau,
-            estimate=payload[0],
-            residual_counts=payload[1],
-            sample_count=payload[2],
-            window_start=payload[3],
-            window_end=payload[4],
-        )
+    scan, cols = _scan_columns("log", bits, config)
+    return _events(scan, cols, _positions(scan, cols.lo), _positions(scan, cols.hi - 1))
 
 
 def iter_eps(bits, config: SchemeConfig) -> Iterator[EstimateEvent]:
-    epsilon = _need(config, "epsilon")
-    return _iter_eps(_as_positions(bits), epsilon)
+    scan, cols = _scan_columns("eps", bits, config)
+    return _events(scan, cols, np.full(cols.time.size, scan.psi), cols.time)
 
 
-def _iter_eps(bits, epsilon: float) -> Iterator[EstimateEvent]:
-    index = RunIndex()
-    feed = index.feed
-    classes = index.classes
-    count_tau_less = index.count_tau_less
-    factor = 1.0 - 0.5 * epsilon
+# Rows turned into events at a time: a consumer that stops after the
+# first events, like the adversary's Monte Carlo, converts few rows.
+_EVENT_BLOCK = 64
+
+
+def _events(scan: PrefixScan, cols: EventColumns, window_start: np.ndarray, window_end: np.ndarray) -> Iterator[EstimateEvent]:
+    # one incremental histogram per age class: rebuilding each event's
+    # histogram from its window costs more than the scan on short paths
+    residuals = scan.residuals.tolist()
     windows: dict[int, _Window] = {}
-    ordinal = 0
-    for t, bit in enumerate(bits):
-        feed(bit)
-        psi = index.psi
-        if psi is None or t <= psi:
-            continue
-        tau = index.current_tau
-        if count_tau_less(tau) > t * factor:
-            continue
-        log = classes.get(tau)
-        if log is None:
-            continue
-        count = len(log.positions)
-        if count == 0:
-            continue  # fired, but there is nothing to average yet
-        window = windows.get(tau)
-        if window is None:
-            window = windows[tau] = _Window()
-        window.align(log.residuals, 0, count)
-        ordinal += 1
-        yield EstimateEvent(
-            ordinal=ordinal,
-            time=t,
-            run_age=tau,
-            estimate=window.rsum / count,
-            residual_counts=window.snapshot(),
-            sample_count=count,
-            window_start=psi,
-            window_end=t,
+    for block in range(0, cols.time.size, _EVENT_BLOCK):
+        part = slice(block, block + _EVENT_BLOCK)
+        rows = zip(
+            cols.time[part].tolist(),
+            cols.age[part].tolist(),
+            cols.lo[part].tolist(),
+            cols.hi[part].tolist(),
+            window_start[part].tolist(),
+            window_end[part].tolist(),
         )
+        for ordinal, (t, tau, lo, hi, first, last) in enumerate(rows, block + 1):
+            window = windows.get(tau)
+            if window is None:
+                window = windows[tau] = _Window(lo)
+            window.align(residuals, lo, hi)
+            m = hi - lo
+            yield EstimateEvent(
+                ordinal=ordinal,
+                time=t,
+                run_age=tau,
+                estimate=window.rsum / m,
+                residual_counts=window.snapshot(),
+                sample_count=m,
+                window_start=first,
+                window_end=last,
+            )
 
 
 def run_poly(bits, config: SchemeConfig) -> list[EstimateEvent]:

@@ -14,14 +14,14 @@ from typing import Callable
 
 import numpy as np
 
-from .adversary import mean_shift, mu_L_shift, stage0, tv_prefix_exact
+from .adversary import mu_L_shift, stage0, tv_prefix_exact
 from .evaluation import CSV_COLUMNS, firing_density, score_events
 from .laws import make_law, perturb, residual_mean, stationary_zero_prob
 from .paths import StartMode, sample_path
-from .runindex import RunIndex
 from .schemes import (
     SCHEME_TAGS,
     SchemeConfig,
+    prefix_scan,
     ref_run,
     run_eps,
     run_poly,
@@ -80,19 +80,24 @@ def _check_streaming_matches_reference() -> None:
                     _expect(fast == slow, f"{tag} diverged from reference on {spec}")
 
 
-def _check_run_index_bookkeeping() -> None:
+def _check_prefix_scan_bookkeeping() -> None:
     law = make_law({"type": "geometric", "q": 0.4, "truncate": 40})
     bits = sample_path(law, 1500, StartMode.AT_RENEWAL, seed=23).bits
-    index = RunIndex()
-    for bit in bits:
-        index.feed(int(bit))
+    scan = prefix_scan(bits)
     zeros = np.flatnonzero(np.asarray(bits) == 0)
-    completed = int(zeros.size - 1)
-    _expect(index.total_occurrences() == int(zeros[-1]) - int(zeros[0]))
-    # each completed run of length s contributes s+1 occurrences
+    psi = int(zeros[0])
+    _expect(scan.psi == psi and scan.ages.size == len(bits) - psi)
+    _expect(not scan.ages[zeros - psi].any())
+    # each completed run of s ones holds s+1 positions, whose residuals
+    # s, s-1, ..., 0 total s(s+1)/2; the open run's count as 0
     runs = np.diff(zeros) - 1
-    _expect(index.total_occurrences() == int((runs + 1).sum()))
-    _expect(completed >= 1)
+    _expect(int((runs + 1).sum()) == int(zeros[-1]) - psi)
+    _expect(int(scan.prefix[-1]) == int((runs * (runs + 1) // 2).sum()))
+    # ranks number each age class 0, 1, ... in path order
+    sizes = np.diff(scan.starts)
+    _expect(np.array_equal(sizes, np.bincount(scan.ages)))
+    _expect(int(scan.rank.sum()) == int((sizes * (sizes - 1) // 2).sum()))
+    _expect(runs.size >= 1)
 
 
 def _check_sharp_mean_bound() -> None:
@@ -107,7 +112,7 @@ def _check_sharp_mean_bound() -> None:
 
 def _check_adversary_closed_forms() -> None:
     halving = stage0().law
-    _expect(abs(mean_shift(0.05, 41) - 2.05) < 1e-12)
+    _expect(abs(perturb(halving, 41, 0.05).mean - halving.mean - 2.05) < 1e-12)
     _expect(abs(mu_L_shift(halving, 0, 0.05, 41) - 2.05) < 1e-12)
     moved = perturb(halving, 41, 0.001)
     _expect(abs(tv_prefix_exact(halving, moved, 1) - 0.002) < 1e-12)
@@ -120,7 +125,7 @@ CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (
     ("law closed forms", _check_law_closed_forms),
     ("scheme hand traces", _check_scheme_traces),
     ("streaming vs reference", _check_streaming_matches_reference),
-    ("run index bookkeeping", _check_run_index_bookkeeping),
+    ("prefix scan bookkeeping", _check_prefix_scan_bookkeeping),
     ("sharp mean bound", _check_sharp_mean_bound),
     ("adversary closed forms", _check_adversary_closed_forms),
 )

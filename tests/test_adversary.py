@@ -15,7 +15,6 @@ from renewalbench.adversary import (
     advance_stage,
     audit_json,
     fooling_probability,
-    mean_shift,
     mu_L_shift,
     stage0,
     tv_prefix_exact,
@@ -57,18 +56,13 @@ class TestStage0:
 
 class TestMeanShift:
     def test_worked_example(self):
-        assert mean_shift(0.05, 41) == pytest.approx(2.05, abs=1e-12)
+        law = stage0().law
+        assert perturb(law, 41, 0.05).mean - law.mean == pytest.approx(2.05, abs=1e-12)
 
     def test_matches_law_mean_difference(self):
         law = stage0().law
         moved = perturb(law, 41, 0.05)
-        assert moved.mean - law.mean == pytest.approx(mean_shift(0.05, 41), abs=1e-12)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            mean_shift(0.0, 5)
-        with pytest.raises(ValueError):
-            mean_shift(0.01, 0)
+        assert moved.mean - law.mean == pytest.approx(41 * 0.05, abs=1e-12)
 
 
 def brute_tail_mean_shift(law, age, delta, k):

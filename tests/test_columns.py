@@ -1,28 +1,32 @@
 """The columnar scan and scorer against the per-event path.
 
-run_experiment scores poly and offline from the columns of one prefix
-scan; score_events and good_index_density score the events that
-run_scheme builds one at a time.  Both must give the same floats, bit
-for bit, and poly's window sizes must equal Python's ceil(t ** e).
+run_experiment scores every scheme from the columns of one prefix scan;
+score_events and good_index_density score the events that run_scheme
+builds one at a time.  Both must give the same floats, bit for bit, and
+poly's window sizes must equal Python's ceil(t ** e).  Hand paths pin
+each firing rule at its boundary against ref_run.
 """
 
 import math
 
 import pytest
 
+from renewalbench import evaluation
 from renewalbench.evaluation import (
     ExperimentConfig,
     good_index_density,
     run_experiment,
     score_events,
 )
-from renewalbench.laws import make_law
+from renewalbench.laws import make_law, residual_law
 from renewalbench.paths import StartMode, sample_path
 from renewalbench.schemes import (
     SchemeConfig,
     _window_sizes,
     prefix_scan,
     ref_run,
+    run_eps,
+    run_log,
     run_offline,
     run_poly,
     run_scheme,
@@ -41,12 +45,12 @@ TOLERANCES = (0.02, 0.1, 0.35, 1.5)
 
 @pytest.mark.parametrize("spec", LAWS, ids=lambda spec: spec["type"])
 @pytest.mark.parametrize("mode", list(StartMode), ids=lambda mode: mode.value)
-@pytest.mark.parametrize("scheme", ["poly", "offline"])
+@pytest.mark.parametrize("scheme", ["poly", "offline", "eps", "log"])
 def test_columnar_records_equal_per_event_scores(spec, mode, scheme):
     config = ExperimentConfig(
         law=spec,
         scheme=scheme,
-        scheme_config=SchemeConfig(gamma=0.3),
+        scheme_config=SchemeConfig(gamma=0.3, epsilon=0.1),
         length=6000,
         start_mode=mode,
         replicates=2,
@@ -72,14 +76,43 @@ def test_columnar_records_equal_per_event_scores(spec, mode, scheme):
     assert [r.row() for r in report.records] == [r.row() for r in expected]
 
 
+@pytest.mark.parametrize("scheme", ["poly", "offline", "eps", "log"])
+def test_scores_do_not_depend_on_block_size(monkeypatch, scheme):
+    # On a heavy tail a value's entries lie far apart, so with tiny
+    # blocks its rows span many blocks, most of them without a hit.
+    config = ExperimentConfig(
+        law={"type": "zipf", "s": 2.2, "truncate": 500},
+        scheme=scheme,
+        scheme_config=SchemeConfig(gamma=0.3, epsilon=0.1),
+        length=6000,
+        base_seed=1,
+        keep_records=True,
+    )
+    whole = [r.row() for r in run_experiment(config).records]
+    monkeypatch.setattr(evaluation, "_BLOCK", 7)
+    assert whole
+    assert [r.row() for r in run_experiment(config).records] == whole
+
+
+@pytest.mark.parametrize("spec", LAWS, ids=lambda spec: spec["type"])
+def test_residual_totals_equal_residual_law_sums(spec):
+    law = make_law(spec)
+    scorer = evaluation._Scorer(law)
+    for age in {*range(0, law.support, max(1, law.support // 100)), law.support - 1}:
+        if law.tails[age] > 0.0:
+            assert scorer._residual_total(age) == math.fsum(residual_law(law, age).probs)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_paths_without_estimates():
     # no zero at all, a lone zero, and a path too short to fire
-    config = SchemeConfig(gamma=0.5)
+    config = SchemeConfig(gamma=0.5, epsilon=0.5)
     for bits in ([1] * 50, [1, 1, 0, 1], [0, 1]):
-        assert run_poly(bits, config) == ref_run("poly", bits, config) == []
+        for scheme in ("poly", "log", "eps"):
+            assert run_scheme(scheme, bits, config) == ref_run(scheme, bits, config) == []
         assert run_offline(bits) == ref_run("offline", bits, config)
         assert prefix_scan(bits).rank.size == len(bits) - (bits.index(0) if 0 in bits else len(bits))
-    for scheme in ("poly", "offline"):
+    for scheme in ("poly", "offline", "eps", "log"):
         report = run_experiment(
             ExperimentConfig(
                 law={"type": "explicit", "p": [0.0, 0.0, 1.0]},
@@ -93,6 +126,17 @@ def test_paths_without_estimates():
         assert report.replicate_summaries[0].event_count == 0
         assert report.records == ()
         assert math.isnan(report.pooled.median_tv)
+
+
+def test_log_warns_through_run_experiment():
+    config = ExperimentConfig(
+        law={"type": "geometric", "q": 0.5, "truncate": 60},
+        scheme="log",
+        scheme_config=SchemeConfig(gamma=0.4),
+        length=500,
+    )
+    with pytest.warns(UserWarning, match="1/3"):
+        run_experiment(config)
 
 
 @pytest.mark.parametrize("gamma", [0.05, 0.1, 0.2, 0.25, 0.3, 1 / 3, 0.45, 0.5, 0.6, 0.75, 0.9])
@@ -130,3 +174,39 @@ def test_threshold_at_exact_powers(gamma, t, m):
             assert at_t == []
         else:
             assert [(e.run_age, e.sample_count) for e in at_t] == [(2, m)]
+
+
+def test_eps_fires_at_equality():
+    # [0, 1, 1] repeated: at t = 8 (age 2) the ages below 2 in [0, 8]
+    # number 6 = 8 * (1 - 0.5/2), so eps fires there; one more zero in
+    # the prefix makes them 7 and it does not
+    config = SchemeConfig(epsilon=0.5)
+    for bits, fires in (([0, 1, 1] * 4, True), ([0, 1, 1, 0, 0, 1, 0, 1, 1, 0], False)):
+        assert bits[6:9] == [0, 1, 1]
+        events = run_eps(bits, config)
+        assert events == ref_run("eps", bits, config)
+        assert any(e.time == 8 for e in events) == fires
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize(
+    "bits, gamma, fired",
+    [
+        # the scale window moves at t = 2^k: with zeros only, (2, 4)
+        # holds one age-0 entry at t = 7, too few; (3, 8) holds four at
+        # t = 8, and (4, 16) takes over at t = 16
+        ([0] * 20, 0.5, list(range(8, 20))),
+        # age 0 first recurs at 3, so it may fire only once 2^3 < t: not
+        # at t = 8, though (3, 8) already holds 4, 5, 6 and 7
+        ([0, 1, 1] + [0] * 9, 0.5, [9, 10, 11]),
+        # needed = ceil(2^(3 * 0.6)) = 4 at scale 3: (3, 8) holds exactly
+        # four age-0 entries, and one fewer when position 5 is a one
+        ([0] * 12, 0.4, [8, 9, 10, 11]),
+        ([0] * 5 + [1] + [0] * 6, 0.4, []),
+    ],
+)
+def test_log_scale_gate_and_window_boundaries(bits, gamma, fired):
+    config = SchemeConfig(gamma=gamma)
+    events = run_log(bits, config)
+    assert events == ref_run("log", bits, config)
+    assert [e.time for e in events if e.run_age == 0] == fired

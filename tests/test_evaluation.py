@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from renewalbench.laws import LawError, make_law, residual_law, tv_l1
+from renewalbench.laws import LawError, make_law, residual_law, residual_mean, tv_l1
 from renewalbench.evaluation import (
     AggregateStats,
     EvalReport,
@@ -18,7 +18,6 @@ from renewalbench.evaluation import (
     report_from_json,
     run_experiment,
     score_events,
-    theta_oracle,
 )
 from renewalbench.schemes import SchemeConfig, run_eps, run_offline, run_poly
 
@@ -32,20 +31,20 @@ def p2_bits(n):
 
 class TestThetaOracle:
     def test_deterministic_law(self):
-        assert theta_oracle(P2_LAW, 0) == 2.0
-        assert theta_oracle(P2_LAW, 1) == 1.0
-        assert theta_oracle(P2_LAW, 2) == 0.0
+        assert residual_mean(P2_LAW, 0) == 2.0
+        assert residual_mean(P2_LAW, 1) == 1.0
+        assert residual_mean(P2_LAW, 2) == 0.0
 
     def test_memoryless_law(self):
-        assert abs(theta_oracle(GEOM, 5) - 1.0) < 1e-6
+        assert abs(residual_mean(GEOM, 5) - 1.0) < 1e-6
 
     def test_uniform_thirds(self):
         law = make_law({"type": "explicit", "p": [1 / 3, 1 / 3, 1 / 3]})
-        assert abs(theta_oracle(law, 1) - 0.5) < 1e-12
+        assert abs(residual_mean(law, 1) - 0.5) < 1e-12
 
     def test_impossible_age(self):
         with pytest.raises(LawError):
-            theta_oracle(P2_LAW, 3)
+            residual_mean(P2_LAW, 3)
 
 
 class TestScoreEvents:
