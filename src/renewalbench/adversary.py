@@ -14,6 +14,14 @@ probability near 1 by then), and the perturbation (k, delta) subject to
 the mean-shift, bookkeeping, and prefix-closeness constraints.  Any of
 them can run out of room at finite scale; that is reported as
 BudgetExhausted naming the constraint, never papered over.
+
+The Monte Carlo checks sample their paths a block at a time.  A scheme
+tag, or the package's iter_poly/iter_log/iter_eps, runs as one call of
+the scheme's columns per block, and the checks are existence tests on
+the columns (path, time, age, sum/m); any other runner is called path
+by path and fills the same columns.  The exact prefix distance builds
+the 2^N string masses of each law in place, and keeps the base law's
+for the next call of the delta search.
 """
 
 from __future__ import annotations
@@ -21,13 +29,25 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .laws import MAX_SUPPORT, LawError, RenewalLaw, make_law, perturb, residual_mean
-from .paths import StartMode, sample_path
-from .schemes import EstimateEvent, SchemeConfig
+from .paths import StartMode, sample_paths
+from .paths import sample_path  # noqa: F401  bench/traced.py wraps adversary.sample_path
+from .schemes import (
+    _BLOCK_BITS,
+    EstimateEvent,
+    PrefixScan,
+    SchemeConfig,
+    _scan_columns,
+    iter_eps,
+    iter_log,
+    iter_poly,
+    prefix_scan,
+)
 
 __all__ = [
     "StageAudit",
@@ -48,6 +68,9 @@ __all__ = [
 _Z95 = 1.959963984540054
 
 SchemeRunner = Callable[[Sequence[int], SchemeConfig], Iterable[EstimateEvent]]
+
+# The package's iterators run as their tags: one kernel call per block.
+_TAGS = {iter_poly: "poly", iter_log: "log", iter_eps: "eps"}
 
 
 @dataclass(frozen=True)
@@ -145,35 +168,63 @@ def mu_L_shift(law: RenewalLaw, L: int, delta: float, k: int) -> float:
     return (k * delta) / (beta + delta) - delta * weighted / (beta * (beta + delta))
 
 
-def _string_measure_tables(law: RenewalLaw, n: int):
-    """(completed-run masses, trailing-run tail masses) up to length n."""
-    run_mass = np.array([law.prob(i) for i in range(n + 1)])
-    trailing = np.array([1.0] + [law.tail(r) for r in range(1, n + 2)])
-    return run_mass, trailing
+def _close_trailing_runs(strings: np.ndarray, table: np.ndarray) -> None:
+    """Multiply the masses of the 2^s strings of one length by table at
+    their trailing run.  Strings are kept so that the last bit appended
+    is the top bit of the index, so the trailing run is the number of
+    leading ones: r on the r-th dyadic block from the bottom, and s for
+    the last string."""
+    start, size = 0, strings.size
+    run = 0
+    while size > 1:
+        size //= 2
+        strings[start : start + size] *= table[run]
+        start += size
+        run += 1
+    strings[start] *= table[run]
+
+
+def _string_masses(law: RenewalLaw, n: int) -> np.ndarray:
+    """Masses of the 2^n strings x_1..x_n that follow x_0 = 0.
+
+    A string's mass is the product of the run masses of its completed
+    runs times the tail mass of its trailing partial run.
+    """
+    mass = np.array([law.prob(i) for i in range(n + 1)])
+    trail = np.array([1.0] + [law.tail(r) for r in range(1, n + 2)])
+    probs = np.empty(1 << n)
+    probs[0] = 1.0
+    width = 1
+    for _ in range(n):
+        # next bit 1 extends the trailing run, next bit 0 closes it
+        probs[width : 2 * width] = probs[:width]
+        _close_trailing_runs(probs[:width], mass)
+        width *= 2
+    _close_trailing_runs(probs, trail)
+    return probs
+
+
+@lru_cache(maxsize=1)
+def _base_string_masses(law: RenewalLaw, n: int) -> np.ndarray:
+    """Read-only string masses of the law that the delta search compares
+    with a new candidate per step."""
+    masses = _string_masses(law, n)
+    masses.setflags(write=False)
+    return masses
 
 
 def tv_prefix_exact(law_a: RenewalLaw, law_b: RenewalLaw, N: int) -> float:
     """Exact L1 distance between the two path measures on strings
-    x_0..x_N with x_0 = 0, by dynamic programming over all 2^N
-    continuations.  A string's probability is the product of the run
-    masses of its completed runs times the tail mass of its trailing
-    partial run.
+    x_0..x_N with x_0 = 0, over all 2^N continuations.  The masses of
+    law_a, the base law, are kept for the next call.
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     if N > 20:
         raise ValueError(f"exact enumeration is capped at N=20, got {N}")
-    mass_a, trail_a = _string_measure_tables(law_a, N)
-    mass_b, trail_b = _string_measure_tables(law_b, N)
-    probs_a = np.array([1.0])
-    probs_b = np.array([1.0])
-    runs = np.array([0], dtype=np.int64)
-    for _ in range(N):
-        # next bit 0 closes the current run, next bit 1 extends it
-        probs_a = np.concatenate([probs_a * mass_a[runs], probs_a])
-        probs_b = np.concatenate([probs_b * mass_b[runs], probs_b])
-        runs = np.concatenate([np.zeros_like(runs), runs + 1])
-    return float(np.abs(probs_a * trail_a[runs] - probs_b * trail_b[runs]).sum())
+    gaps = _string_masses(law_b, N)
+    np.subtract(_base_string_masses(law_a, N), gaps, out=gaps)
+    return float(np.abs(gaps, out=gaps).sum())
 
 
 def _wilson(successes: int, n: int) -> tuple[float, float]:
@@ -200,24 +251,82 @@ class FoolingResult:
     any_fired: bool
 
 
-def _age_marker_possible(bits: np.ndarray, age: int, n_bound: int) -> bool:
-    """Whether any position in (age, n_bound) sits at run age `age`.
+def _runner_tag(runner) -> str | SchemeRunner:
+    tag = _TAGS.get(runner, runner)
+    if isinstance(tag, str) and tag not in _TAGS.values():
+        raise ValueError(f"unknown scheme tag {tag!r}; expected one of {sorted(_TAGS.values())}")
+    return tag
 
-    Emitted events carry the true run age of their firing position, so
-    this is a necessary condition for a qualifying event and lets the
-    Monte Carlo skip the estimator on paths that cannot qualify.
+
+def _runner_columns(runner: SchemeRunner, config: SchemeConfig, bits: np.ndarray, paths: np.ndarray, bound: int):
+    """(path, time, age, estimate) of what a runner fires on the given
+    paths of a block before bound.  Event times increase, so a path's
+    run stops at its first event at or past bound."""
+    fired = []
+    for path in paths.tolist():
+        for event in runner(bits[path], config):
+            if event.time >= bound:
+                break
+            fired.append((path, event.time, event.run_age, event.estimate))
+    if not fired:
+        return (np.zeros(0, dtype=np.intp),) * 3 + (np.zeros(0),)
+    path, time, age, estimate = zip(*fired)
+    return np.array(path), np.array(time), np.array(age), np.array(estimate, dtype=np.float64)
+
+
+def _monte_carlo(
+    law: RenewalLaw,
+    runner: str | SchemeRunner,
+    config: SchemeConfig,
+    bound: int,
+    reps: int,
+    seed: int,
+    marker: int | None = None,
+) -> Iterator[tuple[np.ndarray, tuple]]:
+    """The estimator on the renewal-started paths of streams 0..reps-1,
+    positions 0..bound, a block of paths at a time.
+
+    Yields per block the mask of the paths that count, and the (path,
+    time, age, estimate) columns of the estimates fired on them before
+    bound.  With a marker age, a path counts only if one of its
+    positions in (marker, bound) has that age, since no estimate at the
+    marker can fire on the others; a runner is not run on them.  A tag
+    runs the scheme's columns on the whole block at once; any other
+    runner runs path by path.
     """
-    zeros = np.flatnonzero(bits == 0)
-    positions = np.arange(bits.size)
-    ages = positions - zeros[np.searchsorted(zeros, positions, "right") - 1]
-    ages[: age + 1] = -1
-    ages[n_bound:] = -1
-    return bool(np.any(ages == age))
+    runner = _runner_tag(runner)
+    per_block = max(1, _BLOCK_BITS // (bound + 1))
+    for start in range(0, reps, per_block):
+        streams = range(start, min(reps, start + per_block))
+        bits = sample_paths(law, bound, StartMode.AT_RENEWAL, seed, streams)
+        if isinstance(runner, str):
+            scan, cols = _scan_columns(runner, bits, config)
+            counted = _counted(scan, marker, bound)
+            path = np.arange(len(streams)).repeat(np.diff(cols.first))
+            keep = cols.time < bound
+            keep &= counted[path]
+            yield counted, (path[keep], cols.time[keep], cols.age[keep], cols.sum[keep] / cols.m[keep])
+        else:
+            counted = _counted(prefix_scan(bits), marker, bound)
+            yield counted, _runner_columns(runner, config, bits, counted.nonzero()[0], bound)
+
+
+def _counted(scan: PrefixScan, marker: int | None, bound: int) -> np.ndarray:
+    """The paths of a scanned block that count: all of them, or with a
+    marker those with a position in (marker, bound) at that age."""
+    if marker is None:
+        return np.ones(scan.psi.size, dtype=bool)
+    at = scan.ages == marker
+    at &= scan.time > marker
+    at &= scan.time < bound
+    counted = np.zeros(scan.psi.size, dtype=bool)
+    counted[scan.first.searchsorted(at.nonzero()[0], "right") - 1] = True
+    return counted
 
 
 def fooling_probability(
     law: RenewalLaw,
-    runner: SchemeRunner,
+    runner: str | SchemeRunner,
     config: SchemeConfig,
     window: tuple[int, int],
     target_mu: float,
@@ -227,6 +336,9 @@ def fooling_probability(
     """Probability that the estimator, on a path of this law started at
     a renewal, fires somewhere strictly inside the window at exactly the
     window's age with an estimate more than 1 below target_mu.
+
+    runner is a scheme tag ("poly", "log", "eps") or a callable like
+    iter_poly; the package's iterators run as their tags.
     """
     age, n_bound = window
     if not 0 <= age < n_bound:
@@ -237,21 +349,15 @@ def fooling_probability(
     successes = 0
     executed = 0
     any_fired = False
-    for rep in range(reps):
-        bits = sample_path(law, n_bound, StartMode.AT_RENEWAL, seed=seed, stream=rep).bits
-        if not _age_marker_possible(bits, age, n_bound):
-            continue
-        executed += 1
-        for event in runner(bits, config):
-            t = event.time
-            if t >= n_bound:
-                break  # event times increase; nothing later can qualify
-            if t <= age:
-                continue
-            any_fired = True
-            if event.run_age == age and event.estimate < cutoff:
-                successes += 1
-                break
+    for counted, (path, time, ages, estimate) in _monte_carlo(law, runner, config, n_bound, reps, seed, age):
+        executed += int(np.count_nonzero(counted))
+        inside = time > age
+        any_fired = any_fired or bool(inside.any())
+        inside &= ages == age
+        inside &= estimate < cutoff
+        fooled = np.zeros_like(counted)
+        fooled[path[inside]] = True
+        successes += int(np.count_nonzero(fooled))
     low, high = _wilson(successes, reps)
     return FoolingResult(
         estimate=successes / reps,
@@ -292,7 +398,7 @@ def _k_bound(law: RenewalLaw, age_markers: Iterable[int]) -> float:
 
 def advance_stage(
     stage: StageState,
-    runner: SchemeRunner,
+    runner: str | SchemeRunner,
     config: SchemeConfig,
     budgets: SearchBudgets = SearchBudgets(),
     seed: int = 0,
@@ -310,14 +416,12 @@ def advance_stage(
     if j == 0:
         marker = stage.markers[0]
     else:
-        marker = None
-        for candidate in range(stage.markers[-1] + 1, budgets.marker_scan_limit):
-            tail = law.tail(candidate)
-            if tail <= 0.0:
-                break  # tails only shrink; nothing further is realizable
-            if 3.0 * tail < small:
-                marker = candidate
-                break
+        # the first candidate whose tail is small enough, or 0: tails
+        # only shrink, so nothing further is realizable
+        start = stage.markers[-1] + 1
+        tails = np.asarray(law.tails[start : budgets.marker_scan_limit])
+        stops = ((tails <= 0.0) | (3.0 * tails < small)).nonzero()[0]
+        marker = start + int(stops[0]) if stops.size and tails[stops[0]] > 0.0 else None
         if marker is None:
             raise BudgetExhausted(
                 "marker",
@@ -438,7 +542,7 @@ def advance_stage(
 
 def verify_stage(
     stage: StageState,
-    runner: SchemeRunner,
+    runner: str | SchemeRunner,
     config: SchemeConfig,
     reps: int = 10_000,
     seed: int = 104_729,
@@ -459,18 +563,16 @@ def verify_stage(
     max_bound = max(bound for _, bound in windows)
 
     successes = 0
-    for rep in range(reps):
-        bits = sample_path(law, max_bound, StartMode.AT_RENEWAL, seed=seed, stream=rep).bits
-        pending = set(range(len(windows)))
-        for event in runner(bits, config):
-            t = event.time
-            if t >= max_bound or not pending:
-                break
-            for i in tuple(pending):
-                age, bound = windows[i]
-                if age < t < bound and event.run_age == age and event.estimate < cutoffs[i]:
-                    pending.discard(i)
-        successes += not pending
+    for fooled, (path, time, ages, estimate) in _monte_carlo(law, runner, config, max_bound, reps, seed):
+        for (age, bound), cutoff in zip(windows, cutoffs):
+            hit = time > age
+            hit &= time < bound
+            hit &= ages == age
+            hit &= estimate < cutoff
+            inside = np.zeros_like(fooled)
+            inside[path[hit]] = True
+            fooled &= inside
+        successes += int(np.count_nonzero(fooled))
     estimate = successes / reps
     low, high = _wilson(successes, reps)
     joint_threshold = 1.0 - sum(2.0 * 1000.0 ** (-i) for i in range(1, j + 1))

@@ -33,6 +33,7 @@ from .selfcheck import run_selftest
 # beyond it a CSV export would hold the whole event stream in memory
 MAX_CSV_POSITIONS = 2_000_000
 
+# The adversary runs a scheme by its tag; bench/traced.py wraps these.
 _ADVERSARY_RUNNERS = {"poly": iter_poly, "log": iter_log, "eps": iter_eps}
 
 
@@ -158,13 +159,12 @@ def _cmd_adversary(args) -> int:
     if scheme == "eps" and epsilon is None:
         epsilon = 0.1
     config = SchemeConfig(gamma=gamma, epsilon=epsilon, declared_alpha=args.alpha)
-    runner = _ADVERSARY_RUNNERS[scheme]
     reps = args.replicates if args.replicates is not None else 2000
     seed = args.seed
-    state = advance_stage(stage0(), runner, config, seed=seed)
-    verify = verify_stage(state, runner, config, reps=reps, seed=seed + 58_000_001)
+    state = advance_stage(stage0(), scheme, config, seed=seed)
+    verify = verify_stage(state, scheme, config, reps=reps, seed=seed + 58_000_001)
     try:
-        further = advance_stage(state, runner, config, seed=seed + 1)
+        further = advance_stage(state, scheme, config, seed=seed + 1)
         next_stage = {"advanced": True, "audit": json.loads(audit_json(further))}
     except BudgetExhausted as exc:
         next_stage = {"advanced": False, "constraint": exc.constraint, "detail": str(exc)}

@@ -27,6 +27,7 @@ from .schemes import (
     EventColumns,
     OfflineEstimate,
     SchemeConfig,
+    _stable_order,
     # run_experiment scores every scheme from its columns; the name
     # stays here because bench/traced.py wraps evaluation.iter_offline
     iter_offline,  # noqa: F401
@@ -61,15 +62,6 @@ CSV_COLUMNS = (
     "abs_err",
     "tv",
 )
-
-
-def _stable_order(keys: np.ndarray, dtype) -> np.ndarray:
-    """Stable argsort of nonnegative integers as `dtype` indices; numpy
-    radix-sorts 16-bit keys, several times faster than its merge sort
-    of 64-bit ones."""
-    if keys.max() < 1 << 16:
-        keys = keys.astype(np.uint16)
-    return keys.argsort(kind="stable").astype(dtype, copy=False)
 
 
 class _Scorer:
@@ -502,6 +494,7 @@ class EvalReport:
 _SCHEME_ITERATORS: dict = {}
 
 
+# bench/traced.py wraps this name to time the aggregation layer
 def _final_decile(values):
     count = len(values)
     if count == 0:

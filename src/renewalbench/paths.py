@@ -7,9 +7,14 @@ run: from state i >= 1 it moves to i - 1 emitting a one, and from state
 
 Reproducibility contract: paths are a pure function of (law, horizon,
 mode, seed, stream).  The generator is Philox (counter-based, keyed by
-seed and stream), run lengths come from inverse-CDF lookups, and draws
-happen in fixed-size batches, so a path is a prefix of the path any
-longer horizon produces for the same key.
+seed and stream) and run lengths come from inverse-CDF lookups of its
+uniforms.  Those are consumed in order, one per run (after one for the
+stationary start), however many are drawn at a time, so a path is a
+prefix of the path any longer horizon produces for the same key.
+
+sample_paths draws a block of streams at once: one Philox re-keyed per
+stream, and the paths as the rows of one array.  sample_path is its
+one-stream case.
 """
 
 from __future__ import annotations
@@ -30,12 +35,13 @@ __all__ = [
     "parse_start_mode",
     "sample_run_length",
     "sample_path",
+    "sample_paths",
     "dump_path",
     "load_path",
 ]
 
-# Runs are drawn in fixed batches so that output bits do not depend on
-# the requested horizon.
+# Most uniforms drawn at a time.  Every run takes at least one position,
+# so a path never needs more uniforms than it has positions left.
 _CHUNK = 1024
 
 _MASK64 = (1 << 64) - 1
@@ -83,7 +89,7 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
 
 
 def _draw_run_lengths(law: RenewalLaw, rng: np.random.Generator, count: int) -> np.ndarray:
-    return np.searchsorted(law.length_cdf, rng.random(count), side="right")
+    return law.length_cdf.searchsorted(rng.random(count), side="right")
 
 
 def sample_run_length(law: RenewalLaw, rng: np.random.Generator) -> int:
@@ -91,21 +97,15 @@ def sample_run_length(law: RenewalLaw, rng: np.random.Generator) -> int:
     return int(np.searchsorted(law.length_cdf, rng.random(), side="right"))
 
 
-def _runs_to_bits(runs: np.ndarray) -> np.ndarray:
-    # Each run of length k contributes k ones then a zero.
-    out = np.ones(int(runs.sum()) + len(runs), dtype=np.uint8)
-    out[np.cumsum(runs + 1) - 1] = 0
-    return out
-
-
-def sample_path(
+def sample_paths(
     law: RenewalLaw,
     horizon: int,
     mode: StartMode,
     seed: int,
-    stream: int = 0,
-) -> Path:
-    """Sample positions 0..horizon of the process.
+    streams,
+) -> np.ndarray:
+    """Positions 0..horizon of one path per stream, as the rows of a
+    read-only uint8 array.  Row i is the path of streams[i] under seed.
 
     AT_RENEWAL conditions on a renewal at the origin: the path begins
     with a zero, then alternates (run of k ones, zero) with k drawn
@@ -116,34 +116,51 @@ def sample_path(
     """
     if horizon < 0:
         raise PathError(f"horizon must be >= 0, got {horizon}")
-    rng = _generator(seed, stream)
-    need = horizon + 1
-    segments = []
-    total = 0
-
     if mode is StartMode.STATIONARY:
         states = np.cumsum(stationary_state_law(law))
-        i = int(np.searchsorted(states, rng.random(), side="right"))
-        i = min(i, law.support - 1)  # guard the float edge at cumsum ~ 1
-        head = np.ones(i + 1, dtype=np.uint8)
-        head[i] = 0
-        segments.append(head)
-        total = i + 1
-    elif mode is StartMode.AT_RENEWAL:
-        segments.append(np.zeros(1, dtype=np.uint8))
-        total = 1
-    else:
+    elif mode is not StartMode.AT_RENEWAL:
         raise PathError(f"unsupported start mode {mode!r}")
+    need = horizon + 1
+    rows = np.ones((len(streams), need), dtype=np.uint8)
+    # Re-keying one generator by its state (counter 0, empty buffer) is
+    # the stream _generator would build, at a quarter of the cost.
+    rng = _generator(seed, 0)
+    state = rng.bit_generator.state
+    key = state["state"]["key"]
+    for row, stream in zip(rows, streams):
+        key[1] = stream & _MASK64
+        rng.bit_generator.state = state
+        if mode is StartMode.STATIONARY:
+            total = int(states.searchsorted(rng.random(), side="right"))
+            total = min(total, law.support - 1)  # guard the float edge at cumsum ~ 1
+        else:
+            total = 0
+        if total < need:
+            row[total] = 0
+        total += 1
+        while total < need:
+            # each run of k ones ends with the zero k + 1 positions on
+            zeros = _draw_run_lengths(law, rng, min(_CHUNK, need - total))
+            zeros += 1
+            zeros.cumsum(out=zeros)
+            zeros += total - 1
+            row[zeros[zeros < need]] = 0
+            total = int(zeros[-1]) + 1
+    rows.setflags(write=False)
+    return rows
 
-    while total < need:
-        chunk = _runs_to_bits(_draw_run_lengths(law, rng, _CHUNK))
-        segments.append(chunk)
-        total += len(chunk)
 
-    bits = np.concatenate(segments)[:need]
-    bits.setflags(write=False)
+def sample_path(
+    law: RenewalLaw,
+    horizon: int,
+    mode: StartMode,
+    seed: int,
+    stream: int = 0,
+) -> Path:
+    """Sample positions 0..horizon of the process: the one-stream case
+    of :func:`sample_paths`."""
     return Path(
-        bits=bits,
+        bits=sample_paths(law, horizon, mode, seed, (stream,))[0],
         seed=int(seed),
         stream=int(stream),
         mode=mode,

@@ -25,6 +25,16 @@ age cannot recur inside the open run.  eps's occupancy count is a
 prefix fact too: the positions of [psi, t] below the current age are
 the open run's own, plus, at each of its ages, that position's rank.
 
+The scan and the firing rules also take a block of equal-length paths,
+the rows of a 2-D array, with age classes keyed by (path, age); one
+path is a block of one.  Callers that run many paths, like the
+adversary's Monte Carlo, pass blocks of at most _BLOCK_BITS = 2^16
+positions (a longer path is a block of its own).  The scan holds 48
+bytes per position (about 56 in a block of several paths, which keeps
+each row's class too), and building a scheme's columns peaks at 85-130
+bytes per position (tracemalloc, geometric paths: poly 84-109, log
+105-116, eps 119-127), so a full block takes about 8 MB.
+
 Estimates are exact rationals (integer sums over integer counts)
 converted to float by a single division, so the emitted mean equals the
 mean of the emitted distribution bit for bit.
@@ -64,6 +74,11 @@ __all__ = [
 ]
 
 SCHEME_TAGS = ("poly", "log", "offline", "eps")
+
+# Most positions a caller puts in one block of paths.  A block of
+# several paths then has fewer than 2^16 classes (path, age), whose keys
+# sort as 16-bit integers.
+_BLOCK_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -243,22 +258,42 @@ def _warn_gamma_log(gamma: float):
         )
 
 
+def _stable_order(keys: np.ndarray, dtype) -> np.ndarray:
+    """Stable argsort of nonnegative integers as `dtype` indices; numpy
+    radix-sorts 16-bit keys, several times faster than its merge sort
+    of 64-bit ones."""
+    if keys.max(initial=0) < 1 << 16:
+        keys = keys.astype(np.uint16)
+    return keys.argsort(kind="stable").astype(dtype, copy=False)
+
+
 class PrefixScan(NamedTuple):
-    """Prefix facts of a path from its first zero psi on, as columns.
+    """Prefix facts of a block of equal-length paths, as columns.
 
-    Row i of ``ages`` and ``rank`` is position psi + i: its run age, and
-    how many earlier positions had that age.  Those earlier positions
-    all lie in completed runs, since ages only grow inside a run.
+    The scan rows are the positions of each path from its first zero on,
+    path after path.  Path p has its first zero at ``psi[p]`` (its
+    ``length`` if it has none) and the rows ``first[p]:first[p + 1]``;
+    ``time`` is each row's position in its path.  Row i's ``ages`` and
+    ``rank`` are its run age and how many earlier positions of its path
+    had that age.  Those all lie in completed runs, since ages only grow
+    inside a run.
 
-    The same positions in class order, by (age, position), give
-    ``order`` (their row), ``residuals`` (the ones their run still had
-    to come; 0 in the open run, where it is unknown) and the exact
-    prefix sums ``prefix``.  Age class a holds class-order entries
-    ``starts[a]:starts[a + 1]``, completed occurrences first.
+    Age classes are keyed by (path, age): row i is in class
+    ``classes[i] = p * width + ages[i]``.  The rows in class order, by
+    (path, age, position), give ``order`` (their row), ``residuals``
+    (the ones their run still had to come; 0 in the open run, where it
+    is unknown) and the exact prefix sums ``prefix``.  Class c holds class-order entries ``starts[c]:starts[c + 1]``,
+    completed occurrences first.  One path is a block of one, whose
+    classes are its ages.
     """
 
-    psi: int
+    length: int
+    width: int
+    psi: np.ndarray
+    first: np.ndarray
+    time: np.ndarray
     ages: np.ndarray
+    classes: np.ndarray
     rank: np.ndarray
     order: np.ndarray
     residuals: np.ndarray
@@ -267,44 +302,79 @@ class PrefixScan(NamedTuple):
 
 
 def prefix_scan(bits) -> PrefixScan:
-    """Scan a whole path at once.  A path without a zero has no rows."""
+    """Scan one path, or a block of paths as the rows of a 2-D array."""
     # array methods rather than numpy functions: on the short paths of
     # the adversary's Monte Carlo the call overhead is the cost
     arr = bits if isinstance(bits, np.ndarray) else np.asarray(_as_positions(bits))
-    zeros = (arr == 0).nonzero()[0]
-    if not zeros.size:
-        none = np.zeros(0, dtype=np.intp)
-        return PrefixScan(arr.size, none, none, none, none, np.zeros(1, dtype=np.int64), none)
-    psi = int(zeros[0])
-    size = arr.size - psi
-    ends = np.empty(zeros.size, dtype=zeros.dtype)  # one past each run
-    ends[:-1] = zeros[1:]
-    ends[-1] = arr.size
+    paths, length = arr.shape if arr.ndim == 2 else (1, arr.size)
+    zeros = (arr.reshape(-1) == 0).nonzero()[0]
+    path = zeros // length if zeros.size else zeros
+    # one past each run: the next zero, or the end of its path, where
+    # the run is still open
+    ends = path + 1
+    ends *= length
+    open_ = np.ones(zeros.size, dtype=bool)
+    np.greater_equal(zeros[1:], ends[:-1], out=open_[:-1])
+    np.minimum(ends[:-1], zeros[1:], out=ends[:-1])
     runs = ends - zeros  # positions per run, its zero included
-    ages = np.arange(psi, arr.size) - zeros.repeat(runs)
-    residuals = (runs - 1).repeat(runs) - ages
-    residuals[zeros[-1] - psi :] = 0
-    order = ages.argsort(kind="stable")
-    sizes = np.bincount(ages)
+    del ends
+    # scan row of each run's zero, and the total
+    bounds = np.zeros(runs.size + 1, dtype=np.intp)
+    runs.cumsum(out=bounds[1:])
+    size = int(bounds[-1])
+    first = bounds[path.searchsorted(np.arange(paths + 1))]
+    psi = length - (first[1:] - first[:-1])
+    ages = np.arange(size)
+    ages -= bounds[:-1].repeat(runs)
+    del bounds
+    zeros -= path * length
+    time = zeros.repeat(runs)
+    time += ages
+    del zeros
+    # a completed run of k ones leaves k - age to come; the open run at
+    # the end of each path gets -1 - age, clipped to 0
+    left = runs - 1
+    left[open_] = -1
+    residuals = left.repeat(runs)
+    del left, open_
+    residuals -= ages
+    np.maximum(residuals, 0, out=residuals)
+    width = int(runs.max(initial=0))  # ages run 0..width - 1
+    if paths == 1:
+        classes = ages
+    else:
+        path *= width
+        classes = path.repeat(runs)
+        classes += ages
+    del path, runs
+    order = _stable_order(classes, np.intp)
+    sizes = np.bincount(classes, minlength=paths * width)
     starts = np.zeros(sizes.size + 1, dtype=sizes.dtype)
     sizes.cumsum(out=starts[1:])
+    within = np.arange(size)
+    within -= starts[:-1].repeat(sizes)
     rank = np.empty_like(ages)
-    rank[order] = np.arange(size) - starts[:-1].repeat(sizes)
+    rank[order] = within
+    del within
     # a leading 0 makes prefix[k] the sum of the first k residuals
     padded = np.zeros(size + 1, dtype=np.int64)
-    padded[1:] = residuals[order]
-    return PrefixScan(psi, ages, rank, order, padded[1:], padded.cumsum(), starts)
+    # "clip" (the indices are valid) writes in place; "raise" buffers
+    residuals.take(order, out=padded[1:], mode="clip")
+    del residuals
+    return PrefixScan(length, width, psi, first, time, ages, classes, rank, order, padded[1:], padded.cumsum(), starts)
 
 
 class EventColumns(NamedTuple):
-    """Estimates of one scheme on one path, one row per estimate.
+    """Estimates of one scheme on a path or a block, one row per estimate.
 
-    Row i averaged ``residuals[lo[i]:hi[i]]``, the class-ordered
+    Path p of the block has rows ``first[p]:first[p + 1]``, in time
+    order.  Row i averaged ``residuals[lo[i]:hi[i]]``, the class-ordered
     residuals of the scan: ``m[i]`` values whose exact total is
     ``sum[i]``.
     """
 
     residuals: np.ndarray
+    first: np.ndarray
     time: np.ndarray
     age: np.ndarray
     lo: np.ndarray
@@ -314,12 +384,11 @@ class EventColumns(NamedTuple):
 
 
 def _columns(scan: PrefixScan, rows: np.ndarray, age: np.ndarray, lo: np.ndarray, m: np.ndarray) -> EventColumns:
-    """Rows whose window is the m class-order entries from lo on."""
+    """Ascending scan rows whose window is the m class-order entries from lo on."""
     hi = lo + m
     total = scan.prefix[hi]
     total -= scan.prefix[lo]
-    rows += scan.psi
-    return EventColumns(scan.residuals, rows, age, lo, hi, m, total)
+    return EventColumns(scan.residuals, rows.searchsorted(scan.first), scan.time[rows], age, lo, hi, m, total)
 
 
 @lru_cache(maxsize=4)
@@ -343,13 +412,14 @@ def _poly_columns(scan: PrefixScan, gamma: float) -> EventColumns:
     """poly fires at t > psi when its age class holds at least
     t^(1-gamma) completed occurrences.  The rank is an integer, so that
     means rank >= m = ceil(t^(1-gamma)); it then averages the last m."""
-    psi = scan.psi
-    sizes = _window_sizes(psi + scan.rank.size, 1.0 - gamma)[psi:]
-    rows = (scan.rank[1:] >= sizes[1:]).nonzero()[0]
-    rows += 1
-    age = scan.ages[rows]
+    sizes = _window_sizes(scan.length, 1.0 - gamma)[scan.time]
+    # m is at least 1 for t > 0, and so at psi = 0, whose rank is 0
+    np.maximum(sizes, 1, out=sizes)
+    rows = (scan.rank >= sizes).nonzero()[0]
     m = sizes[rows]
-    lo = scan.starts[age]
+    del sizes
+    age = scan.ages[rows]
+    lo = scan.starts[scan.classes[rows]]
     lo += scan.rank[rows]
     lo -= m
     return _columns(scan, rows, age, lo, m)
@@ -375,37 +445,47 @@ def _log_columns(scan: PrefixScan, gamma: float) -> EventColumns:
 
     Those occurrences lie before 2^s <= t, so all of them completed
     before t, and later runs only add positions past t: the window of
-    one (age, scale) never changes.
+    one (path, age, scale) never changes.
     """
-    psi, ages, order, starts = scan.psi, scan.ages, scan.order, scan.starts
-    span = psi + ages.size
-    # first position after psi of each age: the head of its class, but
-    # the second entry for age 0, whose head is psi itself
-    first = order[starts[:-1]]
-    if first.size and starts[1] > 1:
-        first[0] = order[1]
-    first += psi
-    # bit_length(t) for t = psi .. span - 1
-    bit_length = _POWERS.searchsorted(np.arange(psi, span), "right")
-    # 2^first < t, i.e. first < bit_length(t - 1)
-    rows = (first[ages[1:]] < bit_length[:-1]).nonzero()[0]
-    rows += 1
-    # a row that passes has age <= first < bit_length(span), and so has
-    # its scale bit_length(t) - 1: a grid of (age, scale) cells below
-    # bit_length(span) holds the window of every row
-    scales = span.bit_length()
-    cell = ages[rows]
+    length, width, time, ages, classes = scan.length, scan.width, scan.time, scan.ages, scan.classes
+    order, starts = scan.order, scan.starts
+    if not ages.size:
+        return _columns(scan, ages, ages, ages, ages)
+    # first position after psi of each class: its head, but the second
+    # entry for age 0, whose head is psi itself
+    head = starts[:-1].copy()
+    head[::width] += starts[1::width] - head[::width] > 1
+    # an empty class at the end would read past the last entry
+    np.minimum(head, ages.size - 1, out=head)
+    first = time[order[head]]
+    del head
+    # bit_length(t - 1) at index t, and 0 at t = 0
+    bit_length = _POWERS.searchsorted(np.arange(-1, length), "right")
+    # 2^first < t, i.e. first < bit_length(t - 1); never at psi, where
+    # first >= psi >= bit_length(psi - 1)
+    rows = (first[classes] < bit_length[time]).nonzero()[0]
+    del first
+    # a row that passes has age <= first < bit_length(length), and so
+    # has its scale bit_length(t) - 1: a grid of (path, age, scale)
+    # cells with age and scale below bit_length(length) holds the
+    # window of every row
+    scales = length.bit_length()
+    ages_in = min(width, scales)
+    cell = classes[rows] // width
+    cell *= ages_in
+    cell += ages[rows]
     cell *= scales
-    cell += bit_length[rows]
+    cell += bit_length[time[rows] + 1]
     cell -= 1
     del bit_length
-    tau, scale = np.divmod(np.arange(min(first.size, scales) * scales), scales)
-    # class entries in (age, position) order, as one sorted key
-    key = ages[order]
-    key *= span
-    key += order
-    key += psi
-    tau *= span
+    tau, scale = np.divmod(np.arange(scan.psi.size * ages_in * scales), scales)
+    tau = np.divmod(tau, ages_in)
+    tau = tau[0] * width + tau[1]
+    # class entries in (class, position) order, as one sorted key
+    key = classes[order]
+    key *= length
+    key += time[order]
+    tau *= length
     lo = key.searchsorted(tau + scale, "right")
     tau += _POWERS[scale]
     count = key.searchsorted(tau, "left")
@@ -434,13 +514,12 @@ def _eps_columns(scan: PrefixScan, epsilon: float) -> EventColumns:
     below = ranked[rows]
     below -= ranked[rows - ages]
     below += ages
-    rows += scan.psi
     # psi's own row has rank 0, so t > psi holds for every row fired
-    fires = below <= rows * (1.0 - 0.5 * epsilon)
+    fires = below <= scan.time * (1.0 - 0.5 * epsilon)
     fires &= rank > 0
     rows = fires.nonzero()[0]
     age = ages[rows]
-    return _columns(scan, rows, age, scan.starts[age], rank[rows])
+    return _columns(scan, rows, age, scan.starts[scan.classes[rows]], rank[rows])
 
 
 def _offline_columns(scan: PrefixScan) -> EventColumns:
@@ -448,7 +527,7 @@ def _offline_columns(scan: PrefixScan) -> EventColumns:
     and has no row."""
     rows = scan.rank.nonzero()[0]
     age = scan.ages[rows]
-    return _columns(scan, rows, age, scan.starts[age], scan.rank[rows])
+    return _columns(scan, rows, age, scan.starts[scan.classes[rows]], scan.rank[rows])
 
 
 def _scan_columns(tag: str, bits, config: SchemeConfig) -> tuple[PrefixScan, EventColumns]:
@@ -475,13 +554,14 @@ def _scan_columns(tag: str, bits, config: SchemeConfig) -> tuple[PrefixScan, Eve
 
 
 def scheme_columns(tag: str, bits, config: SchemeConfig) -> EventColumns:
-    """Columns of one scheme's estimates on a whole path."""
+    """Columns of one scheme's estimates on a whole path, or on a block
+    of equal-length paths, the rows of a 2-D array."""
     return _scan_columns(tag, bits, config)[1]
 
 
 def _positions(scan: PrefixScan, entries: np.ndarray) -> np.ndarray:
     """Path positions of class-order entries."""
-    return scan.order[entries] + scan.psi
+    return scan.time[scan.order[entries]]
 
 
 def iter_poly(bits, config: SchemeConfig) -> Iterator[EstimateEvent]:
@@ -496,7 +576,7 @@ def iter_log(bits, config: SchemeConfig) -> Iterator[EstimateEvent]:
 
 def iter_eps(bits, config: SchemeConfig) -> Iterator[EstimateEvent]:
     scan, cols = _scan_columns("eps", bits, config)
-    return _events(scan, cols, np.full(cols.time.size, scan.psi), cols.time)
+    return _events(scan, cols, np.full(cols.time.size, scan.psi[0]), cols.time)
 
 
 # Rows turned into events at a time: a consumer that stops after the
@@ -559,7 +639,7 @@ def _offline_rows(scan: PrefixScan) -> Iterator[OfflineEstimate]:
     starts = scan.starts.tolist()
     windows: dict[int, _Window] = {}
     rows = zip(scan.ages.tolist(), scan.rank.tolist())
-    for position, (tau, count) in enumerate(rows, scan.psi):
+    for position, (tau, count) in enumerate(rows, int(scan.psi[0])):
         if count == 0:
             yield OfflineEstimate(position, tau, 0, None, ())
             continue

@@ -86,7 +86,7 @@ def _check_prefix_scan_bookkeeping() -> None:
     scan = prefix_scan(bits)
     zeros = np.flatnonzero(np.asarray(bits) == 0)
     psi = int(zeros[0])
-    _expect(scan.psi == psi and scan.ages.size == len(bits) - psi)
+    _expect(scan.psi[0] == psi and scan.ages.size == len(bits) - psi)
     _expect(not scan.ages[zeros - psi].any())
     # each completed run of s ones holds s+1 positions, whose residuals
     # s, s-1, ..., 0 total s(s+1)/2; the open run's count as 0

@@ -5,6 +5,7 @@ import json
 import math
 from itertools import product
 
+import numpy as np
 import pytest
 
 from renewalbench.adversary import (
@@ -12,6 +13,7 @@ from renewalbench.adversary import (
     FoolingResult,
     SearchBudgets,
     StageState,
+    _wilson,
     advance_stage,
     audit_json,
     fooling_probability,
@@ -27,7 +29,8 @@ from renewalbench.laws import (
     residual_mean,
     stationary_zero_prob,
 )
-from renewalbench.schemes import EstimateEvent, SchemeConfig, iter_poly, run_poly
+from renewalbench.paths import StartMode, sample_path
+from renewalbench.schemes import EstimateEvent, SchemeConfig, iter_eps, iter_log, iter_poly, run_poly
 
 CFG = SchemeConfig(gamma=0.3)
 
@@ -165,6 +168,36 @@ class TestPrefixTvExact:
             brute_prefix_tv(law_a, law_b, n), abs=1e-12
         )
 
+    def test_equals_enumeration_by_concatenation(self):
+        # the enumerator as first written, doubling by concatenation
+        def concatenated(law_a, law_b, n):
+            def tables(law):
+                run = np.array([law.prob(i) for i in range(n + 1)])
+                return run, np.array([1.0] + [law.tail(r) for r in range(1, n + 2)])
+
+            (mass_a, trail_a), (mass_b, trail_b) = tables(law_a), tables(law_b)
+            probs_a, probs_b, runs = np.array([1.0]), np.array([1.0]), np.array([0])
+            for _ in range(n):
+                probs_a = np.concatenate([probs_a * mass_a[runs], probs_a])
+                probs_b = np.concatenate([probs_b * mass_b[runs], probs_b])
+                runs = np.concatenate([np.zeros_like(runs), runs + 1])
+            return float(np.abs(probs_a * trail_a[runs] - probs_b * trail_b[runs]).sum())
+
+        rng = np.random.default_rng(20)
+        halving = stage0().law
+        pairs = [(halving, perturb(halving, 41, 0.001)), (perturb(halving, 40961, 4.9e-5), halving)]
+        for _ in range(3):
+            laws = []
+            for _ in "ab":
+                masses = rng.random(int(rng.integers(1, 25)))
+                masses[rng.random(masses.size) < 0.3] = 0.0
+                masses[-1] += 0.1
+                laws.append(p_law(masses / masses.sum()))
+            pairs.append(tuple(laws))
+        for law_a, law_b in pairs:
+            for n in range(21):
+                assert tv_prefix_exact(law_a, law_b, n) == concatenated(law_a, law_b, n), n
+
     def test_rejects_out_of_range_lengths(self):
         law = stage0().law
         with pytest.raises(ValueError, match="capped"):
@@ -251,6 +284,112 @@ class TestFoolingProbability:
             fooling_probability(law, silent_runner, CFG, (0, 64), 3.0, 50, seed=1)
         with pytest.raises(ValueError, match="window"):
             fooling_probability(law, silent_runner, CFG, (64, 64), 3.0, 200, seed=1)
+
+
+def reaches_marker(bits, age, bound):
+    """Whether a position in (age, bound) has run age `age`."""
+    run = None
+    for t, bit in enumerate(bits.tolist()[:bound]):
+        run = 0 if bit == 0 else (None if run is None else run + 1)
+        if t > age and run == age:
+            return True
+    return False
+
+
+def per_path_fooling(law, runner, config, window, target_mu, reps, seed):
+    """fooling_probability as a loop over paths and events."""
+    age, bound = window
+    successes = executed = 0
+    any_fired = False
+    for rep in range(reps):
+        bits = sample_path(law, bound, StartMode.AT_RENEWAL, seed=seed, stream=rep).bits
+        if not reaches_marker(bits, age, bound):
+            continue
+        executed += 1
+        for event in runner(bits, config):
+            if event.time >= bound:
+                break
+            if event.time <= age:
+                continue
+            any_fired = True
+            if event.run_age == age and event.estimate < target_mu - 1.0:
+                successes += 1
+                break
+    low, high = _wilson(successes, reps)
+    return FoolingResult(successes / reps, low, high, successes, reps, executed, any_fired)
+
+
+def per_path_joint(state, runner, config, reps, seed):
+    """verify_stage's joint fooling estimate as a loop over paths."""
+    windows = [state.window(i) for i in range(1, state.stage + 1)]
+    cutoffs = [residual_mean(state.law, age) - 1.0 for age, _ in windows]
+    bound = max(b for _, b in windows)
+    successes = 0
+    for rep in range(reps):
+        bits = sample_path(state.law, bound, StartMode.AT_RENEWAL, seed=seed, stream=rep).bits
+        pending = set(range(len(windows)))
+        for event in runner(bits, config):
+            for i in tuple(pending):
+                age, end = windows[i]
+                if age < event.time < end and event.run_age == age and event.estimate < cutoffs[i]:
+                    pending.discard(i)
+        successes += not pending
+    return successes / reps
+
+
+class TestBlockedMonteCarlo:
+    @pytest.mark.parametrize("window", [(0, 5), (3, 40), (7, 30)])
+    def test_executed_counts_paths_that_reach_the_marker_age(self, window):
+        law = stage0().law
+        result = fooling_probability(law, "poly", CFG, window, 3.0, 300, seed=12)
+        reached = sum(
+            reaches_marker(sample_path(law, window[1], StartMode.AT_RENEWAL, 12, rep).bits, *window)
+            for rep in range(300)
+        )
+        assert 0 < result.executed_reps == reached < 300
+
+    @pytest.mark.parametrize("scheme, runner", [("poly", iter_poly), ("log", iter_log), ("eps", iter_eps)])
+    def test_tag_and_wrapped_runner_agree(self, scheme, runner, stage_one):
+        config = SchemeConfig(gamma=0.3, epsilon=0.1)
+
+        def wrapped(bits, config):
+            return runner(bits, config)
+
+        results = []
+        for law in (stage0().law, stage_one.law):
+            for age, bound in ((0, 64), (1, 200), (2, 700)):
+                # the cutoff at the true conditional mean splits the paths
+                args = (config, (age, bound), residual_mean(law, age) + 1.0, 150)
+                tagged = fooling_probability(law, scheme, *args, seed=3)
+                assert fooling_probability(law, wrapped, *args, seed=3) == tagged
+                assert fooling_probability(law, runner, *args, seed=3) == tagged
+                results.append(tagged)
+        assert any(0 < r.successes < r.executed_reps for r in results)
+        report = verify_stage(stage_one, scheme, config, reps=300, seed=9)
+        assert verify_stage(stage_one, wrapped, config, reps=300, seed=9) == report
+        assert verify_stage(stage_one, runner, config, reps=300, seed=9) == report
+
+    @pytest.mark.parametrize("scheme", ["poly", "eps"])
+    def test_results_equal_the_per_path_loops(self, scheme, stage_one):
+        config = SchemeConfig(gamma=0.3, epsilon=0.1)
+        runner = {"poly": iter_poly, "eps": iter_eps}[scheme]
+        for law in (stage0().law, stage_one.law):
+            # age 40 is out of reach of 45 bits: nothing counts as fired
+            for age, bound in ((0, 64), (1, 90), (3, 40), (40, 45)):
+                args = (config, (age, bound), residual_mean(law, age) + 1.0, 200)
+                expected = per_path_fooling(law, runner, *args, seed=4)
+                assert fooling_probability(law, scheme, *args, seed=4) == expected
+        report = verify_stage(stage_one, scheme, config, reps=200, seed=6)
+        assert report["conditions"][0]["estimate"] == per_path_joint(stage_one, runner, config, 200, 6)
+
+    def test_unknown_tag_is_rejected(self):
+        with pytest.raises(ValueError, match="scheme tag"):
+            fooling_probability(stage0().law, "offline", CFG, (0, 64), 3.0, 200, seed=1)
+
+
+@pytest.fixture(scope="module")
+def stage_one():
+    return advance_stage(stage0(), "poly", CFG, seed=0)
 
 
 class TestAdvanceStage:

@@ -9,6 +9,7 @@ each firing rule at its boundary against ref_run.
 
 import math
 
+import numpy as np
 import pytest
 
 from renewalbench import evaluation
@@ -19,7 +20,7 @@ from renewalbench.evaluation import (
     score_events,
 )
 from renewalbench.laws import make_law, residual_law
-from renewalbench.paths import StartMode, sample_path
+from renewalbench.paths import StartMode, sample_path, sample_paths
 from renewalbench.schemes import (
     SchemeConfig,
     _window_sizes,
@@ -30,6 +31,7 @@ from renewalbench.schemes import (
     run_offline,
     run_poly,
     run_scheme,
+    scheme_columns,
 )
 
 LAWS = [
@@ -74,6 +76,31 @@ def test_columnar_records_equal_per_event_scores(spec, mode, scheme):
             )
     assert expected
     assert [r.row() for r in report.records] == [r.row() for r in expected]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("spec", LAWS, ids=lambda spec: spec["type"])
+@pytest.mark.parametrize("mode", list(StartMode), ids=lambda mode: mode.value)
+def test_block_columns_equal_per_path_columns(spec, mode):
+    # A block's rows are its paths' rows, path after path; each window
+    # holds the same residuals as on the path alone.
+    law = make_law(spec)
+    rng = np.random.default_rng(2)
+    for length in (1, 2, 9, 65, 300):
+        block = sample_paths(law, length - 1, mode, int(rng.integers(1 << 30)), range(23)).copy()
+        block[int(rng.integers(23))] = 1  # a path without a zero
+        config = SchemeConfig(gamma=float(rng.uniform(0.05, 0.95)), epsilon=float(rng.uniform(0.05, 0.95)))
+        for tag in ("poly", "log", "eps", "offline"):
+            cols = scheme_columns(tag, block, config)
+            assert cols.first[0] == 0 and cols.first[-1] == cols.time.size
+            for path, bits in enumerate(block):
+                one = scheme_columns(tag, bits, config)
+                rows = slice(cols.first[path], cols.first[path + 1])
+                for name in ("time", "age", "m", "sum"):
+                    assert np.array_equal(getattr(cols, name)[rows], getattr(one, name)), (tag, name)
+                windows = zip(cols.lo[rows].tolist(), cols.hi[rows].tolist(), one.lo.tolist(), one.hi.tolist())
+                for lo, hi, one_lo, one_hi in windows:
+                    assert np.array_equal(cols.residuals[lo:hi], one.residuals[one_lo:one_hi])
 
 
 @pytest.mark.parametrize("scheme", ["poly", "offline", "eps", "log"])

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from renewalbench.laws import make_law, perturb, stationary_zero_prob
+from renewalbench.laws import make_law, perturb, stationary_state_law, stationary_zero_prob
 from renewalbench.paths import (
     Path,
     PathError,
@@ -22,6 +22,7 @@ from renewalbench.paths import (
     load_path,
     parse_start_mode,
     sample_path,
+    sample_paths,
     sample_run_length,
 )
 
@@ -91,6 +92,65 @@ class TestReproducibility:
         # Philox is stable across platforms; freeze one prefix as a canary.
         path = sample_path(geom_half(), 19, StartMode.AT_RENEWAL, seed=2024, stream=0)
         assert path.bits.tolist() == [int(c) for c in "01101011011010110000"]
+
+
+def chunked_path(law, horizon, mode, seed, stream):
+    """The stream's definition: a fresh Philox for the key, the
+    stationary start from its first uniform, then runs from its next
+    uniforms, 1024 at a time."""
+    rng = _generator(seed, stream)
+    if mode is StartMode.STATIONARY:
+        states = np.cumsum(stationary_state_law(law))
+        state = min(int(np.searchsorted(states, rng.random(), side="right")), law.support - 1)
+        segments = [np.ones(state + 1, dtype=np.uint8)]
+        segments[0][state] = 0
+    else:
+        segments = [np.zeros(1, dtype=np.uint8)]
+    total = segments[0].size
+    while total < horizon + 1:
+        runs = _draw_run_lengths(law, rng, 1024)
+        chunk = np.ones(int(runs.sum()) + runs.size, dtype=np.uint8)
+        chunk[np.cumsum(runs + 1) - 1] = 0
+        segments.append(chunk)
+        total += chunk.size
+    return np.concatenate(segments)[: horizon + 1]
+
+
+class TestBatchedSampler:
+    # Under the all-zero law every run is a lone zero, so a renewal path
+    # of horizon h draws exactly h uniforms: one chunk short of full,
+    # full, one past it, and two full chunks.
+    @pytest.mark.parametrize("horizon", [1023, 1024, 1025, 2048])
+    @pytest.mark.parametrize("mode", list(StartMode), ids=lambda mode: mode.value)
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"type": "explicit", "p": [1.0]},
+            {"type": "geometric", "q": 0.5, "truncate": 60},
+            {"type": "zipf", "s": 2.2, "truncate": 500},
+        ],
+        ids=["zeros", "geometric", "zipf"],
+    )
+    def test_rows_equal_single_streams(self, spec, mode, horizon):
+        law = make_law(spec)
+        streams = range(5, 325)
+        rows = sample_paths(law, horizon, mode, 77, streams)
+        assert rows.shape == (len(streams), horizon + 1)
+        assert rows.dtype == np.uint8 and not rows.flags.writeable
+        for row, stream in zip(rows, streams):
+            expected = chunked_path(law, horizon, mode, 77, stream)
+            assert np.array_equal(row, expected), stream
+            assert np.array_equal(sample_path(law, horizon, mode, 77, stream).bits, expected)
+
+    def test_short_horizons_and_stream_order(self):
+        law = geom_half()
+        for horizon in (0, 1, 64):
+            rows = sample_paths(law, horizon, StartMode.STATIONARY, 3, [9, 2, 2**70])
+            for row, stream in zip(rows, (9, 2, 2**70)):
+                assert np.array_equal(row, chunked_path(law, horizon, StartMode.STATIONARY, 3, stream))
+        assert sample_paths(law, 10, StartMode.AT_RENEWAL, 3, []).shape == (0, 11)
+        with pytest.raises(PathError):
+            sample_paths(law, -1, StartMode.AT_RENEWAL, 3, [0])
 
 
 class TestScalarDraws:
