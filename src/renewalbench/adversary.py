@@ -119,8 +119,8 @@ class StageState:
             raise ValueError("stage must be >= 0")
         if len(self.law_history) != self.stage + 1:
             raise ValueError("law_history must hold one law per stage, in order")
-        if len(self.markers) != self.stage + 1:
-            raise ValueError("markers must be (L_0, N_1, L_1, ..., N_stage)")
+        if len(self.markers) != max(1, 2 * self.stage):
+            raise ValueError("markers must be (L_0,) at stage 0, else (L_0, N_1, L_1, ..., N_stage)")
         if list(self.markers) != sorted(set(self.markers)):
             raise ValueError("markers must be strictly increasing")
         if len(self.audits) != self.stage:

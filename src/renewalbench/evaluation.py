@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .laws import RenewalLaw, make_law, residual_law, residual_mean
+from .laws import RenewalLaw, make_law, residual_mean
 from .paths import StartMode, parse_start_mode, sample_path
 from .schemes import (
     SCHEME_TAGS,
@@ -32,6 +32,7 @@ from .schemes import (
     # stays here because bench/traced.py wraps evaluation.iter_offline
     iter_offline,  # noqa: F401
     scheme_columns,
+    window_counts,
 )
 
 __all__ = [
@@ -70,7 +71,6 @@ class _Scorer:
     def __init__(self, law: RenewalLaw):
         self.law = law
         self._theta: dict[int, float] = {}
-        self._residual: dict[int, tuple[tuple[float, ...], float]] = {}
         self._total: dict[int, float] = {}
         self._probs = np.asarray(law.probs)
 
@@ -79,13 +79,6 @@ class _Scorer:
         if value is None:
             value = self._theta[age] = residual_mean(self.law, age)
         return value
-
-    def _residual_law(self, age: int) -> tuple[tuple[float, ...], float]:
-        cached = self._residual.get(age)
-        if cached is None:
-            probs = residual_law(self.law, age).probs
-            cached = self._residual[age] = (probs, math.fsum(probs))
-        return cached
 
     def _residual_total(self, age: int) -> float:
         """The fsum of the residual law's masses at this age, from the
@@ -98,16 +91,17 @@ class _Scorer:
         return total
 
     def tv(self, counts: tuple[tuple[int, int], ...], m: int, age: int) -> float:
-        probs, total = self._residual_law(age)
-        size = len(probs)
+        # q is the quotient residual_law computes, as score_columns reads it
+        probs, tail = self.law.probs, self.law.tails[age]
+        size = len(probs) - age
         acc = 0.0
         seen = 0.0
         for value, count in counts:
-            q = probs[value] if value < size else 0.0
+            q = probs[age + value] / tail if value < size else 0.0
             acc += abs(count / m - q)
             seen += q
         # mass of the true law at values the histogram never hit
-        return acc + max(0.0, total - seen)
+        return acc + max(0.0, self._residual_total(age) - seen)
 
     def _per_age(self, ages: np.ndarray, truth) -> np.ndarray:
         table = np.zeros(int(ages.max()) + 1 if ages.size else 0)
@@ -122,18 +116,12 @@ class _Scorer:
         """(abs_err, tv) of every row, equal bit for bit to scoring each
         row's histogram with theta and tv.
 
-        tv runs value-major: for each residual value in ascending order,
-        one vectorized step adds that value's term to every row whose
-        window holds it, so each row sees the same float operations in
-        the same order as the loop in tv.
-
-        A step reads only the rows whose window can hold one of the
-        value's entries, so the work follows the (row, value) terms
-        summed, not the number of distinct values times the rows: on a
-        heavy-tailed path one long run adds hundreds of values that
-        only a few windows hold.
+        tv runs value-major on window_counts: for each residual value in
+        ascending order, one vectorized step adds that value's term to
+        every row whose window holds it, so each row sees the same float
+        operations in the same order as the loop in tv.
         """
-        ages, lo, hi, m = cols.age, cols.lo, cols.hi, cols.m
+        ages, m = cols.age, cols.m
         err = cols.sum / m
         err -= self.thetas(ages)
         np.abs(err, out=err)
@@ -147,59 +135,20 @@ class _Scorer:
         probs = np.zeros(max(self.law.support, int(ages.max()) + int(residuals.max()) + 1))
         probs[: self.law.support] = self._probs
         tails = np.asarray(self.law.tails)
-        # Indices that are only bisected or read once are kept in 32 bits
-        # where they fit.  ends and begins stay native: they index the
-        # running count, and numpy widens narrower indices on every gather.
-        index = np.int32 if residuals.size < 1 << 31 else np.intp
-        # class-order entries of each value, ascending
-        by_value = _stable_order(residuals, index)
-        bounds = np.zeros(int(residuals.max()) + 2, dtype=np.intp)
-        np.bincount(residuals).cumsum(out=bounds[1:])
-        # Rows in class order.  A window lies inside its age class, so
-        # the rows whose window can hold an entry in [first, last] are one
-        # slice: from the first row that reaches past first, up to the
-        # last row that starts at or before last.  acc and seen follow
+        # Rows in class order, in blocks of _BLOCK.  acc and seen follow
         # this order until the end.
-        by_class = _stable_order(ages, index)
-        ends = hi[by_class]
-        begins = lo[by_class]
-        # the furthest end up to each row, and the least start from it on
-        reach = np.maximum.accumulate(ends).astype(index)
-        latest = np.minimum.accumulate(begins[::-1])[::-1].astype(index)
+        by_class = _stable_order(ages, np.intp)
         row_age = ages[by_class]
-        row_m = m.astype(index)[by_class]
-        # running count of one value over the residuals the rows span
-        running = np.zeros(residuals.size + 1, dtype=np.int32)
-        for value in (bounds[1:] - bounds[:-1]).nonzero()[0].tolist():
-            entries = by_value[bounds[value] : bounds[value + 1]]
-            first = int(reach.searchsorted(entries[0], side="right"))
-            stop = int(latest.searchsorted(entries[-1], side="right"))
-            if first >= stop:
-                continue
-            # Count a window's entries from the running count where that
-            # costs less than bisecting the entries for every row.
-            base, top = int(latest[first]), int(reach[stop - 1])
-            dense = top - base < (stop - first) * (3 + entries.size.bit_length())
-            if dense:
-                running[base] = 0
-                hits = residuals[base:top] == value
-                np.cumsum(hits, dtype=np.int32, out=running[base + 1 : top + 1])
-            for start in range(first, stop, _BLOCK):
-                rows = slice(start, min(start + _BLOCK, stop))
-                if dense:
-                    counts = running[ends[rows]] - running[begins[rows]]
-                else:
-                    counts = entries.searchsorted(ends[rows])
-                    counts -= entries.searchsorted(begins[rows])
-                hit = counts.nonzero()[0]
-                if not hit.size:
-                    continue
-                counts = counts[hit]
-                hit += start
-                age = row_age[hit]
-                q = probs[age + value] / tails[age]
-                acc[hit] += np.abs(counts / row_m[hit] - q)
-                seen[hit] += q
+        row_m = m[by_class]
+        begins = cols.lo[by_class]
+        ends = cols.hi[by_class]
+        blocks = ((begins[start : start + _BLOCK], ends[start : start + _BLOCK]) for start in range(0, ages.size, _BLOCK))
+        for block, value, hit, counts in window_counts(residuals, blocks):
+            hit += block * _BLOCK
+            age = row_age[hit]
+            q = probs[age + value] / tails[age]
+            acc[hit] += np.abs(counts / row_m[hit] - q)
+            seen[hit] += q
         # mass of the true law at values the histogram never hit
         missed = self._per_age(row_age, self._residual_total)
         missed -= seen

@@ -140,17 +140,17 @@ def _build(probs: list[float], provenance: dict) -> RenewalLaw:
 def _tabulate(probs: tuple[float, ...], provenance: dict) -> RenewalLaw:
     """The law with masses ``probs`` as given, and its derived tables."""
     # Backward accumulation keeps the tails exactly monotone and makes
-    # tails[L] - tails[L+1] == probs[L] hold to full precision.
-    n = len(probs)
-    tails = [0.0] * (n + 1)
-    for L in range(n - 1, -1, -1):
-        tails[L] = tails[L + 1] + probs[L]
-    overshoots = [0.0] * (n + 1)
-    for L in range(n - 1, -1, -1):
-        overshoots[L] = overshoots[L + 1] + tails[L + 1]
+    # tails[L] - tails[L+1] == probs[L] hold to full precision.  cumsum
+    # adds one term at a time, from the leading 0.0, as a loop would.
+    tails = np.zeros(len(probs) + 1)
+    tails[1:] = probs[::-1]
+    tails = tails.cumsum()[::-1]
+    overshoots = np.zeros_like(tails)
+    overshoots[1:] = tails[:0:-1]
+    overshoots = overshoots.cumsum()[::-1].tolist()
     return RenewalLaw(
         probs=probs,
-        tails=tuple(tails),
+        tails=tuple(tails.tolist()),
         mean=overshoots[0],
         overshoots=tuple(overshoots),
         provenance=provenance,

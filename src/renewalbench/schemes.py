@@ -35,6 +35,13 @@ each row's class too), and building a scheme's columns peaks at 85-130
 bytes per position (tracemalloc, geometric paths: poly 84-109, log
 105-116, eps 119-127), so a full block takes about 8 MB.
 
+Each estimate's histogram is counted from the same columns:
+window_counts walks the residual values in ascending order and counts
+each value in every window that holds it.  The scorer sums those counts
+directly; the event adapters take rows a block at a time, count each
+distinct window of the block once, and turn the counts into the
+residual_counts tuples as the events are drawn.
+
 Estimates are exact rationals (integer sums over integer counts)
 converted to float by a single division, so the emitted mean equals the
 mean of the emitted distribution bit for bit.
@@ -46,7 +53,9 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from itertools import groupby, tee
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -158,65 +167,6 @@ def _as_positions(bits) -> Sequence[int]:
     if isinstance(bits, (list, tuple)):
         return bits
     return list(bits)
-
-
-class _Window:
-    """Histogram of residuals[lo:hi] maintained under sliding ends.
-
-    A window stays inside one age class.  It starts empty at ``start``,
-    the lower end of its first window, so that alignment reads only the
-    window itself.
-    """
-
-    __slots__ = ("lo", "hi", "counts", "rsum", "_snap", "_snap_key")
-
-    def __init__(self, start: int = 0):
-        self.lo = start
-        self.hi = start
-        self.counts: dict[int, int] = {}
-        self.rsum = 0
-        self._snap: tuple[tuple[int, int], ...] = ()
-        self._snap_key = (start, start)
-
-    def align(self, residuals, lo: int, hi: int):
-        counts = self.counts
-        while self.hi < hi:
-            value = residuals[self.hi]
-            counts[value] = counts.get(value, 0) + 1
-            self.rsum += value
-            self.hi += 1
-        while self.hi > hi:
-            self.hi -= 1
-            value = residuals[self.hi]
-            left = counts[value] - 1
-            if left:
-                counts[value] = left
-            else:
-                del counts[value]
-            self.rsum -= value
-        # lo can move either way: the prescribed width may grow faster
-        # than the class gains occurrences
-        while self.lo > lo:
-            self.lo -= 1
-            value = residuals[self.lo]
-            counts[value] = counts.get(value, 0) + 1
-            self.rsum += value
-        while self.lo < lo:
-            value = residuals[self.lo]
-            left = counts[value] - 1
-            if left:
-                counts[value] = left
-            else:
-                del counts[value]
-            self.rsum -= value
-            self.lo += 1
-
-    def snapshot(self) -> tuple[tuple[int, int], ...]:
-        key = (self.lo, self.hi)
-        if key != self._snap_key:
-            self._snap = tuple(sorted(self.counts.items()))
-            self._snap_key = key
-        return self._snap
 
 
 def _need(config: SchemeConfig, attr: str) -> float:
@@ -389,6 +339,65 @@ def _columns(scan: PrefixScan, rows: np.ndarray, age: np.ndarray, lo: np.ndarray
     total = scan.prefix[hi]
     total -= scan.prefix[lo]
     return EventColumns(scan.residuals, rows.searchsorted(scan.first), scan.time[rows], age, lo, hi, m, total)
+
+
+def window_counts(residuals: np.ndarray, blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Value-major histograms of windows residuals[begins[i]:ends[i]].
+
+    The windows come in blocks of (begins, ends), each grouped by age
+    class.  For each block k in turn and each residual value in
+    ascending order, yields (k, value, rows, counts): the block's windows
+    that hold the value, ascending, and how many times each does.
+
+    A window lies inside its age class, so the windows of a grouped
+    block that can hold an entry in [first, last] are one slice: from
+    the first that reaches past first up to the last that starts at or
+    before last.  A value's step reads only that slice, so the work
+    follows the (window, value) pairs counted, not the number of
+    distinct values times the windows: on a heavy-tailed path one long
+    run adds hundreds of values that only a few windows hold.
+    """
+    # Indices that are only bisected are kept in 32 bits where they fit.
+    # begins and ends stay native: they index the running count, and
+    # numpy widens narrower indices on every gather.
+    index = np.int32 if residuals.size < 1 << 31 else np.intp
+    # class-order entries of each value, ascending
+    by_value = _stable_order(residuals, index)
+    bounds = np.zeros(int(residuals.max(initial=0)) + 2, dtype=np.intp)
+    np.bincount(residuals, minlength=bounds.size - 1).cumsum(out=bounds[1:])
+    values = (bounds[1:] > bounds[:-1]).nonzero()[0]
+    lowest = by_value[bounds[values]]
+    highest = by_value[bounds[values + 1] - 1]
+    # running count of one value over the residuals a slice spans
+    running = np.zeros(residuals.size + 1, dtype=np.int32)
+    for block, (begins, ends) in enumerate(blocks):
+        # the furthest end up to each window, and the least start from it on
+        reach = np.maximum.accumulate(ends).astype(index)
+        latest = np.minimum.accumulate(begins[::-1])[::-1].astype(index)
+        firsts = reach.searchsorted(lowest, side="right")
+        lasts = latest.searchsorted(highest, side="right")
+        held = (firsts < lasts).nonzero()[0]
+        # bisection queries in the entries' type: numpy would copy the
+        # entries to a wider one
+        narrow_begins, narrow_ends = begins.astype(index), ends.astype(index)
+        for value, first, last in zip(values[held].tolist(), firsts[held].tolist(), lasts[held].tolist()):
+            entries = by_value[bounds[value] : bounds[value + 1]]
+            # Count from the running count where that costs less than
+            # bisecting the entries for every window.
+            base, top = int(latest[first]), int(reach[last - 1])
+            if top - base < (last - first) * (3 + entries.size.bit_length()):
+                running[base] = 0
+                hits = residuals[base:top] == value
+                np.cumsum(hits, dtype=np.int32, out=running[base + 1 : top + 1])
+                counts = running[ends[first:last]] - running[begins[first:last]]
+            else:
+                counts = entries.searchsorted(narrow_ends[first:last])
+                counts -= entries.searchsorted(narrow_begins[first:last])
+            rows = counts.nonzero()[0]
+            if rows.size:
+                counts = counts[rows]
+                rows += first
+                yield block, value, rows, counts
 
 
 @lru_cache(maxsize=4)
@@ -566,51 +575,91 @@ def _positions(scan: PrefixScan, entries: np.ndarray) -> np.ndarray:
 
 def iter_poly(bits, config: SchemeConfig) -> Iterator[EstimateEvent]:
     scan, cols = _scan_columns("poly", bits, config)
-    return _events(scan, cols, _positions(scan, cols.lo), cols.time)
+    return _events(cols, _positions(scan, cols.lo), cols.time)
 
 
 def iter_log(bits, config: SchemeConfig) -> Iterator[EstimateEvent]:
     scan, cols = _scan_columns("log", bits, config)
-    return _events(scan, cols, _positions(scan, cols.lo), _positions(scan, cols.hi - 1))
+    return _events(cols, _positions(scan, cols.lo), _positions(scan, cols.hi - 1))
 
 
 def iter_eps(bits, config: SchemeConfig) -> Iterator[EstimateEvent]:
     scan, cols = _scan_columns("eps", bits, config)
-    return _events(scan, cols, np.full(cols.time.size, scan.psi[0]), cols.time)
+    return _events(cols, np.full(cols.time.size, scan.psi[0]), cols.time)
 
 
 # Rows turned into events at a time: a consumer that stops after the
 # first events, like the adversary's Monte Carlo, converts few rows.
 _EVENT_BLOCK = 64
+# Rows whose histograms are counted together; bounds the counts held.
+_HISTOGRAM_BLOCK = 1 << 10
 
 
-def _events(scan: PrefixScan, cols: EventColumns, window_start: np.ndarray, window_end: np.ndarray) -> Iterator[EstimateEvent]:
-    # one incremental histogram per age class: rebuilding each event's
-    # histogram from its window costs more than the scan on short paths
-    residuals = scan.residuals.tolist()
-    windows: dict[int, _Window] = {}
+def _histograms(residuals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The residual_counts of each window residuals[lo[i]:hi[i]], in
+    row order, from window_counts.
+
+    Rows are counted a block at a time.  A block's distinct windows are
+    counted once, sorted, which groups them by class, and rows with the
+    same window share one tuple, held until its last row.
+    """
+    size = residuals.size + 1
+    starts = range(0, lo.size, _HISTOGRAM_BLOCK)
+    keys = (lo[start : start + _HISTOGRAM_BLOCK] * size + hi[start : start + _HISTOGRAM_BLOCK] for start in starts)
+    blocks, counted = tee(np.unique(key, return_inverse=True) for key in keys)
+    hits = window_counts(residuals, ((unique // size, unique % size) for unique, _ in counted))
+    # windows are never empty, so every block has hits
+    for (_, found), (unique, inverse) in zip(groupby(hits, itemgetter(0)), blocks):
+        found = list(found)
+        # the block's (window, value) counts as a table: its nonzero cells
+        # in row-major order are each window's values, ascending
+        table = np.zeros((unique.size, len(found)), dtype=np.int32)
+        for column, (_, _, rows, counts) in enumerate(found):
+            table[rows, column] = counts
+        values = np.array([value for _, value, _, _ in found])
+        del found
+        windows, columns = table.nonzero()
+        counts = table[windows, columns].tolist()
+        values = values[columns].tolist()
+        # window w's terms are bounds[w]:bounds[w + 1]
+        bounds = np.zeros(unique.size + 1, dtype=np.intp)
+        np.count_nonzero(table, axis=1).cumsum(out=bounds[1:])
+        bounds = bounds.tolist()
+        del table, windows, columns
+        shared = [None] * unique.size
+        left = np.bincount(inverse).tolist()  # rows still to come per window
+        for window in inverse.tolist():
+            histogram = shared[window]
+            if histogram is None:
+                start, stop = bounds[window], bounds[window + 1]
+                histogram = tuple(zip(values[start:stop], counts[start:stop]))
+            left[window] -= 1
+            shared[window] = histogram if left[window] else None
+            yield histogram
+
+
+def _events(cols: EventColumns, window_start: np.ndarray, window_end: np.ndarray) -> Iterator[EstimateEvent]:
+    # Histograms come from _histograms, counted a block of rows at a
+    # time; the scan is not kept, only the columns the events read.
+    histograms = _histograms(cols.residuals, cols.lo, cols.hi)
     for block in range(0, cols.time.size, _EVENT_BLOCK):
         part = slice(block, block + _EVENT_BLOCK)
         rows = zip(
             cols.time[part].tolist(),
             cols.age[part].tolist(),
-            cols.lo[part].tolist(),
-            cols.hi[part].tolist(),
+            cols.m[part].tolist(),
+            cols.sum[part].tolist(),
             window_start[part].tolist(),
             window_end[part].tolist(),
+            histograms,
         )
-        for ordinal, (t, tau, lo, hi, first, last) in enumerate(rows, block + 1):
-            window = windows.get(tau)
-            if window is None:
-                window = windows[tau] = _Window(lo)
-            window.align(residuals, lo, hi)
-            m = hi - lo
+        for ordinal, (t, tau, m, total, first, last, counts) in enumerate(rows, block + 1):
             yield EstimateEvent(
                 ordinal=ordinal,
                 time=t,
                 run_age=tau,
-                estimate=window.rsum / m,
-                residual_counts=window.snapshot(),
+                estimate=total / m,
+                residual_counts=counts,
                 sample_count=m,
                 window_start=first,
                 window_end=last,
@@ -631,30 +680,26 @@ def run_eps(bits, config: SchemeConfig) -> list[EstimateEvent]:
 
 def iter_offline(bits) -> Iterator[OfflineEstimate]:
     """Windowless per-position estimates, one for every position >= psi."""
-    return _offline_rows(prefix_scan(bits))
+    scan = prefix_scan(bits)
+    cols = _offline_columns(scan)
+    return _offline_rows(int(scan.psi[0]), scan.ages, scan.rank, cols.sum, _histograms(cols.residuals, cols.lo, cols.hi))
 
 
-def _offline_rows(scan: PrefixScan) -> Iterator[OfflineEstimate]:
-    residuals = scan.residuals.tolist()
-    starts = scan.starts.tolist()
-    windows: dict[int, _Window] = {}
-    rows = zip(scan.ages.tolist(), scan.rank.tolist())
-    for position, (tau, count) in enumerate(rows, int(scan.psi[0])):
-        if count == 0:
-            yield OfflineEstimate(position, tau, 0, None, ())
-            continue
-        lo = starts[tau]
-        window = windows.get(tau)
-        if window is None:
-            window = windows[tau] = _Window(lo)
-        window.align(residuals, lo, lo + count)
-        yield OfflineEstimate(
-            position=position,
-            run_age=tau,
-            sample_count=count,
-            estimate=window.rsum / count,
-            residual_counts=window.snapshot(),
-        )
+def _offline_rows(psi: int, ages: np.ndarray, rank: np.ndarray, sums: np.ndarray, histograms) -> Iterator[OfflineEstimate]:
+    """One estimate per scan row; the rows of positive rank are the
+    defined ones, whose totals and histograms come in order."""
+    defined = 0
+    for block in range(0, ages.size, _EVENT_BLOCK):
+        part = slice(block, block + _EVENT_BLOCK)
+        counts = rank[part]
+        totals = sums[defined : defined + np.count_nonzero(counts)].tolist()
+        defined += len(totals)
+        totals = iter(totals)
+        for position, tau, count in zip(range(psi + block, psi + ages.size), ages[part].tolist(), counts.tolist()):
+            if count == 0:
+                yield OfflineEstimate(position, tau, 0, None, ())
+            else:
+                yield OfflineEstimate(position, tau, count, next(totals) / count, next(histograms))
 
 
 def run_offline(bits) -> list[OfflineEstimate]:

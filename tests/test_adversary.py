@@ -1,6 +1,7 @@
 """Adversarial staged construction: closed forms, exact prefix distance,
 fooling Monte Carlo with stub estimators, stage advance and verification."""
 
+import dataclasses
 import json
 import math
 from itertools import product
@@ -465,6 +466,47 @@ class TestStageStateInvariants:
             state.window(2)
         with pytest.raises(ValueError):
             stage0().window(1)
+
+    def test_marker_counts(self, stage_one):
+        law = stage_one.law
+        with pytest.raises(ValueError, match="markers must be"):
+            StageState(stage=0, markers=(0, 64), law_history=(law,))
+        with pytest.raises(ValueError, match="markers must be"):
+            StageState(stage=1, markers=(0, 64, 65), law_history=stage_one.law_history, audits=stage_one.audits)
+
+    def test_two_window_state(self, stage_one):
+        # (L_0, N_1, L_1, N_2): the layout advance_stage builds at stage 2
+        law = stage_one.law
+        marker, horizon = stage_one.markers[1] + 1, 2 * stage_one.markers[1]
+        delta = 0.01 * law.prob(0)
+        law_next = perturb(law, 300, delta)
+        audit = dataclasses.replace(
+            stage_one.audits[0],
+            stage=2,
+            marker=marker,
+            horizon=horizon,
+            delta=delta,
+            k=300,
+            p0_before=law.prob(0),
+            mean_before=law.mean,
+            mean_after=law_next.mean,
+        )
+        state = StageState(
+            stage=2,
+            markers=stage_one.markers + (marker, horizon),
+            law_history=stage_one.law_history + (law_next,),
+            audits=stage_one.audits + (audit,),
+        )
+        assert state.window(1) == stage_one.window(1)
+        assert state.window(2) == (marker, horizon)
+        entries = json.loads(audit_json(state))
+        assert [entry["markers"] for entry in entries] == [list(stage_one.markers), list(state.markers)]
+        assert [entry["k"] for entry in entries] == [stage_one.audits[0].k, 300]
+        report = verify_stage(state, "poly", CFG, reps=100, seed=5)
+        by_name = {c["condition"]: c for c in report["conditions"]}
+        assert by_name["joint_fooling"]["windows"] == [list(state.window(1)), [marker, horizon]]
+        assert [entry["stage"] for entry in by_name["prefix_tv"]["stages"]] == [1, 2]
+        assert {check["age"] for check in by_name["tail_mean_monotone"]["checks"]} == {0, marker}
 
 
 class TestVerifyStage:

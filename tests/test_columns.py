@@ -1,10 +1,11 @@
-"""The columnar scan and scorer against the per-event path.
+"""The columnar scan, its window counts and the scorer.
 
 run_experiment scores every scheme from the columns of one prefix scan;
 score_events and good_index_density score the events that run_scheme
-builds one at a time.  Both must give the same floats, bit for bit, and
-poly's window sizes must equal Python's ceil(t ** e).  Hand paths pin
-each firing rule at its boundary against ref_run.
+builds.  Both read their histograms from window_counts, which must equal
+np.unique on every window, and both scores must give the same floats,
+bit for bit.  poly's window sizes must equal Python's ceil(t ** e).
+Hand paths pin each firing rule at its boundary against ref_run.
 """
 
 import math
@@ -12,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from renewalbench import evaluation
+from renewalbench import evaluation, schemes
 from renewalbench.evaluation import (
     ExperimentConfig,
     good_index_density,
@@ -32,6 +33,7 @@ from renewalbench.schemes import (
     run_poly,
     run_scheme,
     scheme_columns,
+    window_counts,
 )
 
 LAWS = [
@@ -237,3 +239,58 @@ def test_log_scale_gate_and_window_boundaries(bits, gamma, fired):
     events = run_log(bits, config)
     assert events == ref_run("log", bits, config)
     assert [e.time for e in events if e.run_age == 0] == fired
+
+
+class _CountingNumpy:
+    """numpy, counting the running counts the kernel builds."""
+
+    def __init__(self):
+        self.cumsum_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cumsum(self, *args, **kwargs):
+        self.cumsum_calls += 1
+        return np.cumsum(*args, **kwargs)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize(
+    "spec, length",
+    [({"type": "geometric", "q": 0.5, "truncate": 60}, 3000), ({"type": "zipf", "s": 2.2, "truncate": 500}, 8000)],
+    ids=["geometric", "zipf"],
+)
+def test_window_counts_equal_unique_counts(monkeypatch, spec, length):
+    # Rows in class order, in blocks of 37, as the scorer passes them.
+    bits = sample_path(make_law(spec), length - 1, StartMode.STATIONARY, seed=0, stream=0).bits
+    config = SchemeConfig(gamma=0.3, epsilon=0.1)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(schemes, "np", counting)
+    bisected = 0
+    for tag in ("poly", "log", "eps", "offline"):
+        cols = scheme_columns(tag, bits, config)
+        residuals = cols.residuals
+        order = np.argsort(cols.age, kind="stable")
+        begins, ends = cols.lo[order], cols.hi[order]
+        blocks = [(begins[start : start + 37], ends[start : start + 37]) for start in range(0, order.size, 37)]
+        assert len(blocks) > 2
+        found: list[list] = [[] for _ in order]
+        previous = (-1, -1)
+        calls = counting.cumsum_calls
+        for block, value, rows, counts in window_counts(residuals, iter(blocks)):
+            assert (block, value) > previous  # blocks in turn, values ascending
+            previous = (block, value)
+            assert np.all(np.diff(rows) > 0) and np.all(counts > 0)
+            for row, count in zip(rows.tolist(), counts.tolist()):
+                found[block * 37 + row].append((value, count))
+            # a step that counts from the running count builds it first
+            bisected += counting.cumsum_calls == calls
+            calls = counting.cumsum_calls
+        for row, (lo, hi) in enumerate(zip(begins.tolist(), ends.tolist())):
+            values, counts = np.unique(residuals[lo:hi], return_counts=True)
+            assert found[row] == list(zip(values.tolist(), counts.tolist())), (tag, row)
+    if spec["type"] == "zipf":
+        assert int(prefix_scan(bits).residuals.max()) >= 100  # runs in the hundreds
+    # both branches ran
+    assert counting.cumsum_calls > 0 and bisected > 0

@@ -361,3 +361,50 @@ class TestLawProperties:
         assert 0.0 <= tv_l1(a, b) <= 2.0 + PROB_TOL
         assert tv_l1(a, a) == 0.0
         assert tv_l1(a, c) <= tv_l1(a, b) + tv_l1(b, c) + SUM_TOL
+
+
+def _loop_tables(probs):
+    """The tails and overshoots as the backward loops build them."""
+    n = len(probs)
+    tails = [0.0] * (n + 1)
+    for L in range(n - 1, -1, -1):
+        tails[L] = tails[L + 1] + probs[L]
+    overshoots = [0.0] * (n + 1)
+    for L in range(n - 1, -1, -1):
+        overshoots[L] = overshoots[L + 1] + tails[L + 1]
+    return tails, overshoots
+
+
+TABLE_LAWS = [
+    {"type": "explicit", "p": [1.0]},
+    {"type": "explicit", "p": [0.0, 0.0, 1.0]},
+    {"type": "explicit", "p": [0.0, 0.5, 0.5]},
+    {"type": "explicit", "p": [0.5, 0.3, 0.2]},
+    {"type": "explicit", "p": [0.4, 0.0, 0.6]},
+    {"type": "explicit", "p": [1 / 3, 1 / 3, 1 / 3]},
+    {"type": "explicit", "p": [0.0, 0.25, 0.0, 0.0, 0.5, 0.0, 0.25]},
+    {"type": "geometric", "q": 0.5, "truncate": 10},
+    {"type": "geometric", "q": 0.5, "truncate": 60},
+    {"type": "geometric", "q": 0.8, "truncate": 200},
+    {"type": "zipf", "s": 2.2, "truncate": 500},
+    {"type": "zipf", "s": 3.0, "truncate": 10_000},
+]
+
+
+@pytest.mark.parametrize("spec", TABLE_LAWS, ids=lambda spec: f"{spec['type']}-{len(json.dumps(spec))}")
+def test_tables_equal_the_backward_loops(spec):
+    law = make_law(spec)
+    tails, overshoots = _loop_tables(law.probs)
+    assert [x.hex() for x in law.tails] == [x.hex() for x in tails]
+    assert [x.hex() for x in law.overshoots] == [x.hex() for x in overshoots]
+    assert law.mean.hex() == overshoots[0].hex()
+
+
+def test_tables_of_a_long_perturbed_law_equal_the_backward_loops():
+    law = perturb(geom_half(), 40_961, 0.01)
+    assert law.support == 40_962
+    tails, overshoots = _loop_tables(law.probs)
+    assert [x.hex() for x in law.tails] == [x.hex() for x in tails]
+    assert [x.hex() for x in law.overshoots] == [x.hex() for x in overshoots]
+    assert law.mean.hex() == overshoots[0].hex()
+    assert all(type(x) is float for x in law.tails + law.overshoots)
