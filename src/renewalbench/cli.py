@@ -29,8 +29,9 @@ from .paths import parse_start_mode, sample_path, dump_path
 from .schemes import SchemeConfig, iter_eps, iter_log, iter_poly
 from .selfcheck import run_selftest
 
-# evaluate keeps per-event records only up to this many path positions;
-# beyond it a CSV export would hold the whole event stream in memory
+# evaluate keeps per-event records only up to this many path positions:
+# CSV export retains every scored record, as seven numeric columns of
+# 8 bytes each (56 B per record), until the report is written
 MAX_CSV_POSITIONS = 2_000_000
 
 # The adversary runs a scheme by its tag; bench/traced.py wraps these.
@@ -54,20 +55,24 @@ def _load_law(text: str):
 
 
 def _emit(payload: bytes, out: str | None, resolved: dict) -> None:
+    """Write the payload and a trailing newline, which is written on its
+    own so a large payload is not copied to append one byte."""
     echo = "# config " + json.dumps(resolved, sort_keys=True)
     if out:
         with open(out, "wb") as fh:
             fh.write(payload)
+            fh.write(b"\n")
         print(echo)
     else:
         print(echo, file=sys.stderr)
         sys.stdout.buffer.write(payload)
+        sys.stdout.buffer.write(b"\n")
         sys.stdout.buffer.flush()
 
 
 def _cmd_law_info(args) -> int:
     law = _load_law(args.law)
-    payload = (law_info_text(law) + "\n").encode()
+    payload = law_info_text(law).encode()
     _emit(payload, args.out, {"law": law.provenance})
     return 0
 
@@ -138,7 +143,7 @@ def _cmd_evaluate(args) -> int:
         if not config.keep_records:
             config = replace(config, keep_records=True)
     report = run_experiment(config)
-    payload = emit_report(report, args.format) + b"\n"
+    payload = emit_report(report, args.format)
     resolved = config.to_json_dict()
     resolved["format"] = args.format
     _emit(payload, args.out, resolved)
@@ -179,18 +184,15 @@ def _cmd_adversary(args) -> int:
         "verify_reps": reps,
         "verify_seed": seed + 58_000_001,
     }
-    payload = (
-        json.dumps(
-            {
-                "audit": json.loads(audit_json(state)),
-                "verify": verify,
-                "next_stage": next_stage,
-            },
-            indent=2,
-            sort_keys=True,
-        ).encode()
-        + b"\n"
-    )
+    payload = json.dumps(
+        {
+            "audit": json.loads(audit_json(state)),
+            "verify": verify,
+            "next_stage": next_stage,
+        },
+        indent=2,
+        sort_keys=True,
+    ).encode()
     _emit(payload, args.out, resolved)
     return 0
 

@@ -14,8 +14,10 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from itertools import chain, groupby, repeat
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from .schemes import (
 __all__ = [
     "ExperimentConfig",
     "ScoredRecord",
+    "RecordColumns",
     "AggregateStats",
     "ReplicateSummary",
     "EvalReport",
@@ -51,6 +54,10 @@ __all__ = [
 
 # Rows scored per vectorized step; bounds the scorer's temporaries.
 _BLOCK = 1 << 15
+
+# Rows formatted per step of the CSV writer.  Its temporaries, ~300 B a
+# row, come on top of the payload; 1 << 15 rows held ~12 MB of them.
+_CSV_BLOCK = 1 << 12
 
 CSV_COLUMNS = (
     "replicate",
@@ -158,8 +165,7 @@ class _Scorer:
         return err, acc
 
 
-@dataclass(frozen=True, slots=True)
-class ScoredRecord:
+class ScoredRecord(NamedTuple):
     replicate: int
     scheme: str
     ordinal: int
@@ -171,17 +177,47 @@ class ScoredRecord:
     tv: float
 
     def row(self) -> tuple:
-        return (
-            self.replicate,
-            self.scheme,
-            self.ordinal,
-            self.time,
-            self.run_age,
-            self.estimate,
-            self.theta,
-            self.abs_err,
-            self.tv,
+        return tuple(self)
+
+
+@dataclass(frozen=True, eq=False)
+class RecordColumns:
+    """The scored records of one replicate as columns, one entry per
+    record in ScoredRecord's field order.  Equal when every value is."""
+
+    replicate: int
+    scheme: str
+    ordinal: np.ndarray
+    time: np.ndarray
+    run_age: np.ndarray
+    estimate: np.ndarray
+    theta: np.ndarray
+    abs_err: np.ndarray
+    tv: np.ndarray
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        return (self.ordinal, self.time, self.run_age, self.estimate, self.theta, self.abs_err, self.tv)
+
+    def __eq__(self, other):
+        if not isinstance(other, RecordColumns):
+            return NotImplemented
+        return (self.replicate, self.scheme) == (other.replicate, other.scheme) and all(
+            np.array_equal(a, b) for a, b in zip(self.arrays, other.arrays)
         )
+
+    __hash__ = None
+
+    def rows(self) -> Iterator[tuple]:
+        return zip(repeat(self.replicate), repeat(self.scheme), *(a.tolist() for a in self.arrays))
+
+    @staticmethod
+    def from_rows(rows: list) -> "RecordColumns":
+        """Columns of JSON record rows that share one replicate and scheme."""
+        _, _, *fields = zip(*rows)
+        ints = [np.array(f, dtype=np.int64) for f in fields[:3]]
+        floats = [np.array(f, dtype=np.float64) for f in fields[3:]]
+        return RecordColumns(rows[0][0], rows[0][1], *ints, *floats)
 
 
 def score_events(
@@ -412,7 +448,13 @@ class EvalReport:
     config: ExperimentConfig
     replicate_summaries: tuple[ReplicateSummary, ...]
     pooled: AggregateStats
-    records: tuple[ScoredRecord, ...] = ()
+    # one block per replicate that scored a record, in replicate order
+    columns: tuple[RecordColumns, ...] = ()
+
+    @property
+    def records(self) -> tuple[ScoredRecord, ...]:
+        """The retained records, built from the columns on each call."""
+        return tuple(map(ScoredRecord._make, chain.from_iterable(block.rows() for block in self.columns)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -421,7 +463,7 @@ class EvalReport:
                 s.to_json_dict() for s in self.replicate_summaries
             ],
             "pooled": self.pooled.to_json_dict(),
-            "records": [list(r.row()) for r in self.records],
+            "records": [list(row) for block in self.columns for row in block.rows()],
         }
 
     @staticmethod
@@ -433,7 +475,10 @@ class EvalReport:
                 for s in data["replicate_summaries"]
             ),
             pooled=AggregateStats.from_json_dict(data["pooled"]),
-            records=tuple(ScoredRecord(*row) for row in data["records"]),
+            columns=tuple(
+                RecordColumns.from_rows(list(rows))
+                for _, rows in groupby(data["records"], key=itemgetter(0, 1))
+            ),
         )
 
 
@@ -451,24 +496,17 @@ def _final_decile(values):
     return values[count - math.ceil(count / 10) :]
 
 
-def _score_columns(scorer, config, bits, replicate, records):
+def _score_columns(scorer, config, bits, replicate, columns):
     """(errs, tvs) of the scheme's estimates on one path; offline rows
     are keyed by position."""
     cols = scheme_columns(config.scheme, bits, config.scheme_config)
     errs, tvs = scorer.score_columns(cols)
-    if config.keep_records:
-        times = cols.time.tolist()
-        ordinals = times if config.scheme == "offline" else range(1, len(times) + 1)
-        rows = zip(
-            ordinals,
-            times,
-            cols.age.tolist(),
-            (cols.sum / cols.m).tolist(),
-            scorer.thetas(cols.age).tolist(),
-            errs.tolist(),
-            tvs.tolist(),
-        )
-        records.extend(ScoredRecord(replicate, config.scheme, *row) for row in rows)
+    if config.keep_records and errs.size:
+        time = cols.time
+        ordinal = time if config.scheme == "offline" else np.arange(1, time.size + 1)
+        estimate = cols.sum / cols.m
+        theta = scorer.thetas(cols.age)
+        columns.append(RecordColumns(replicate, config.scheme, ordinal, time, cols.age, estimate, theta, errs, tvs))
     return errs, tvs
 
 
@@ -480,7 +518,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     pooled_err: list[float] = []
     pooled_tv: list[float] = []
     summaries = []
-    records: list[ScoredRecord] = []
+    columns: list[RecordColumns] = []
     for replicate in range(config.replicates):
         bits = sample_path(
             law,
@@ -489,7 +527,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
             seed=config.base_seed,
             stream=replicate,
         ).bits
-        errs, tvs = _score_columns(scorer, config, bits, replicate, records)
+        errs, tvs = _score_columns(scorer, config, bits, replicate, columns)
         event_count = len(errs)
         tail_err = _final_decile(errs)
         tail_tv = _final_decile(tvs)
@@ -516,23 +554,43 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
         config=config,
         replicate_summaries=tuple(summaries),
         pooled=AggregateStats.from_arrays(pooled_err, pooled_tv),
-        records=tuple(records),
+        columns=tuple(columns),
     )
+
+
+def _csv_rows(block: RecordColumns) -> Iterator[str]:
+    """The CSV text of a replicate's records, _CSV_BLOCK rows at a time.
+
+    Each column is formatted on its own, with the bytes csv.writer gives
+    a row of ints and float reprs: no field but the prefix can need
+    quoting, and the prefix goes through csv.writer once.
+    """
+    head = io.StringIO()
+    csv.writer(head, lineterminator="").writerow((block.replicate, block.scheme))
+    prefix = head.getvalue()
+    for start in range(0, block.time.size, _CSV_BLOCK):
+        part = slice(start, start + _CSV_BLOCK)
+        ordinal, time, age = (map(str, a[part].tolist()) for a in (block.ordinal, block.time, block.run_age))
+        estimate, abs_err, tv = (map(float.__repr__, a[part].tolist()) for a in (block.estimate, block.abs_err, block.tv))
+        # theta has one value per age: format each distinct bit pattern
+        # once (so -0.0 and 0.0 stay apart) and index into the result
+        values, index = np.unique(block.theta[part].view(np.int64), return_inverse=True)
+        reprs = list(map(float.__repr__, values.view(np.float64).tolist()))
+        theta = map(reprs.__getitem__, index.tolist())
+        lines = map(",".join, zip(repeat(prefix), ordinal, time, age, estimate, theta, abs_err, tv))
+        yield "\n".join(lines) + "\n"
 
 
 def emit_report(report: EvalReport, format: str = "json") -> bytes:
     if format == "json":
         return json.dumps(report.to_json_dict(), indent=2, sort_keys=True).encode()
     if format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for record in report.records:
-            row = record.row()
-            writer.writerow(
-                [repr(v) if isinstance(v, float) else v for v in row]
-            )
-        return buffer.getvalue().encode()
+        out = io.BytesIO()
+        out.write((",".join(CSV_COLUMNS) + "\n").encode())
+        for block in report.columns:
+            for text in _csv_rows(block):
+                out.write(text.encode())
+        return out.getvalue()
     raise ValueError(f"unknown format {format!r}; expected 'csv' or 'json'")
 
 

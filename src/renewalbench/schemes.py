@@ -110,8 +110,7 @@ class SchemeConfig:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
 
 
-@dataclass(frozen=True, slots=True)
-class EstimateEvent:
+class EstimateEvent(NamedTuple):
     """One firing: where it stopped, what it averaged, what it got.
 
     residual_counts is the exact histogram, ((value, count), ...)
@@ -136,8 +135,7 @@ class EstimateEvent:
         return {value: count / m for value, count in self.residual_counts}
 
 
-@dataclass(frozen=True, slots=True)
-class OfflineEstimate:
+class OfflineEstimate(NamedTuple):
     """Per-position report of the windowless scheme.
 
     sample_count == 0 means undefined (the age has not recurred);

@@ -130,6 +130,24 @@ class TestEvaluate:
         assert code == 0
         assert report_from_json(out).config.scheme_config.declared_alpha == 3.0
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_file_and_stdout_give_the_same_bytes(self, capsysbinary, tmp_path, fmt):
+        argv = [
+            "evaluate", "--law", GEOM_LAW, "--scheme", "offline", "--length", "300",
+            "--replicates", "2", "--seed", "4", "--format", fmt,
+        ]
+        out = tmp_path / "report"
+        assert main([*argv, "--out", str(out)]) == 0
+        to_file = capsysbinary.readouterr()
+        assert main(argv) == 0
+        to_stdout = capsysbinary.readouterr()
+        payload = out.read_bytes()
+        assert payload == to_stdout.out
+        assert payload.endswith(b"\n\n" if fmt == "csv" else b"}\n")
+        # only the config echo moves: to stdout beside a file, else stderr
+        assert to_file.out == to_stdout.err
+        assert to_file.out.startswith(b"# config ") and to_file.err == b""
+
     def test_missing_required_field_is_validation_error(self, capsys):
         code, _, err = run_cli(capsys, "evaluate", "--scheme", "poly", "--length", "50")
         assert code == 2

@@ -1,16 +1,21 @@
 """Scoring oracle values, density examples, and report round trips."""
 
 import csv
+import dataclasses
 import io
+import json
 import math
 
 import numpy as np
 import pytest
 
+from renewalbench import evaluation
 from renewalbench.laws import LawError, make_law, residual_law, residual_mean, tv_l1
 from renewalbench.evaluation import (
+    CSV_COLUMNS,
     AggregateStats,
     EvalReport,
+    RecordColumns,
     ExperimentConfig,
     emit_report,
     firing_density,
@@ -229,3 +234,97 @@ class TestEmitReport:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit_report(run_experiment(p2_config()), "yaml")
+
+
+def writer_csv(report):
+    """The record-by-record csv.writer emitter that the columnar one
+    replaced, kept as the reference for its bytes."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for record in report.records:
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in record.row()])
+    return buffer.getvalue().encode()
+
+
+def record_json(report):
+    """The JSON report as it was built from ScoredRecord rows."""
+    data = report.to_json_dict()
+    data["records"] = [list(r.row()) for r in report.records]
+    return json.dumps(data, indent=2, sort_keys=True).encode()
+
+
+BYTE_LAWS = [
+    {"type": "geometric", "q": 0.5, "truncate": 60},
+    {"type": "zipf", "s": 2.5, "truncate": 300},
+    {"type": "explicit", "p": [0.2, 0.0, 0.5, 0.0, 0.3]},
+]
+
+
+class TestColumnarEmit:
+    """CSV and JSON from the record columns, byte for byte against the
+    emitters that worked on one ScoredRecord at a time."""
+
+    @pytest.mark.parametrize("law", BYTE_LAWS, ids=lambda law: law["type"])
+    @pytest.mark.parametrize("mode", ["stationary", "renewal"])
+    @pytest.mark.parametrize("replicates", [1, 3])
+    @pytest.mark.parametrize("scheme", ["poly", "log", "offline", "eps"])
+    def test_bytes_equal_the_record_emitters(self, monkeypatch, law, mode, replicates, scheme):
+        report = run_experiment(
+            p2_config(
+                law=law,
+                scheme=scheme,
+                scheme_config=SchemeConfig(gamma=0.3, epsilon=0.2),
+                length=700,
+                start_mode=mode,
+                replicates=replicates,
+            )
+        )
+        assert report.records
+        assert len(report.columns) == replicates
+        expected = writer_csv(report)
+        assert emit_report(report, "csv") == expected
+        # rows split across formatting blocks
+        monkeypatch.setattr(evaluation, "_CSV_BLOCK", 37)
+        assert emit_report(report, "csv") == expected
+        payload = emit_report(report, "json")
+        assert payload == record_json(report)
+        clone = report_from_json(payload)
+        assert clone == report
+        assert emit_report(clone, "csv") == expected
+
+    def test_header_only(self):
+        report = run_experiment(p2_config(keep_records=False))
+        assert report.columns == () and report.records == ()
+        assert emit_report(report, "csv") == writer_csv(report)
+        assert emit_report(report, "json") == record_json(report)
+
+    def test_odd_floats(self):
+        # theta is formatted once per distinct bit pattern: -0.0 and 0.0
+        # must stay apart, and nan and inf format as repr does
+        report = run_experiment(p2_config(length=30))
+        floats = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 0.1, 0.0])
+        ints = np.arange(floats.size)
+        block = RecordColumns(4, "poly", ints, ints, ints, floats, floats[::-1].copy(), floats, floats)
+        report = dataclasses.replace(report, columns=(block, block))
+        payload = emit_report(report, "csv")
+        assert payload == writer_csv(report)
+        thetas = [line.split(b",")[6] for line in payload.splitlines()[1:9]]
+        assert thetas == [b"0.0", b"0.1", b"1e-300", b"-inf", b"inf", b"nan", b"-0.0", b"0.0"]
+
+    def test_records_are_tuples(self):
+        report = run_experiment(p2_config(replicates=2))
+        record = report.records[0]
+        replicate, scheme, *_ = record
+        assert (replicate, scheme) == (0, "poly")
+        assert record == tuple(record) == record.row()
+        assert report.records == tuple(
+            tuple(row) for block in report.columns for row in block.rows()
+        )
+
+    def test_column_equality_by_value(self):
+        report = run_experiment(p2_config(replicates=2))
+        first, second = report.columns
+        assert first == dataclasses.replace(first, tv=first.tv.copy())
+        assert first != second
+        assert first != dataclasses.replace(first, tv=first.tv + 1.0)
