@@ -54,18 +54,17 @@ def _load_law(text: str):
     return law_from_json(text)
 
 
-def _emit(payload: bytes, out: str | None, resolved: dict) -> None:
-    """Write the payload and a trailing newline, which is written on its
-    own so a large payload is not copied to append one byte."""
+def _emit(write, out: str | None, resolved: dict) -> None:
+    """Write the payload with write(stream), then a trailing newline."""
     echo = "# config " + json.dumps(resolved, sort_keys=True)
     if out:
         with open(out, "wb") as fh:
-            fh.write(payload)
+            write(fh)
             fh.write(b"\n")
         print(echo)
     else:
         print(echo, file=sys.stderr)
-        sys.stdout.buffer.write(payload)
+        write(sys.stdout.buffer)
         sys.stdout.buffer.write(b"\n")
         sys.stdout.buffer.flush()
 
@@ -73,7 +72,7 @@ def _emit(payload: bytes, out: str | None, resolved: dict) -> None:
 def _cmd_law_info(args) -> int:
     law = _load_law(args.law)
     payload = law_info_text(law).encode()
-    _emit(payload, args.out, {"law": law.provenance})
+    _emit(lambda fh: fh.write(payload), args.out, {"law": law.provenance})
     return 0
 
 
@@ -143,10 +142,9 @@ def _cmd_evaluate(args) -> int:
         if not config.keep_records:
             config = replace(config, keep_records=True)
     report = run_experiment(config)
-    payload = emit_report(report, args.format)
     resolved = config.to_json_dict()
     resolved["format"] = args.format
-    _emit(payload, args.out, resolved)
+    _emit(lambda fh: emit_report(report, args.format, fh), args.out, resolved)
     return 0
 
 
@@ -193,7 +191,7 @@ def _cmd_adversary(args) -> int:
         indent=2,
         sort_keys=True,
     ).encode()
-    _emit(payload, args.out, resolved)
+    _emit(lambda fh: fh.write(payload), args.out, resolved)
     return 0
 
 

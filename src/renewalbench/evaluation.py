@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, groupby, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -124,9 +124,10 @@ class _Scorer:
         row's histogram with theta and tv.
 
         tv runs value-major on window_counts: for each residual value in
-        ascending order, one vectorized step adds that value's term to
-        every row whose window holds it, so each row sees the same float
-        operations in the same order as the loop in tv.
+        ascending order, one vectorized step over the slice of rows that
+        can hold it adds that value's term where the window does, so each
+        row sees the same float operations in the same order as the loop
+        in tv.
         """
         ages, m = cols.age, cols.m
         err = cols.sum / m
@@ -150,12 +151,18 @@ class _Scorer:
         begins = cols.lo[by_class]
         ends = cols.hi[by_class]
         blocks = ((begins[start : start + _BLOCK], ends[start : start + _BLOCK]) for start in range(0, ages.size, _BLOCK))
-        for block, value, hit, counts in window_counts(residuals, blocks):
-            hit += block * _BLOCK
-            age = row_age[hit]
+        for block, value, first, counts in window_counts(residuals, blocks):
+            start = block * _BLOCK + first
+            rows = slice(start, start + counts.size)
+            age = row_age[rows]
             q = probs[age + value] / tails[age]
-            acc[hit] += np.abs(counts / row_m[hit] - q)
-            seen[hit] += q
+            term = counts / row_m[rows]
+            term -= q
+            np.abs(term, out=term)
+            # rows whose window misses the value add nothing
+            hit = counts != 0
+            np.add(acc[rows], term, out=acc[rows], where=hit)
+            np.add(seen[rows], q, out=seen[rows], where=hit)
         # mass of the true law at values the histogram never hit
         missed = self._per_age(row_age, self._residual_total)
         missed -= seen
@@ -491,23 +498,33 @@ _SCHEME_ITERATORS: dict = {}
 # bench/traced.py wraps this name to time the aggregation layer
 def _final_decile(values):
     count = len(values)
-    if count == 0:
-        return values
     return values[count - math.ceil(count / 10) :]
 
 
-def _score_columns(scorer, config, bits, replicate, columns):
-    """(errs, tvs) of the scheme's estimates on one path; offline rows
-    are keyed by position."""
+def _final_decile_rows(cols: EventColumns) -> EventColumns:
+    """The estimates of a one-path cols whose scores _final_decile keeps."""
+    rows = {name: _final_decile(getattr(cols, name)) for name in ("time", "age", "lo", "hi", "m", "sum")}
+    start = cols.time.size - rows["time"].size
+    return cols._replace(first=cols.first.clip(start) - start, **rows)
+
+
+def _score_columns(scorer, config, bits, replicate, columns, every_row):
+    """(event_count, errs, tvs) of the scheme's estimates on one path:
+    the scores of every row if every_row, else of the final decile
+    only.  A row's scores depend only on its own window, so they are the
+    same either way.  Offline rows are keyed by position."""
     cols = scheme_columns(config.scheme, bits, config.scheme_config)
+    count = cols.time.size
+    if not every_row:
+        return (count, *scorer.score_columns(_final_decile_rows(cols)))
     errs, tvs = scorer.score_columns(cols)
-    if config.keep_records and errs.size:
+    if config.keep_records and count:
         time = cols.time
-        ordinal = time if config.scheme == "offline" else np.arange(1, time.size + 1)
+        ordinal = time if config.scheme == "offline" else np.arange(1, count + 1)
         estimate = cols.sum / cols.m
         theta = scorer.thetas(cols.age)
         columns.append(RecordColumns(replicate, config.scheme, ordinal, time, cols.age, estimate, theta, errs, tvs))
-    return errs, tvs
+    return count, errs, tvs
 
 
 def run_experiment(config: ExperimentConfig) -> EvalReport:
@@ -515,8 +532,11 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     scorer = _Scorer(law)
     horizon = config.length - 1
     offline = config.scheme == "offline"
-    pooled_err: list[float] = []
-    pooled_tv: list[float] = []
+    # records and offline's good-index densities read every score; the
+    # summaries read only the final decile
+    every_row = config.keep_records or offline
+    pooled_err: list[np.ndarray] = []
+    pooled_tv: list[np.ndarray] = []
     summaries = []
     columns: list[RecordColumns] = []
     for replicate in range(config.replicates):
@@ -527,12 +547,10 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
             seed=config.base_seed,
             stream=replicate,
         ).bits
-        errs, tvs = _score_columns(scorer, config, bits, replicate, columns)
-        event_count = len(errs)
-        tail_err = _final_decile(errs)
-        tail_tv = _final_decile(tvs)
-        pooled_err.extend(tail_err)
-        pooled_tv.extend(tail_tv)
+        event_count, errs, tvs = _score_columns(scorer, config, bits, replicate, columns, every_row)
+        tail_err, tail_tv = (_final_decile(errs), _final_decile(tvs)) if every_row else (errs, tvs)
+        pooled_err.append(tail_err)
+        pooled_tv.append(tail_tv)
         densities = ()
         if offline:
             # positions 0..length-1 all exist on the sampled path
@@ -553,7 +571,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     return EvalReport(
         config=config,
         replicate_summaries=tuple(summaries),
-        pooled=AggregateStats.from_arrays(pooled_err, pooled_tv),
+        pooled=AggregateStats.from_arrays(np.concatenate(pooled_err), np.concatenate(pooled_tv)),
         columns=tuple(columns),
     )
 
@@ -581,17 +599,24 @@ def _csv_rows(block: RecordColumns) -> Iterator[str]:
         yield "\n".join(lines) + "\n"
 
 
-def emit_report(report: EvalReport, format: str = "json") -> bytes:
+def emit_report(report: EvalReport, format: str = "json", out: BinaryIO | None = None) -> bytes | None:
+    """The payload's bytes or, given a binary stream out, None after
+    writing them to it.  CSV is written a block of rows at a time, so a
+    stream never holds the whole payload."""
+    if format not in ("csv", "json"):
+        raise ValueError(f"unknown format {format!r}; expected 'csv' or 'json'")
+    if out is None:
+        buffer = io.BytesIO()
+        emit_report(report, format, buffer)
+        return buffer.getvalue()
     if format == "json":
-        return json.dumps(report.to_json_dict(), indent=2, sort_keys=True).encode()
-    if format == "csv":
-        out = io.BytesIO()
-        out.write((",".join(CSV_COLUMNS) + "\n").encode())
-        for block in report.columns:
-            for text in _csv_rows(block):
-                out.write(text.encode())
-        return out.getvalue()
-    raise ValueError(f"unknown format {format!r}; expected 'csv' or 'json'")
+        out.write(json.dumps(report.to_json_dict(), indent=2, sort_keys=True).encode())
+        return None
+    out.write((",".join(CSV_COLUMNS) + "\n").encode())
+    for block in report.columns:
+        for text in _csv_rows(block):
+            out.write(text.encode())
+    return None
 
 
 def report_from_json(payload: bytes | str) -> EvalReport:

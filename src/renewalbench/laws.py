@@ -157,8 +157,24 @@ def _tabulate(probs: tuple[float, ...], provenance: dict) -> RenewalLaw:
     )
 
 
+# The last few laws make_law built, each under the JSON text of its
+# spec and of its provenance: an evaluate run asks for one law from its
+# flag, its config and run_experiment.  Laws are frozen, so callers
+# share them.  A key's text is a fraction of its law's tables.
+_BUILT: dict[str, RenewalLaw] = {}
+_BUILT_KEYS = 4
+
+
+def _spec_key(spec) -> str | None:
+    try:
+        return json.dumps(spec, sort_keys=True)
+    except (TypeError, ValueError):
+        return None  # not JSON text: built every time
+
+
 def make_law(spec: dict) -> RenewalLaw:
-    """Build a law from a specification mapping.
+    """Build a law from a specification mapping, or return the one built
+    from an equal spec or provenance among the last few.
 
     Three types are understood:
 
@@ -172,6 +188,19 @@ def make_law(spec: dict) -> RenewalLaw:
     support, so ``truncate`` is required and every law built here has
     finite support by construction.
     """
+    key = _spec_key(spec)
+    law = _BUILT.get(key)
+    if law is None:
+        law = _make_law(spec)
+        for known in (key, _spec_key(law.provenance)):
+            if known is not None:
+                _BUILT[known] = law
+        while len(_BUILT) > _BUILT_KEYS:
+            del _BUILT[next(iter(_BUILT))]
+    return law
+
+
+def _make_law(spec: dict) -> RenewalLaw:
     if not isinstance(spec, dict):
         raise LawError(f"law spec must be a mapping, got {type(spec).__name__}")
     kind = spec.get("type")

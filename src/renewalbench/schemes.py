@@ -37,10 +37,10 @@ bytes per position (tracemalloc, geometric paths: poly 84-109, log
 
 Each estimate's histogram is counted from the same columns:
 window_counts walks the residual values in ascending order and counts
-each value in every window that holds it.  The scorer sums those counts
-directly; the event adapters take rows a block at a time, count each
-distinct window of the block once, and turn the counts into the
-residual_counts tuples as the events are drawn.
+each value over the contiguous slice of windows that can hold it.  The
+scorer sums those counts directly; the event adapters take rows a block
+at a time, count each distinct window of the block once, and turn the
+counts into the residual_counts tuples as the events are drawn.
 
 Estimates are exact rationals (integer sums over integer counts)
 converted to float by a single division, so the emitted mean equals the
@@ -339,13 +339,15 @@ def _columns(scan: PrefixScan, rows: np.ndarray, age: np.ndarray, lo: np.ndarray
     return EventColumns(scan.residuals, rows.searchsorted(scan.first), scan.time[rows], age, lo, hi, m, total)
 
 
-def window_counts(residuals: np.ndarray, blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+def window_counts(residuals: np.ndarray, blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[tuple[int, int, int, np.ndarray]]:
     """Value-major histograms of windows residuals[begins[i]:ends[i]].
 
     The windows come in blocks of (begins, ends), each grouped by age
     class.  For each block k in turn and each residual value in
-    ascending order, yields (k, value, rows, counts): the block's windows
-    that hold the value, ascending, and how many times each does.
+    ascending order, yields (k, value, first, counts): counts[j] is how
+    many times window first + j of the block holds the value, over the
+    slice of windows that can hold it.  Windows of the slice that miss
+    the value count 0.
 
     A window lies inside its age class, so the windows of a grouped
     block that can hold an entry in [first, last] are one slice: from
@@ -391,11 +393,7 @@ def window_counts(residuals: np.ndarray, blocks: Iterable[tuple[np.ndarray, np.n
             else:
                 counts = entries.searchsorted(narrow_ends[first:last])
                 counts -= entries.searchsorted(narrow_begins[first:last])
-            rows = counts.nonzero()[0]
-            if rows.size:
-                counts = counts[rows]
-                rows += first
-                yield block, value, rows, counts
+            yield block, value, first, counts
 
 
 @lru_cache(maxsize=4)
@@ -612,8 +610,8 @@ def _histograms(residuals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Iterat
         # the block's (window, value) counts as a table: its nonzero cells
         # in row-major order are each window's values, ascending
         table = np.zeros((unique.size, len(found)), dtype=np.int32)
-        for column, (_, _, rows, counts) in enumerate(found):
-            table[rows, column] = counts
+        for column, (_, _, first, counts) in enumerate(found):
+            table[first : first + counts.size, column] = counts
         values = np.array([value for _, value, _, _ in found])
         del found
         windows, columns = table.nonzero()

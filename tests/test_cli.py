@@ -1,6 +1,7 @@
 """Command-line driver: subcommand behavior, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import renewalbench
+from renewalbench import laws
 from renewalbench.cli import main
 from renewalbench.evaluation import CSV_COLUMNS, report_from_json
 from renewalbench.paths import load_path
@@ -229,3 +231,27 @@ class TestSelftest:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "optimize=1 failures=2"
+
+
+EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
+
+
+@pytest.mark.parametrize("name", sorted(json.loads(EXPECTED.read_text())))
+def test_benchmark_payloads_keep_their_recorded_digests(capsys, tmp_path, name):
+    # the benchmark's pinned seed-0 runs: payload bytes must not move
+    entry = json.loads(EXPECTED.read_text())[name]
+    out = tmp_path / "payload"
+    assert main([*entry["argv"], "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == entry["sha256"]
+
+
+def test_evaluate_builds_its_law_once(capsys, monkeypatch):
+    monkeypatch.setattr(laws, "_BUILT", {})
+    built = []
+    fresh = laws._make_law
+    monkeypatch.setattr(laws, "_make_law", lambda spec: built.append(spec) or fresh(spec))
+    law = '{"type": "zipf", "s": 3, "truncate": 2000}'
+    code, out, _ = run_cli(capsys, "evaluate", "--law", law, "--scheme", "eps", "--epsilon", "0.1", "--length", "500")
+    assert code == 0 and len(built) == 1
+    assert report_from_json(out).config.law == {"type": "zipf", "s": 3.0, "truncate": 2000}

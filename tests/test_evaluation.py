@@ -24,7 +24,8 @@ from renewalbench.evaluation import (
     run_experiment,
     score_events,
 )
-from renewalbench.schemes import SchemeConfig, run_eps, run_offline, run_poly
+from renewalbench.paths import StartMode, sample_path
+from renewalbench.schemes import SchemeConfig, run_eps, run_offline, run_poly, scheme_columns
 
 P2_LAW = make_law({"type": "explicit", "p": [0.0, 0.0, 1.0]})
 GEOM = make_law({"type": "geometric", "q": 0.5, "truncate": 60})
@@ -328,3 +329,113 @@ class TestColumnarEmit:
         assert first == dataclasses.replace(first, tv=first.tv.copy())
         assert first != second
         assert first != dataclasses.replace(first, tv=first.tv + 1.0)
+
+
+SUMMARY_LAWS = [
+    {"type": "geometric", "q": 0.5, "truncate": 60},
+    {"type": "zipf", "s": 2.5, "truncate": 300},
+]
+
+
+class TestFinalDecileScoring:
+    """Without records, poly, log and eps score only each replicate's
+    final decile; the report reads nothing else, so it must not move."""
+
+    @pytest.mark.parametrize("law", SUMMARY_LAWS, ids=lambda law: law["type"])
+    @pytest.mark.parametrize("mode", ["stationary", "renewal"])
+    @pytest.mark.parametrize("replicates", [1, 3])
+    @pytest.mark.parametrize("scheme", ["poly", "log", "offline", "eps"])
+    def test_summaries_equal_with_and_without_records(self, law, mode, replicates, scheme):
+        config = p2_config(
+            law=law,
+            scheme=scheme,
+            scheme_config=SchemeConfig(gamma=0.3, epsilon=0.2),
+            length=2500,
+            start_mode=mode,
+            replicates=replicates,
+            keep_records=False,
+        )
+        bare = run_experiment(config)
+        kept = run_experiment(dataclasses.replace(config, keep_records=True))
+        assert bare.columns == () and len(kept.columns) == replicates
+        assert all(s.event_count > 0 for s in bare.replicate_summaries)
+        assert bare.replicate_summaries == kept.replicate_summaries
+        assert bare.pooled == kept.pooled
+        tails = [evaluation._final_decile(block.abs_err) for block in kept.columns]
+        assert bare.pooled.sample_count == sum(tail.size for tail in tails)
+
+    @pytest.mark.parametrize("law", SUMMARY_LAWS, ids=lambda law: law["type"])
+    @pytest.mark.parametrize("scheme", ["poly", "log", "offline", "eps"])
+    def test_decile_rows_score_as_the_full_tail(self, law, scheme):
+        built = make_law(law)
+        bits = sample_path(built, 4999, StartMode.STATIONARY, seed=3, stream=1).bits
+        cols = scheme_columns(scheme, bits, SchemeConfig(gamma=0.3, epsilon=0.2))
+        scorer = evaluation._Scorer(built)
+        errs, tvs = scorer.score_columns(cols)
+        tail = evaluation._final_decile_rows(cols)
+        count = math.ceil(errs.size / 10)
+        assert tail.time.size == tail.age.size == tail.lo.size == tail.hi.size == tail.m.size == tail.sum.size == count
+        assert tail.first.tolist() == [0, count]
+        tail_errs, tail_tvs = scorer.score_columns(tail)
+        assert tail_errs.tobytes() == errs[errs.size - count :].tobytes()
+        assert tail_tvs.tobytes() == tvs[tvs.size - count :].tobytes()
+
+    @pytest.mark.parametrize("scheme", ["poly", "log", "offline", "eps"])
+    @pytest.mark.parametrize("keep_records", [False, True])
+    def test_scorer_sees_only_the_rows_read(self, monkeypatch, scheme, keep_records):
+        seen = []
+        score = evaluation._Scorer.score_columns
+
+        def spy(self, cols):
+            seen.append(cols.age.size)
+            return score(self, cols)
+
+        monkeypatch.setattr(evaluation._Scorer, "score_columns", spy)
+        config = p2_config(
+            law=SUMMARY_LAWS[0],
+            scheme=scheme,
+            scheme_config=SchemeConfig(gamma=0.3, epsilon=0.2),
+            length=3000,
+            replicates=2,
+            keep_records=keep_records,
+        )
+        counts = [s.event_count for s in run_experiment(config).replicate_summaries]
+        every = keep_records or scheme == "offline"
+        assert seen == [n if every else math.ceil(n / 10) for n in counts]
+        assert all(n > 10 for n in counts)
+
+
+class _Writes(io.BytesIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, data):
+        self.sizes.append(len(data))
+        return super().write(data)
+
+
+class TestStreamedEmit:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stream_gets_the_payload_bytes(self, fmt):
+        report = run_experiment(p2_config(law=SUMMARY_LAWS[0], scheme="offline", length=900, replicates=2))
+        out = _Writes()
+        assert emit_report(report, fmt, out) is None
+        assert out.getvalue() == emit_report(report, fmt)
+
+    def test_csv_is_written_a_block_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_CSV_BLOCK", 37)
+        report = run_experiment(p2_config(law=SUMMARY_LAWS[0], scheme="offline", length=900, replicates=2))
+        out = _Writes()
+        emit_report(report, "csv", out)
+        rows = sum(block.time.size for block in report.columns)
+        # the header, then one write per block of at most 37 rows
+        assert len(out.sizes) == 1 + sum(math.ceil(block.time.size / 37) for block in report.columns)
+        assert max(out.sizes) < 37 * 120 < rows * 10
+        assert out.getvalue() == writer_csv(report)
+
+    def test_unknown_format_writes_nothing(self):
+        out = _Writes()
+        with pytest.raises(ValueError, match="unknown format"):
+            emit_report(run_experiment(p2_config()), "yaml", out)
+        assert out.sizes == []

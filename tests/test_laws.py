@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from renewalbench import laws
 from renewalbench.laws import (
     MAX_SUPPORT,
     PROB_TOL,
@@ -408,3 +409,42 @@ def test_tables_of_a_long_perturbed_law_equal_the_backward_loops():
     assert [x.hex() for x in law.overshoots] == [x.hex() for x in overshoots]
     assert law.mean.hex() == overshoots[0].hex()
     assert all(type(x) is float for x in law.tails + law.overshoots)
+
+
+class TestBuiltLawsAreShared:
+    """make_law hands back a recently built law for an equal spec or for
+    the law's own provenance, equal to a fresh build."""
+
+    def test_spec_and_provenance_share_one_law(self, monkeypatch):
+        monkeypatch.setattr(laws, "_BUILT", {})
+        built = []
+        fresh = laws._make_law
+        monkeypatch.setattr(laws, "_make_law", lambda spec: built.append(spec) or fresh(spec))
+        spec = {"type": "zipf", "s": 3, "truncate": 500}
+        law = make_law(spec)
+        assert law.provenance == {"type": "zipf", "s": 3.0, "truncate": 500}
+        assert make_law(dict(spec)) is law
+        assert make_law(law.provenance) is law
+        assert law_from_json(json.dumps(law.provenance)) is law
+        assert built == [spec]
+        assert law == fresh(spec) and law.provenance == fresh(spec).provenance
+
+    def test_cache_is_bounded_and_keys_differ_by_value(self, monkeypatch):
+        monkeypatch.setattr(laws, "_BUILT", {})
+        made = [make_law({"type": "geometric", "q": q, "truncate": 30}) for q in (0.1, 0.2, 0.3, 0.4)]
+        assert len(laws._BUILT) <= laws._BUILT_KEYS
+        assert len({id(law) for law in made}) == 4
+        assert make_law({"type": "geometric", "q": 0.4, "truncate": 30}) is made[-1]
+        # -0.0 and 0.0 are different specs
+        negative = make_law({"type": "explicit", "p": [-0.0, 1.0]})
+        positive = make_law({"type": "explicit", "p": [0.0, 1.0]})
+        assert math.copysign(1.0, negative.probs[0]) == -1.0
+        assert math.copysign(1.0, positive.probs[0]) == 1.0
+
+    def test_specs_that_are_not_json_still_build(self):
+        law = make_law({"type": "explicit", "p": [Fraction(1, 2), Fraction(1, 2)]})
+        assert law.probs == (0.5, 0.5)
+        with pytest.raises(LawError):
+            make_law({"type": "explicit", "p": [float("nan"), 1.0]})
+        with pytest.raises(LawError):
+            make_law({"type": "explicit", "p": [float("nan"), 1.0]})
