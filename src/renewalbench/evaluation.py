@@ -15,7 +15,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, groupby, repeat
+from itertools import chain, groupby, repeat, takewhile
 from operator import itemgetter
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
@@ -270,8 +270,6 @@ def firing_density(events, N: int) -> float:
     """Stopping times up to N per unit of path, the Theorem 1 Eq. (1) probe."""
     if N <= 0:
         raise ValueError(f"N must be positive, got {N}")
-    if hasattr(events, "__len__") and not events:
-        return 0.0
     return sum(1 for e in events if e.time <= N) / N
 
 
@@ -285,22 +283,11 @@ def good_index_density(
     within tolerance in both mean and L1 distance.  Positions with no
     row at all (before the first zero, or beyond the path) count as bad.
     """
-    if tolerance <= 0:
+    if not tolerance > 0:  # NaN too
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    scorer = _Scorer(law)
-    good = 0
-    for row in estimates:
-        if row.position > N:
-            break
-        if not row.defined:
-            continue
-        theta = scorer.theta(row.run_age)
-        if abs(row.estimate - theta) > tolerance:
-            continue
-        if scorer.tv(row.residual_counts, row.sample_count, row.run_age) > tolerance:
-            continue
-        good += 1
-    return good / (N + 1)
+    rows = takewhile(lambda row: row.position <= N, estimates)
+    records = score_events(law, rows)
+    return sum(r.abs_err <= tolerance and r.tv <= tolerance for r in records) / (N + 1)
 
 
 @dataclass(frozen=True)
@@ -325,14 +312,20 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown scheme {self.scheme!r}; expected one of {SCHEME_TAGS}"
             )
+        for name in ("length", "replicates", "base_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.length < 1:
             raise ValueError(f"length must be >= 1, got {self.length}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if isinstance(self.start_mode, str):
             object.__setattr__(self, "start_mode", parse_start_mode(self.start_mode))
-        if any(t <= 0 for t in self.tolerances):
-            raise ValueError("tolerances must be positive")
+        if not all(0 < t < math.inf for t in self.tolerances):
+            raise ValueError(
+                f"tolerances must be positive and finite, got {list(self.tolerances)}"
+            )
         make_law(self.law)  # validate eagerly so bad configs fail here
 
     def to_json_dict(self) -> dict:

@@ -106,6 +106,14 @@ class RenewalLaw:
         cdf.setflags(write=False)
         return cdf
 
+    @cached_property
+    def stationary_cdf(self) -> np.ndarray:
+        """Read-only cumulative sum of stationary_state_law, built once
+        per law: the stationary start state's CDF."""
+        cdf = np.cumsum(np.asarray(self.tails[:-1]) * (1.0 / (1.0 + self.mean)))
+        cdf.setflags(write=False)
+        return cdf
+
 
 @dataclass(frozen=True)
 class ResidualLaw:

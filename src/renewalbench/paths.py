@@ -26,7 +26,7 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .laws import RenewalLaw, stationary_state_law
+from .laws import RenewalLaw
 
 __all__ = [
     "PathError",
@@ -117,7 +117,7 @@ def sample_paths(
     if horizon < 0:
         raise PathError(f"horizon must be >= 0, got {horizon}")
     if mode is StartMode.STATIONARY:
-        states = np.cumsum(stationary_state_law(law))
+        states = law.stationary_cdf
     elif mode is not StartMode.AT_RENEWAL:
         raise PathError(f"unsupported start mode {mode!r}")
     need = horizon + 1

@@ -717,11 +717,17 @@ def run_scheme(tag: str, bits, config: SchemeConfig):
 
 # --- quadratic reference ---------------------------------------------------
 #
-# ref_run re-derives every firing from the prefix bits[0..t] alone with
-# numpy primitives: no state survives from one position to the next, so
-# agreement with the streaming pass cross-validates both.  Division is
-# the same exact int/int everywhere, which is what makes "byte
-# identical" a meaningful claim for the floats.
+# ref_run re-derives every firing with numpy primitives and no scan
+# column.  It builds two arrays once per path: age[i], the distance from
+# i back to the last zero at or before it, and next_zero[i], the first
+# zero after i.  At position t it reads only indices <= t: age[i]
+# depends on bits <= i alone, and next_zero is read only at positions
+# of completed runs, i < last <= t, where the next zero is at most
+# last.  Everything else (the age class, the window, the stopping rule)
+# is rescanned from those arrays at every t, so agreement with the
+# columnar pass cross-validates both.  Division is the same exact
+# int/int everywhere, which is what makes "byte identical" a meaningful
+# claim for the floats.
 
 
 def _ref_histogram(residuals: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -729,17 +735,8 @@ def _ref_histogram(residuals: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(zip(values.tolist(), counts.tolist()))
 
 
-def _ref_matches(zeros_t, psi: int, last: int, tau: int):
-    """Positions in [psi, last) at age tau, with their residuals."""
-    completed = np.arange(psi, last)
-    ages = completed - zeros_t[np.searchsorted(zeros_t, completed, "right") - 1]
-    at_age = completed[ages == tau]
-    residuals = zeros_t[np.searchsorted(zeros_t, at_age, "right")] - at_age - 1
-    return at_age, residuals
-
-
 def ref_run(scheme: str, bits, config: SchemeConfig):
-    """Slow full-prefix-rescan twin of run_scheme, same output exactly."""
+    """Slow per-position rescan twin of run_scheme, same output exactly."""
     if scheme not in SCHEME_TAGS:
         raise ValueError(f"unknown scheme tag {scheme!r}; expected one of {SCHEME_TAGS}")
     arr = np.asarray(_as_positions(bits), dtype=np.int64)
@@ -748,109 +745,60 @@ def ref_run(scheme: str, bits, config: SchemeConfig):
     if zeros.size == 0:
         return out
     psi = int(zeros[0])
-    if scheme == "poly":
-        gamma = _need(config, "gamma")
-        _warn_gamma_poly(config)
-        exponent = 1.0 - gamma
-    elif scheme == "log":
-        gamma = _need(config, "gamma")
-        exponent = 1.0 - gamma
+    if scheme in ("poly", "log"):
+        exponent = 1.0 - _need(config, "gamma")
+        if scheme == "poly":
+            _warn_gamma_poly(config)
     elif scheme == "eps":
         factor = 1.0 - 0.5 * _need(config, "epsilon")
+    positions = np.arange(arr.size)
+    following = np.searchsorted(zeros, positions, "right")
+    age = positions - zeros[np.maximum(following - 1, 0)]  # read from psi on
+    next_zero = zeros[np.minimum(following, zeros.size - 1)]  # read below last
     ordinal = 0
     for t in range(psi if scheme == "offline" else psi + 1, arr.size):
-        zcount = int(np.searchsorted(zeros, t, "right"))
-        zeros_t = zeros[:zcount]
-        last = int(zeros_t[-1])
-        tau = t - last
-
+        tau = int(age[t])
+        last = t - tau
+        at_age = psi + np.flatnonzero(age[psi:last] == tau)
+        count = at_age.size
         if scheme == "offline":
-            at_age, residuals = _ref_matches(zeros_t, psi, last, tau)
-            if at_age.size == 0:
-                out.append(OfflineEstimate(t, tau, 0, None, ()))
-            else:
-                out.append(
-                    OfflineEstimate(
-                        position=t,
-                        run_age=tau,
-                        sample_count=int(at_age.size),
-                        estimate=int(residuals.sum()) / int(at_age.size),
-                        residual_counts=_ref_histogram(residuals),
-                    )
-                )
+            residuals = next_zero[at_age] - at_age - 1
+            estimate = int(residuals.sum()) / count if count else None
+            out.append(OfflineEstimate(t, tau, count, estimate, _ref_histogram(residuals)))
             continue
-
         if scheme == "poly":
-            at_age, residuals = _ref_matches(zeros_t, psi, last, tau)
-            count = int(at_age.size)
             threshold = t**exponent
             if count < threshold:
                 continue
-            m = math.ceil(threshold)
-            used = residuals[count - m :]
-            ordinal += 1
-            out.append(
-                EstimateEvent(
-                    ordinal=ordinal,
-                    time=t,
-                    run_age=tau,
-                    estimate=int(used.sum()) / m,
-                    residual_counts=_ref_histogram(used),
-                    sample_count=m,
-                    window_start=int(at_age[count - m]),
-                    window_end=t,
-                )
-            )
+            used = at_age[count - math.ceil(threshold) :]
+            start, end = used[0], t
         elif scheme == "log":
-            # recurrence of the age strictly below log2(t)
-            low_stop = (t - 1).bit_length() - 1  # largest i with 2^i < t
-            if low_stop < psi + 1:
-                continue
-            low = np.arange(psi + 1, low_stop + 1)
-            low_ages = low - zeros_t[np.searchsorted(zeros_t, low, "right") - 1]
-            if not bool(np.any(low_ages == tau)):
+            # the age must recur strictly below log2(t): 2^i < t
+            low_stop = (t - 1).bit_length() - 1
+            if not np.any(age[psi + 1 : low_stop + 1] == tau):
                 continue
             scale = t.bit_length() - 1
-            at_age, residuals = _ref_matches(zeros_t, psi, last, tau)
-            inside = (at_age > scale) & (at_age < (1 << scale))
-            wpos = at_age[inside]
             needed = math.ceil(2.0 ** (scale * exponent))
-            if int(wpos.size) < needed:
+            used = at_age[(at_age > scale) & (at_age < (1 << scale))][:needed]
+            if used.size < needed:
                 continue
-            used = residuals[inside][:needed]
-            ordinal += 1
-            out.append(
-                EstimateEvent(
-                    ordinal=ordinal,
-                    time=t,
-                    run_age=tau,
-                    estimate=int(used.sum()) / needed,
-                    residual_counts=_ref_histogram(used),
-                    sample_count=needed,
-                    window_start=int(wpos[0]),
-                    window_end=int(wpos[needed - 1]),
-                )
-            )
+            start, end = used[0], used[-1]
         else:  # eps
-            everyone = np.arange(psi, t + 1)
-            ages = everyone - zeros_t[np.searchsorted(zeros_t, everyone, "right") - 1]
-            if int((ages < tau).sum()) > t * factor:
+            if int((age[psi : t + 1] < tau).sum()) > t * factor or count == 0:
                 continue
-            at_age, residuals = _ref_matches(zeros_t, psi, last, tau)
-            count = int(at_age.size)
-            if count == 0:
-                continue
-            ordinal += 1
-            out.append(
-                EstimateEvent(
-                    ordinal=ordinal,
-                    time=t,
-                    run_age=tau,
-                    estimate=int(residuals.sum()) / count,
-                    residual_counts=_ref_histogram(residuals),
-                    sample_count=count,
-                    window_start=psi,
-                    window_end=t,
-                )
+            used, start, end = at_age, psi, t
+        residuals = next_zero[used] - used - 1
+        ordinal += 1
+        out.append(
+            EstimateEvent(
+                ordinal=ordinal,
+                time=t,
+                run_age=tau,
+                estimate=int(residuals.sum()) / used.size,
+                residual_counts=_ref_histogram(residuals),
+                sample_count=used.size,
+                window_start=int(start),
+                window_end=int(end),
             )
+        )
     return out

@@ -155,6 +155,30 @@ class TestEvaluate:
         assert code == 2
         assert "law" in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tolerances", [float("nan")]),
+            ("tolerances", [0.1, float("inf")]),
+            ("tolerances", [0.0]),
+            ("length", 1.5),
+            ("length", True),
+            ("replicates", 2.5),
+            ("base_seed", 1.5),
+            ("base_seed", False),
+        ],
+    )
+    def test_bad_config_field_is_validation_error(self, capsys, tmp_path, field, value):
+        config = {
+            "law": json.loads(GEOM_LAW), "scheme": "offline", "length": 40,
+            field: value,
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "evaluate", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {field} must be"), err
+
     def test_oversized_csv_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "evaluate", "--law", GEOM_LAW, "--scheme", "poly", "--gamma", "0.3",

@@ -128,6 +128,8 @@ class TestDensities:
             firing_density([], 0)
         with pytest.raises(ValueError):
             good_index_density([], P2_LAW, tolerance=0.0, N=10)
+        with pytest.raises(ValueError):
+            good_index_density([], P2_LAW, tolerance=float("nan"), N=10)
 
 
 def p2_config(**kw):

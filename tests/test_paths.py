@@ -196,6 +196,16 @@ class TestScalarDraws:
         assert moved.length_cdf.tolist() == (1.0 - np.asarray(moved.tails[1:])).tolist()
         assert cdf.tolist() == (1.0 - np.asarray(law.tails[1:])).tolist()
 
+    def test_stationary_cdf_built_once_per_law(self):
+        zipf = make_law({"type": "zipf", "s": 3.0, "truncate": 10_000})
+        laws = [det2(), geom_half(), zipf, make_law({"type": "explicit", "p": [0.5, 0.3, 0.2]})]
+        for law in laws + [perturb(law, 7, 0.05) for law in laws if law.prob(0) > 0.05]:
+            cdf = law.stationary_cdf
+            assert cdf is law.stationary_cdf
+            assert cdf.tobytes() == np.cumsum(stationary_state_law(law)).tobytes()
+            with pytest.raises(ValueError):
+                cdf[0] = 0.25
+
 
 class TestLawAgreement:
     def test_completed_runs_match_law(self):

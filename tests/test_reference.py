@@ -1,4 +1,5 @@
-"""Streaming passes against the full-prefix-rescan reference.
+"""Streaming passes against the per-position quadratic reference, and
+the reference against its own prefixes.
 
 Equality here is exact object equality: same firing times, same
 ordinals, same histograms, same floats.
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from renewalbench.laws import make_law
 from renewalbench.paths import StartMode, sample_path
-from renewalbench.schemes import SCHEME_TAGS, SchemeConfig, ref_run, run_scheme
+from renewalbench.schemes import SCHEME_TAGS, OfflineEstimate, SchemeConfig, ref_run, run_scheme
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -80,3 +81,26 @@ def test_fuzz_parity(bits, gamma, epsilon):
     config = SchemeConfig(gamma=gamma, epsilon=epsilon)
     for tag in SCHEME_TAGS:
         assert run_scheme(tag, bits, config) == ref_run(tag, bits, config)
+
+
+def _cut(rows, t):
+    """The rows of a full-path run that a prefix ending at t may report."""
+    return [row for row in rows if (row.position if isinstance(row, OfflineEstimate) else row.time) <= t]
+
+
+def test_reference_reads_only_the_prefix():
+    # ref_run(bits[:t+1]) must be ref_run(bits) up to t, at every t.  An
+    # estimate that read a bit past t can differ between the two, and
+    # every t is checked because such a read rarely changes one.
+    rng = np.random.default_rng(808)
+    for _ in range(20):
+        size = int(rng.integers(1, 151))
+        bits = (rng.random(size) >= rng.uniform(0.05, 0.95)).astype(np.int64).tolist()
+        config = SchemeConfig(
+            gamma=float(rng.uniform(0.02, 0.98)),
+            epsilon=float(rng.uniform(0.02, 0.98)),
+        )
+        for tag in SCHEME_TAGS:
+            full = ref_run(tag, bits, config)
+            for t in range(size):
+                assert ref_run(tag, bits[: t + 1], config) == _cut(full, t), (bits, config, tag, t)
