@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain, groupby, repeat, takewhile
+from numbers import Real
 from operator import itemgetter
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
@@ -322,10 +323,13 @@ class ExperimentConfig:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if isinstance(self.start_mode, str):
             object.__setattr__(self, "start_mode", parse_start_mode(self.start_mode))
-        if not all(0 < t < math.inf for t in self.tolerances):
-            raise ValueError(
-                f"tolerances must be positive and finite, got {list(self.tolerances)}"
-            )
+        if not isinstance(self.keep_records, bool):
+            raise ValueError(f"keep_records must be true or false, got {self.keep_records!r}")
+        if not isinstance(self.tolerances, (list, tuple)) or not all(
+            isinstance(t, Real) and not isinstance(t, bool) and 0 < t < math.inf for t in self.tolerances
+        ):
+            raise ValueError(f"tolerances must be a list of positive, finite numbers, got {self.tolerances!r}")
+        object.__setattr__(self, "tolerances", tuple(self.tolerances))
         make_law(self.law)  # validate eagerly so bad configs fail here
 
     def to_json_dict(self) -> dict:
@@ -360,7 +364,7 @@ class ExperimentConfig:
             start_mode=parse_start_mode(data.get("start_mode", "stationary")),
             replicates=data.get("replicates", 1),
             base_seed=data.get("base_seed", 0),
-            tolerances=tuple(data.get("tolerances", (0.1,))),
+            tolerances=data.get("tolerances", (0.1,)),
             keep_records=data.get("keep_records", False),
         )
 
@@ -572,24 +576,22 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
 def _csv_rows(block: RecordColumns) -> Iterator[str]:
     """The CSV text of a replicate's records, _CSV_BLOCK rows at a time.
 
-    Each column is formatted on its own, with the bytes csv.writer gives
-    a row of ints and float reprs: no field but the prefix can need
-    quoting, and the prefix goes through csv.writer once.
+    One % operation per block gives the bytes csv.writer gives a row of
+    ints (%d) and float reprs (%r): no field but the prefix can need
+    quoting, and the prefix goes through csv.writer once, its % escaped.
     """
     head = io.StringIO()
     csv.writer(head, lineterminator="").writerow((block.replicate, block.scheme))
-    prefix = head.getvalue()
+    line = head.getvalue().replace("%", "%%") + ",%d,%d,%d,%r,%s,%r,%r\n"
     for start in range(0, block.time.size, _CSV_BLOCK):
         part = slice(start, start + _CSV_BLOCK)
-        ordinal, time, age = (map(str, a[part].tolist()) for a in (block.ordinal, block.time, block.run_age))
-        estimate, abs_err, tv = (map(float.__repr__, a[part].tolist()) for a in (block.estimate, block.abs_err, block.tv))
         # theta has one value per age: format each distinct bit pattern
         # once (so -0.0 and 0.0 stay apart) and index into the result
         values, index = np.unique(block.theta[part].view(np.int64), return_inverse=True)
         reprs = list(map(float.__repr__, values.view(np.float64).tolist()))
-        theta = map(reprs.__getitem__, index.tolist())
-        lines = map(",".join, zip(repeat(prefix), ordinal, time, age, estimate, theta, abs_err, tv))
-        yield "\n".join(lines) + "\n"
+        n, t, age, h, err, tv = (a[part].tolist() for a in (block.ordinal, block.time, block.run_age, block.estimate, block.abs_err, block.tv))
+        rows = zip(n, t, age, h, map(reprs.__getitem__, index.tolist()), err, tv)
+        yield line * len(n) % tuple(chain.from_iterable(rows))
 
 
 def emit_report(report: EvalReport, format: str = "json", out: BinaryIO | None = None) -> bytes | None:

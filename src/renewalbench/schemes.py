@@ -54,6 +54,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, tee
+from numbers import Real
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -104,6 +105,10 @@ class SchemeConfig:
     declared_alpha: float | None = None
 
     def __post_init__(self):
+        for name in ("gamma", "epsilon", "declared_alpha"):
+            value = getattr(self, name)
+            if value is not None and (not isinstance(value, Real) or isinstance(value, bool)):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.gamma is not None and not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
         if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:

@@ -166,13 +166,24 @@ class TestEvaluate:
             ("replicates", 2.5),
             ("base_seed", 1.5),
             ("base_seed", False),
+            ("keep_records", "no"),
+            ("keep_records", 1),
+            ("tolerances", 0.1),
+            ("tolerances", ["0.1"]),
+            ("tolerances", [True]),
+            ("gamma", "0.3"),
+            ("gamma", True),
+            ("epsilon", "0.2"),
+            ("declared_alpha", "3"),
+            ("declared_alpha", [3]),
         ],
     )
     def test_bad_config_field_is_validation_error(self, capsys, tmp_path, field, value):
-        config = {
-            "law": json.loads(GEOM_LAW), "scheme": "offline", "length": 40,
-            field: value,
-        }
+        config = {"law": json.loads(GEOM_LAW), "scheme": "offline", "length": 40}
+        if field in ("gamma", "epsilon", "declared_alpha"):
+            config["scheme_config"] = {field: value}
+        else:
+            config[field] = value
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         code, out, err = run_cli(capsys, "evaluate", "--config", str(cfg))

@@ -315,6 +315,27 @@ class TestColumnarEmit:
         thetas = [line.split(b",")[6] for line in payload.splitlines()[1:9]]
         assert thetas == [b"0.0", b"0.1", b"1e-300", b"-inf", b"inf", b"nan", b"-0.0", b"0.0"]
 
+    def test_template_edge_cases(self, monkeypatch):
+        # a scheme csv.writer must quote, holding the template's own %;
+        # every float repr form in every float column; ints at +-2**62;
+        # and a row count that is no multiple of the block
+        monkeypatch.setattr(evaluation, "_CSV_BLOCK", 37)
+        floats = [1e16, 1e-05, 5e-324, 1.7976931348623157e308, -0.0, math.nan, math.inf, -math.inf, 0.1]
+        rows = 100
+        ints = [np.roll(np.resize(np.array([2**62, -(2**62), 0], dtype=np.int64), rows), k) for k in range(3)]
+        cols = [np.roll(np.resize(np.array(floats), rows), k) for k in range(4)]
+        block = RecordColumns(7, 'a%s,"b"%%', *ints, *cols)
+        report = dataclasses.replace(run_experiment(p2_config(length=30)), columns=(block,))
+        payload = emit_report(report, "csv")
+        assert payload == writer_csv(report)
+        lines = payload.decode().splitlines()[1:]
+        assert len(lines) == rows
+        assert all(line.startswith('7,"a%s,""b""%%",') for line in lines)
+        fields = list(csv.reader(lines))
+        assert {f[2] for f in fields} == {str(2**62), str(-(2**62)), "0"}
+        for column in range(5, 9):
+            assert {f[column] for f in fields} == {repr(x) for x in floats}
+
     def test_records_are_tuples(self):
         report = run_experiment(p2_config(replicates=2))
         record = report.records[0]
