@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .adversary import (
     BudgetExhausted,
@@ -121,7 +121,11 @@ def _cmd_evaluate(args) -> int:
         base["base_seed"] = args.seed
     if args.mode:
         base["start_mode"] = args.mode
-    scheme_config = dict(base.get("scheme_config") or {})
+    # the echo's format records the run; --format chooses the output
+    base.pop("format", None)
+    scheme_config = base.get("scheme_config", {})
+    if not isinstance(scheme_config, dict):
+        raise ValueError(f"scheme_config must be a JSON object, got {scheme_config!r}")
     if args.gamma is not None:
         scheme_config["gamma"] = args.gamma
     if args.epsilon is not None:
@@ -173,11 +177,7 @@ def _cmd_adversary(args) -> int:
         next_stage = {"advanced": False, "constraint": exc.constraint, "detail": str(exc)}
     resolved = {
         "scheme": scheme,
-        "scheme_config": {
-            "gamma": gamma,
-            "epsilon": epsilon,
-            "declared_alpha": args.alpha,
-        },
+        "scheme_config": asdict(config),
         "seed": seed,
         "verify_reps": reps,
         "verify_seed": seed + 58_000_001,

@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain, groupby, repeat, takewhile
 from numbers import Real
 from operator import itemgetter
@@ -321,7 +321,7 @@ class ExperimentConfig:
             raise ValueError(f"length must be >= 1, got {self.length}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if isinstance(self.start_mode, str):
+        if not isinstance(self.start_mode, StartMode):
             object.__setattr__(self, "start_mode", parse_start_mode(self.start_mode))
         if not isinstance(self.keep_records, bool):
             raise ValueError(f"keep_records must be true or false, got {self.keep_records!r}")
@@ -333,40 +333,12 @@ class ExperimentConfig:
         make_law(self.law)  # validate eagerly so bad configs fail here
 
     def to_json_dict(self) -> dict:
-        return {
-            "law": self.law,
-            "scheme": self.scheme,
-            "scheme_config": {
-                "gamma": self.scheme_config.gamma,
-                "epsilon": self.scheme_config.epsilon,
-                "declared_alpha": self.scheme_config.declared_alpha,
-            },
-            "length": self.length,
-            "start_mode": self.start_mode.value,
-            "replicates": self.replicates,
-            "base_seed": self.base_seed,
-            "tolerances": list(self.tolerances),
-            "keep_records": self.keep_records,
-        }
+        return {**asdict(self), "start_mode": self.start_mode.value}
 
     @staticmethod
     def from_json_dict(data: dict) -> "ExperimentConfig":
-        sc = data.get("scheme_config", {})
-        return ExperimentConfig(
-            law=data["law"],
-            scheme=data["scheme"],
-            scheme_config=SchemeConfig(
-                gamma=sc.get("gamma"),
-                epsilon=sc.get("epsilon"),
-                declared_alpha=sc.get("declared_alpha"),
-            ),
-            length=data["length"],
-            start_mode=parse_start_mode(data.get("start_mode", "stationary")),
-            replicates=data.get("replicates", 1),
-            base_seed=data.get("base_seed", 0),
-            tolerances=data.get("tolerances", (0.1,)),
-            keep_records=data.get("keep_records", False),
-        )
+        """The config of a JSON object; a key that names no field fails."""
+        return ExperimentConfig(**{**data, "scheme_config": SchemeConfig(**data.get("scheme_config", {}))})
 
 
 @dataclass(frozen=True)
@@ -393,25 +365,6 @@ class AggregateStats:
             sample_count=int(err_arr.size),
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "median_abs_err": self.median_abs_err,
-            "p90_abs_err": self.p90_abs_err,
-            "median_tv": self.median_tv,
-            "p90_tv": self.p90_tv,
-            "sample_count": self.sample_count,
-        }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "AggregateStats":
-        return AggregateStats(
-            median_abs_err=data["median_abs_err"],
-            p90_abs_err=data["p90_abs_err"],
-            median_tv=data["median_tv"],
-            p90_tv=data["p90_tv"],
-            sample_count=data["sample_count"],
-        )
-
 
 @dataclass(frozen=True)
 class ReplicateSummary:
@@ -422,29 +375,6 @@ class ReplicateSummary:
     final_decile: AggregateStats
     # [tolerance, density] pairs; offline scheme only, empty otherwise
     good_index_density: tuple[tuple[float, float], ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "replicate": self.replicate,
-            "stream": self.stream,
-            "event_count": self.event_count,
-            "firing_density": self.firing_density,
-            "final_decile": self.final_decile.to_json_dict(),
-            "good_index_density": [list(pair) for pair in self.good_index_density],
-        }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "ReplicateSummary":
-        return ReplicateSummary(
-            replicate=data["replicate"],
-            stream=data["stream"],
-            event_count=data["event_count"],
-            firing_density=data["firing_density"],
-            final_decile=AggregateStats.from_json_dict(data["final_decile"]),
-            good_index_density=tuple(
-                (pair[0], pair[1]) for pair in data["good_index_density"]
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -461,29 +391,13 @@ class EvalReport:
         return tuple(map(ScoredRecord._make, chain.from_iterable(block.rows() for block in self.columns)))
 
     def to_json_dict(self) -> dict:
+        # not asdict: it would deep-copy the record columns
         return {
             "config": self.config.to_json_dict(),
-            "replicate_summaries": [
-                s.to_json_dict() for s in self.replicate_summaries
-            ],
-            "pooled": self.pooled.to_json_dict(),
+            "replicate_summaries": list(map(asdict, self.replicate_summaries)),
+            "pooled": asdict(self.pooled),
             "records": [list(row) for block in self.columns for row in block.rows()],
         }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "EvalReport":
-        return EvalReport(
-            config=ExperimentConfig.from_json_dict(data["config"]),
-            replicate_summaries=tuple(
-                ReplicateSummary.from_json_dict(s)
-                for s in data["replicate_summaries"]
-            ),
-            pooled=AggregateStats.from_json_dict(data["pooled"]),
-            columns=tuple(
-                RecordColumns.from_rows(list(rows))
-                for _, rows in groupby(data["records"], key=itemgetter(0, 1))
-            ),
-        )
 
 
 # run_experiment scores every scheme from its columns and calls no
@@ -615,4 +529,21 @@ def emit_report(report: EvalReport, format: str = "json", out: BinaryIO | None =
 
 
 def report_from_json(payload: bytes | str) -> EvalReport:
-    return EvalReport.from_json_dict(json.loads(payload))
+    data = json.loads(payload)
+    return EvalReport(
+        config=ExperimentConfig.from_json_dict(data["config"]),
+        replicate_summaries=tuple(
+            ReplicateSummary(
+                **{
+                    **summary,
+                    "final_decile": AggregateStats(**summary["final_decile"]),
+                    "good_index_density": tuple(map(tuple, summary["good_index_density"])),
+                }
+            )
+            for summary in data["replicate_summaries"]
+        ),
+        pooled=AggregateStats(**data["pooled"]),
+        columns=tuple(
+            RecordColumns.from_rows(list(rows)) for _, rows in groupby(data["records"], key=itemgetter(0, 1))
+        ),
+    )

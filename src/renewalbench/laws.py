@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -208,41 +209,51 @@ def make_law(spec: dict) -> RenewalLaw:
     return law
 
 
+# The keys each law type reads besides "type"; a spec holding any
+# other key is rejected, so a misspelling never drops a field.
+_LAW_KEYS = {"explicit": ("p",), "geometric": ("q", "truncate"), "zipf": ("s", "truncate")}
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def _make_law(spec: dict) -> RenewalLaw:
     if not isinstance(spec, dict):
         raise LawError(f"law spec must be a mapping, got {type(spec).__name__}")
     kind = spec.get("type")
+    keys = _LAW_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise LawError(f"unknown law type {kind!r}")
+    for key in spec:
+        if key != "type" and key not in keys:
+            raise LawError(f"{kind} law has no key {key!r}; it reads {keys}")
     if kind == "explicit":
         raw = spec.get("p")
         if not isinstance(raw, (list, tuple)):
             raise LawError("explicit law needs a 'p' list of masses")
+        for k, p in enumerate(raw):
+            if not _is_real(p):
+                raise LawError(f"mass at index {k} must be a real number, got {p!r}")
         probs = [float(p) for p in raw]
         return _build(probs, {"type": "explicit", "p": probs})
+    K = spec.get("truncate")
     if kind == "geometric":
         q = spec.get("q")
-        K = spec.get("truncate")
-        if not isinstance(q, (int, float)) or not 0.0 < q < 1.0:
+        if not _is_real(q) or not 0.0 < q < 1.0:
             raise LawError(f"geometric law needs 0 < q < 1, got {q!r}")
         _check_truncate(K)
         raw = [(1.0 - q) * q**k for k in range(K)]
-        scale = 1.0 / math.fsum(raw)
-        return _build(
-            [p * scale for p in raw],
-            {"type": "geometric", "q": float(q), "truncate": int(K)},
-        )
-    if kind == "zipf":
+        provenance = {"type": "geometric", "q": float(q), "truncate": int(K)}
+    else:
         s = spec.get("s")
-        K = spec.get("truncate")
-        if not isinstance(s, (int, float)) or not s > 0.0:
+        if not _is_real(s) or not s > 0.0:
             raise LawError(f"zipf law needs s > 0, got {s!r}")
         _check_truncate(K)
         raw = [(k + 1.0) ** -s for k in range(K)]
-        scale = 1.0 / math.fsum(raw)
-        return _build(
-            [p * scale for p in raw],
-            {"type": "zipf", "s": float(s), "truncate": int(K)},
-        )
-    raise LawError(f"unknown law type {kind!r}")
+        provenance = {"type": "zipf", "s": float(s), "truncate": int(K)}
+    scale = 1.0 / math.fsum(raw)
+    return _build([p * scale for p in raw], provenance)
 
 
 def _check_truncate(K) -> None:

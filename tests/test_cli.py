@@ -190,6 +190,42 @@ class TestEvaluate:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {field} must be"), err
 
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            ({"replicate": 5}, "'replicate'"),
+            ({"scheme_config": {"epsilonn": 0.2}}, "'epsilonn'"),
+            ({"scheme_config": 5}, "scheme_config must be a JSON object, got 5"),
+            ({"scheme_config": "x"}, "scheme_config must be a JSON object, got 'x'"),
+            ({"scheme_config": [1]}, "scheme_config must be a JSON object, got [1]"),
+            ({"law": {"type": "geometric", "q": 0.5, "truncate": 60, "truncat": 9}}, "'truncat'"),
+            ({"law": {"type": "zipf", "s": True, "truncate": 5}}, "got True"),
+        ],
+    )
+    def test_unknown_or_malformed_key_is_named(self, capsys, tmp_path, change, named):
+        config = {"law": json.loads(GEOM_LAW), "scheme": "offline", "length": 40, **change}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "evaluate", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and named in err, err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_config_echo_feeds_back_as_config(self, capsysbinary, tmp_path, fmt):
+        argv = [
+            "evaluate", "--law", GEOM_LAW, "--scheme", "offline", "--length", "300",
+            "--replicates", "2", "--seed", "4", "--mode", "renewal", "--format", fmt,
+        ]
+        assert main(argv) == 0
+        first = capsysbinary.readouterr()
+        assert first.err.startswith(b"# config ")
+        cfg = tmp_path / "echo.json"
+        cfg.write_bytes(first.err[len(b"# config ") :])
+        assert main(["evaluate", "--config", str(cfg), "--format", fmt]) == 0
+        again = capsysbinary.readouterr()
+        assert again.out == first.out
+        assert again.err == first.err
+
     def test_oversized_csv_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "evaluate", "--law", GEOM_LAW, "--scheme", "poly", "--gamma", "0.3",

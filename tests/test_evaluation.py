@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renewalbench import evaluation
 from renewalbench.laws import LawError, make_law, residual_law, residual_mean, tv_l1
@@ -234,9 +236,77 @@ class TestEmitReport:
         clone = report_from_json(emit_report(report, "json"))
         assert clone == report
 
+    @pytest.mark.parametrize("keep_records", [True, False])
+    @pytest.mark.parametrize("scheme", ["poly", "log", "offline", "eps"])
+    def test_json_reemits_its_own_bytes(self, scheme, keep_records):
+        report = run_experiment(
+            p2_config(
+                law={"type": "geometric", "q": 0.5, "truncate": 60},
+                scheme=scheme,
+                scheme_config=SchemeConfig(gamma=0.3, epsilon=0.2),
+                length=400,
+                replicates=2,
+                tolerances=(0.1, 0.5),
+                keep_records=keep_records,
+            )
+        )
+        payload = emit_report(report, "json")
+        clone = report_from_json(payload)
+        assert clone == report
+        assert emit_report(clone, "json") == payload
+
+    def test_empty_final_deciles_reemit_their_bytes(self):
+        # no run ends within 5 bits, so nothing fires and every quantile
+        # is NaN: the clone cannot equal the report, but its bytes can
+        report = run_experiment(p2_config(law={"type": "explicit", "p": [0.0] * 12 + [1.0]}, length=5))
+        payload = emit_report(report, "json")
+        assert payload.count(b"NaN") == 8
+        assert emit_report(report_from_json(payload), "json") == payload
+
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit_report(run_experiment(p2_config()), "yaml")
+
+
+LAW_SPECS = st.one_of(
+    st.builds(
+        lambda q, K: {"type": "geometric", "q": q, "truncate": K},
+        st.floats(0.01, 0.99),
+        st.integers(1, 80),
+    ),
+    st.builds(
+        lambda s, K: {"type": "zipf", "s": s, "truncate": K},
+        st.floats(0.1, 5.0) | st.integers(1, 5),
+        st.integers(1, 80),
+    ),
+    st.builds(lambda k: {"type": "explicit", "p": [0.0] * k + [1.0]}, st.integers(0, 20)),
+)
+
+CONFIGS = st.builds(
+    ExperimentConfig,
+    law=LAW_SPECS,
+    scheme=st.sampled_from(["poly", "log", "offline", "eps"]),
+    scheme_config=st.builds(
+        SchemeConfig,
+        gamma=st.none() | st.floats(0.01, 0.99),
+        epsilon=st.none() | st.floats(0.01, 0.99),
+        declared_alpha=st.none() | st.floats(2.5, 10.0),
+    ),
+    length=st.integers(1, 10**7),
+    start_mode=st.sampled_from(list(StartMode)),
+    replicates=st.integers(1, 1000),
+    base_seed=st.integers(0, 2**63),
+    tolerances=st.lists(st.floats(1e-6, 10.0), min_size=1, max_size=3).map(tuple),
+    keep_records=st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(CONFIGS)
+def test_config_json_round_trip(config):
+    data = config.to_json_dict()
+    assert ExperimentConfig.from_json_dict(data) == config
+    assert ExperimentConfig.from_json_dict(json.loads(json.dumps(data))) == config
 
 
 def writer_csv(report):

@@ -7,8 +7,10 @@ arithmetic, identities via hypothesis over random explicit laws.
 
 import json
 import math
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -239,6 +241,32 @@ class TestValidation:
         ):
             with pytest.raises(LawError):
                 make_law(spec)
+
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ({"type": "geometric", "q": 0.5, "truncate": 60, "truncat": 9}, "'truncat'"),
+            ({"type": "explicit", "p": [1.0], "truncate": 1}, "'truncate'"),
+            ({"type": "zipf", "s": 2.0, "truncate": 5, "q": 0.5}, "'q'"),
+            ({"type": "zipf", "s": True, "truncate": 5}, "got True"),
+            ({"type": "geometric", "q": "0.5", "truncate": 5}, "got '0.5'"),
+            ({"type": "explicit", "p": [True]}, "index 0"),
+            ({"type": "explicit", "p": ["0.5", "0.5"]}, "index 0"),
+            ({"type": "explicit", "p": [0.5, None, 0.5]}, "index 1"),
+            ({"type": ["zipf"], "s": 2.0, "truncate": 5}, "unknown law type"),
+        ],
+    )
+    def test_rejects_what_it_does_not_read(self, spec, named):
+        with pytest.raises(LawError, match=re.escape(named)):
+            make_law(spec)
+
+    def test_accepts_any_real_but_bool(self):
+        as_int = make_law({"type": "zipf", "s": 3, "truncate": 40})
+        assert as_int.provenance == {"type": "zipf", "s": 3.0, "truncate": 40}
+        assert as_int == make_law({"type": "zipf", "s": 3.0, "truncate": 40})
+        thirds = make_law({"type": "explicit", "p": [Fraction(1, 3)] * 3})
+        assert thirds.probs == (1 / 3, 1 / 3, 1 / 3)
+        assert make_law({"type": "geometric", "q": np.float64(0.5), "truncate": 9}).support == 9
 
     def test_json_roundtrip_and_malformed(self):
         law = law_from_json(json.dumps({"type": "explicit", "p": [0, 0, 1]}))
