@@ -16,13 +16,12 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from itertools import chain, groupby, repeat, takewhile
-from numbers import Real
 from operator import itemgetter
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .laws import RenewalLaw, make_law, residual_mean
+from .laws import RenewalLaw, _is_real, make_law, residual_mean
 from .paths import StartMode, parse_start_mode, sample_path
 from .schemes import (
     SCHEME_TAGS,
@@ -326,7 +325,7 @@ class ExperimentConfig:
         if not isinstance(self.keep_records, bool):
             raise ValueError(f"keep_records must be true or false, got {self.keep_records!r}")
         if not isinstance(self.tolerances, (list, tuple)) or not all(
-            isinstance(t, Real) and not isinstance(t, bool) and 0 < t < math.inf for t in self.tolerances
+            _is_real(t) and 0 < t < math.inf for t in self.tolerances
         ):
             raise ValueError(f"tolerances must be a list of positive, finite numbers, got {self.tolerances!r}")
         object.__setattr__(self, "tolerances", tuple(self.tolerances))

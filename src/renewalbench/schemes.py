@@ -54,13 +54,12 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, tee
-from numbers import Real
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .laws import LawError, gamma_limit
+from .laws import LawError, _is_real, gamma_limit
 
 __all__ = [
     "SCHEME_TAGS",
@@ -107,7 +106,7 @@ class SchemeConfig:
     def __post_init__(self):
         for name in ("gamma", "epsilon", "declared_alpha"):
             value = getattr(self, name)
-            if value is not None and (not isinstance(value, Real) or isinstance(value, bool)):
+            if value is not None and not _is_real(value):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.gamma is not None and not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
