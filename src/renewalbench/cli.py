@@ -26,15 +26,15 @@ from .adversary import (
 from .evaluation import ExperimentConfig, emit_report, run_experiment
 from .laws import law_from_json, law_info_text
 from .paths import parse_start_mode, sample_path, dump_path
-from .schemes import SchemeConfig, iter_eps, iter_log, iter_poly
+from .schemes import SCHEME_TAGS, SchemeConfig, iter_eps, iter_log, iter_poly
 from .selfcheck import run_selftest
 
-# evaluate keeps per-event records only up to this many path positions:
-# CSV export retains every scored record, as seven numeric columns of
-# 8 bytes each (56 B per record), until the report is written
+# evaluate keeps records (for CSV export, or with keep_records) only up
+# to this many path positions: it retains every scored record, as seven
+# numeric columns of 8 bytes each (56 B per record), until it writes
 MAX_CSV_POSITIONS = 2_000_000
 
-# The adversary runs a scheme by its tag; bench/traced.py wraps these.
+# The adversary's schemes by tag; bench/traced.py wraps these runners.
 _ADVERSARY_RUNNERS = {"poly": iter_poly, "log": iter_log, "eps": iter_eps}
 
 
@@ -121,8 +121,11 @@ def _cmd_evaluate(args) -> int:
         base["base_seed"] = args.seed
     if args.mode:
         base["start_mode"] = args.mode
-    # the echo's format records the run; --format chooses the output
-    base.pop("format", None)
+    # --format wins over the config's format, which the echo records
+    fmt = base.pop("format", "json")
+    fmt = args.format or fmt
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     scheme_config = base.get("scheme_config", {})
     if not isinstance(scheme_config, dict):
         raise ValueError(f"scheme_config must be a JSON object, got {scheme_config!r}")
@@ -137,46 +140,40 @@ def _cmd_evaluate(args) -> int:
         if key not in base:
             raise ValueError(f"evaluate needs {key!r} from --config or flags")
     config = ExperimentConfig.from_json_dict(base)
-    if args.format == "csv":
-        if config.replicates * config.length > MAX_CSV_POSITIONS:
-            raise ValueError(
-                "CSV export retains every event record; limit replicates*length "
-                f"to {MAX_CSV_POSITIONS} or use --format json"
-            )
-        if not config.keep_records:
-            config = replace(config, keep_records=True)
+    if fmt == "csv" and not config.keep_records:
+        config = replace(config, keep_records=True)
+    if config.keep_records and config.replicates * config.length > MAX_CSV_POSITIONS:
+        raise ValueError(
+            "a run that keeps records (CSV export or keep_records) retains every "
+            f"event record; limit replicates*length to {MAX_CSV_POSITIONS}, or write "
+            "JSON without keep_records"
+        )
     report = run_experiment(config)
     resolved = config.to_json_dict()
-    resolved["format"] = args.format
-    _emit(lambda fh: emit_report(report, args.format, fh), args.out, resolved)
+    resolved["format"] = fmt
+    _emit(lambda fh: emit_report(report, fmt, fh), args.out, resolved)
     return 0
 
 
 def _cmd_adversary(args) -> int:
-    scheme = args.scheme or "poly"
-    if scheme not in _ADVERSARY_RUNNERS:
-        raise ValueError(
-            f"the staged construction needs a firing scheme, one of "
-            f"{sorted(_ADVERSARY_RUNNERS)}; got {scheme!r}"
-        )
     gamma = args.gamma
     epsilon = args.epsilon
-    if scheme in ("poly", "log") and gamma is None:
+    if args.scheme in ("poly", "log") and gamma is None:
         gamma = 0.3
-    if scheme == "eps" and epsilon is None:
+    if args.scheme == "eps" and epsilon is None:
         epsilon = 0.1
     config = SchemeConfig(gamma=gamma, epsilon=epsilon, declared_alpha=args.alpha)
     reps = args.replicates if args.replicates is not None else 2000
     seed = args.seed
-    state = advance_stage(stage0(), scheme, config, seed=seed)
-    verify = verify_stage(state, scheme, config, reps=reps, seed=seed + 58_000_001)
+    state = advance_stage(stage0(), args.scheme, config, seed=seed)
+    verify = verify_stage(state, args.scheme, config, reps=reps, seed=seed + 58_000_001)
     try:
-        further = advance_stage(state, scheme, config, seed=seed + 1)
+        further = advance_stage(state, args.scheme, config, seed=seed + 1)
         next_stage = {"advanced": True, "audit": json.loads(audit_json(further))}
     except BudgetExhausted as exc:
         next_stage = {"advanced": False, "constraint": exc.constraint, "detail": str(exc)}
     resolved = {
-        "scheme": scheme,
+        "scheme": args.scheme,
         "scheme_config": asdict(config),
         "seed": seed,
         "verify_reps": reps,
@@ -229,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("evaluate", _cmd_evaluate, "run a replicated experiment and write the report")
     p.add_argument("--config", help="experiment config JSON file; flags override it")
     p.add_argument("--law", help="law JSON (inline or a file path)")
-    p.add_argument("--scheme", choices=["poly", "log", "offline", "eps"])
+    p.add_argument("--scheme", choices=SCHEME_TAGS)
     p.add_argument("--gamma", type=float, help="exponent for poly/log firing thresholds")
     p.add_argument("--epsilon", type=float, help="occupancy slack for the eps scheme")
     p.add_argument("--alpha", type=float, help="declared power-moment order (warnings only)")
@@ -237,11 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int)
     p.add_argument("--length", type=int, help="positions per replicate")
     p.add_argument("--mode", choices=["stationary", "renewal"])
-    p.add_argument("--format", choices=["csv", "json"], default="json")
+    p.add_argument("--format", choices=["csv", "json"], help="defaults to the config's format, else json")
     p.add_argument("--out", help="write the report here instead of stdout")
 
     p = add("adversary", _cmd_adversary, "build stage 1, verify it, and probe the next stage")
-    p.add_argument("--scheme", choices=["poly", "log", "eps"], default="poly")
+    p.add_argument("--scheme", choices=list(_ADVERSARY_RUNNERS), default="poly")
     p.add_argument("--gamma", type=float, help="defaults to 0.3 for poly/log")
     p.add_argument("--epsilon", type=float, help="defaults to 0.1 for eps")
     p.add_argument("--alpha", type=float)

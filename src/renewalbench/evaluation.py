@@ -21,7 +21,7 @@ from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .laws import RenewalLaw, _is_real, make_law, residual_mean
+from .laws import RenewalLaw, _is_integer, _is_real, make_law, residual_mean
 from .paths import StartMode, parse_start_mode, sample_path
 from .schemes import (
     SCHEME_TAGS,
@@ -314,8 +314,9 @@ class ExperimentConfig:
             )
         for name in ("length", "replicates", "base_seed"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.length < 1:
             raise ValueError(f"length must be >= 1, got {self.length}")
         if self.replicates < 1:

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -218,6 +218,10 @@ def _is_real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def _make_law(spec: dict) -> RenewalLaw:
     if not isinstance(spec, dict):
         raise LawError(f"law spec must be a mapping, got {type(spec).__name__}")
@@ -257,7 +261,7 @@ def _make_law(spec: dict) -> RenewalLaw:
 
 
 def _check_truncate(K) -> None:
-    if not isinstance(K, int) or isinstance(K, bool) or K < 1:
+    if not _is_integer(K) or K < 1:
         raise LawError(f"'truncate' must be a positive integer, got {K!r}")
     if K > MAX_SUPPORT:
         raise LawError(f"'truncate' {K} exceeds the {MAX_SUPPORT} cap")

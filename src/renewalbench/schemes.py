@@ -16,6 +16,11 @@ in when they stop and which past occurrences they average:
   eps      fires when ages below the current one account for at most
            t(1 - epsilon/2) positions; averages all prior occurrences.
 
+A tag and its parameter are decided in one place, _setting: it rejects
+an unknown tag, reads gamma (poly, log) or epsilon (eps) from the
+SchemeConfig, and warns where the scheme's guarantees do not hold.
+Every entry point, the reference ref_run included, starts there.
+
 Every scheme reads its windows from one columnar scan of the whole
 path (prefix_scan): the run age of every position, its rank in its age
 class, and the class residuals with their prefix sums.  A firing at t
@@ -55,7 +60,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, tee
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -81,8 +86,6 @@ __all__ = [
     "run_scheme",
     "ref_run",
 ]
-
-SCHEME_TAGS = ("poly", "log", "offline", "eps")
 
 # Most positions a caller puts in one block of paths.  A block of
 # several paths then has fewer than 2^16 classes (path, age), whose keys
@@ -161,21 +164,11 @@ class OfflineEstimate(NamedTuple):
         return {value: count / m for value, count in self.residual_counts}
 
 
-def _as_positions(bits) -> Sequence[int]:
-    # ndarray iteration yields numpy scalars; tolist() is cheaper and
-    # gives plain ints downstream
-    if isinstance(bits, np.ndarray):
-        return bits.tolist()
-    if isinstance(bits, (list, tuple)):
-        return bits
-    return list(bits)
-
-
-def _need(config: SchemeConfig, attr: str) -> float:
-    value = getattr(config, attr)
-    if value is None:
-        raise ValueError(f"this scheme needs SchemeConfig.{attr}")
-    return value
+def _as_path(bits) -> np.ndarray:
+    """The one input rule of prefix_scan and ref_run: an ndarray is read
+    as it is, and any other sequence or iterable of bits, a generator
+    included, is read once into one."""
+    return bits if isinstance(bits, np.ndarray) else np.array(list(bits))
 
 
 def _warn_gamma_poly(config: SchemeConfig):
@@ -200,14 +193,28 @@ def _warn_gamma_poly(config: SchemeConfig):
         )
 
 
-def _warn_gamma_log(gamma: float):
-    if gamma >= 1.0 / 3.0:
+def _setting(tag: str, config: SchemeConfig) -> float | None:
+    """The parameter the scheme of this tag reads: gamma for poly and
+    log, epsilon for eps, none for offline.  Raises for an unknown tag or
+    a missing parameter, and warns where the scheme's guarantees do not
+    hold for the config."""
+    if tag not in _BUILDERS:
+        raise ValueError(f"unknown scheme tag {tag!r}; expected one of {SCHEME_TAGS}")
+    if tag == "offline":
+        return None
+    attr = "epsilon" if tag == "eps" else "gamma"
+    value = getattr(config, attr)
+    if value is None:
+        raise ValueError(f"this scheme needs SchemeConfig.{attr}")
+    if tag == "poly":
+        _warn_gamma_poly(config)
+    elif tag == "log" and value >= 1.0 / 3.0:
         warnings.warn(
-            f"gamma={gamma} is not below 1/3; the log scheme's guarantees "
-            "assume gamma < 1/3",
+            f"gamma={value} is not below 1/3; the log scheme's guarantees assume gamma < 1/3",
             UserWarning,
-            stacklevel=4,
+            stacklevel=3,
         )
+    return value
 
 
 def _stable_order(keys: np.ndarray, dtype) -> np.ndarray:
@@ -257,7 +264,7 @@ def prefix_scan(bits) -> PrefixScan:
     """Scan one path, or a block of paths as the rows of a 2-D array."""
     # array methods rather than numpy functions: on the short paths of
     # the adversary's Monte Carlo the call overhead is the cost
-    arr = bits if isinstance(bits, np.ndarray) else np.asarray(_as_positions(bits))
+    arr = _as_path(bits)
     paths, length = arr.shape if arr.ndim == 2 else (1, arr.size)
     zeros = (arr.reshape(-1) == 0).nonzero()[0]
     path = zeros // length if zeros.size else zeros
@@ -531,7 +538,7 @@ def _eps_columns(scan: PrefixScan, epsilon: float) -> EventColumns:
     return _columns(scan, rows, age, scan.starts[scan.classes[rows]], rank[rows])
 
 
-def _offline_columns(scan: PrefixScan) -> EventColumns:
+def _offline_columns(scan: PrefixScan, _parameter: None = None) -> EventColumns:
     """offline averages the whole completed class; rank 0 is undefined
     and has no row."""
     rows = scan.rank.nonzero()[0]
@@ -539,27 +546,17 @@ def _offline_columns(scan: PrefixScan) -> EventColumns:
     return _columns(scan, rows, age, scan.starts[scan.classes[rows]], scan.rank[rows])
 
 
+# Each scheme's columns from the scan and the parameter _setting returns.
+_BUILDERS = {"poly": _poly_columns, "log": _log_columns, "offline": _offline_columns, "eps": _eps_columns}
+SCHEME_TAGS = tuple(_BUILDERS)
+
+
 def _scan_columns(tag: str, bits, config: SchemeConfig) -> tuple[PrefixScan, EventColumns]:
-    """Checks the config for the scheme, warns where its guarantees do
-    not hold, then scans the path and builds the scheme's columns."""
-    if tag == "poly":
-        gamma = _need(config, "gamma")
-        _warn_gamma_poly(config)
-        scan = prefix_scan(bits)
-        return scan, _poly_columns(scan, gamma)
-    if tag == "log":
-        gamma = _need(config, "gamma")
-        _warn_gamma_log(gamma)
-        scan = prefix_scan(bits)
-        return scan, _log_columns(scan, gamma)
-    if tag == "eps":
-        epsilon = _need(config, "epsilon")
-        scan = prefix_scan(bits)
-        return scan, _eps_columns(scan, epsilon)
-    if tag == "offline":
-        scan = prefix_scan(bits)
-        return scan, _offline_columns(scan)
-    raise ValueError(f"unknown scheme tag {tag!r}; expected one of {SCHEME_TAGS}")
+    """Settles the scheme's parameter, then scans the path and builds
+    the scheme's columns."""
+    parameter = _setting(tag, config)
+    scan = prefix_scan(bits)
+    return scan, _BUILDERS[tag](scan, parameter)
 
 
 def scheme_columns(tag: str, bits, config: SchemeConfig) -> EventColumns:
@@ -568,30 +565,30 @@ def scheme_columns(tag: str, bits, config: SchemeConfig) -> EventColumns:
     return _scan_columns(tag, bits, config)[1]
 
 
-def _positions(scan: PrefixScan, entries: np.ndarray) -> np.ndarray:
-    """Path positions of class-order entries."""
-    return scan.time[scan.order[entries]]
+def _iter_events(tag: str, bits, config: SchemeConfig) -> Iterator[EstimateEvent]:
+    """Events of a firing scheme on one path.  Its window starts at the
+    first entry averaged, or at psi for eps, and ends at the firing, or
+    at the last entry averaged for log."""
+    scan, cols = _scan_columns(tag, bits, config)
+    start = np.full(cols.time.size, scan.psi[0]) if tag == "eps" else scan.time[scan.order[cols.lo]]
+    end = scan.time[scan.order[cols.hi - 1]] if tag == "log" else cols.time
+    return _events(cols, start, end)
 
 
 def iter_poly(bits, config: SchemeConfig) -> Iterator[EstimateEvent]:
-    scan, cols = _scan_columns("poly", bits, config)
-    return _events(cols, _positions(scan, cols.lo), cols.time)
+    return _iter_events("poly", bits, config)
 
 
 def iter_log(bits, config: SchemeConfig) -> Iterator[EstimateEvent]:
-    scan, cols = _scan_columns("log", bits, config)
-    return _events(cols, _positions(scan, cols.lo), _positions(scan, cols.hi - 1))
+    return _iter_events("log", bits, config)
 
 
 def iter_eps(bits, config: SchemeConfig) -> Iterator[EstimateEvent]:
-    scan, cols = _scan_columns("eps", bits, config)
-    return _events(cols, np.full(cols.time.size, scan.psi[0]), cols.time)
+    return _iter_events("eps", bits, config)
 
 
-# Rows turned into events at a time: a consumer that stops after the
-# first events, like the adversary's Monte Carlo, converts few rows.
-_EVENT_BLOCK = 64
-# Rows whose histograms are counted together; bounds the counts held.
+# Rows whose histograms are counted together, and that are then turned
+# into events or offline rows together; bounds the counts held.
 _HISTOGRAM_BLOCK = 1 << 10
 
 
@@ -642,8 +639,8 @@ def _events(cols: EventColumns, window_start: np.ndarray, window_end: np.ndarray
     # Histograms come from _histograms, counted a block of rows at a
     # time; the scan is not kept, only the columns the events read.
     histograms = _histograms(cols.residuals, cols.lo, cols.hi)
-    for block in range(0, cols.time.size, _EVENT_BLOCK):
-        part = slice(block, block + _EVENT_BLOCK)
+    for block in range(0, cols.time.size, _HISTOGRAM_BLOCK):
+        part = slice(block, block + _HISTOGRAM_BLOCK)
         rows = zip(
             cols.time[part].tolist(),
             cols.age[part].tolist(),
@@ -680,8 +677,7 @@ def run_eps(bits, config: SchemeConfig) -> list[EstimateEvent]:
 
 def iter_offline(bits) -> Iterator[OfflineEstimate]:
     """Windowless per-position estimates, one for every position >= psi."""
-    scan = prefix_scan(bits)
-    cols = _offline_columns(scan)
+    scan, cols = _scan_columns("offline", bits, SchemeConfig())
     return _offline_rows(int(scan.psi[0]), scan.ages, scan.rank, cols.sum, _histograms(cols.residuals, cols.lo, cols.hi))
 
 
@@ -689,8 +685,8 @@ def _offline_rows(psi: int, ages: np.ndarray, rank: np.ndarray, sums: np.ndarray
     """One estimate per scan row; the rows of positive rank are the
     defined ones, whose totals and histograms come in order."""
     defined = 0
-    for block in range(0, ages.size, _EVENT_BLOCK):
-        part = slice(block, block + _EVENT_BLOCK)
+    for block in range(0, ages.size, _HISTOGRAM_BLOCK):
+        part = slice(block, block + _HISTOGRAM_BLOCK)
         counts = rank[part]
         totals = sums[defined : defined + np.count_nonzero(counts)].tolist()
         defined += len(totals)
@@ -708,15 +704,7 @@ def run_offline(bits) -> list[OfflineEstimate]:
 
 def run_scheme(tag: str, bits, config: SchemeConfig):
     """Dispatch by tag; offline returns OfflineEstimates, the rest events."""
-    if tag == "poly":
-        return run_poly(bits, config)
-    if tag == "log":
-        return run_log(bits, config)
-    if tag == "offline":
-        return run_offline(bits)
-    if tag == "eps":
-        return run_eps(bits, config)
-    raise ValueError(f"unknown scheme tag {tag!r}; expected one of {SCHEME_TAGS}")
+    return run_offline(bits) if tag == "offline" else list(_iter_events(tag, bits, config))
 
 
 # --- quadratic reference ---------------------------------------------------
@@ -741,20 +729,13 @@ def _ref_histogram(residuals: np.ndarray) -> tuple[tuple[int, int], ...]:
 
 def ref_run(scheme: str, bits, config: SchemeConfig):
     """Slow per-position rescan twin of run_scheme, same output exactly."""
-    if scheme not in SCHEME_TAGS:
-        raise ValueError(f"unknown scheme tag {scheme!r}; expected one of {SCHEME_TAGS}")
-    arr = np.asarray(_as_positions(bits), dtype=np.int64)
+    parameter = _setting(scheme, config)
+    arr = _as_path(bits)
     zeros = np.flatnonzero(arr == 0)
     out: list = []
     if zeros.size == 0:
         return out
     psi = int(zeros[0])
-    if scheme in ("poly", "log"):
-        exponent = 1.0 - _need(config, "gamma")
-        if scheme == "poly":
-            _warn_gamma_poly(config)
-    elif scheme == "eps":
-        factor = 1.0 - 0.5 * _need(config, "epsilon")
     positions = np.arange(arr.size)
     following = np.searchsorted(zeros, positions, "right")
     age = positions - zeros[np.maximum(following - 1, 0)]  # read from psi on
@@ -771,7 +752,7 @@ def ref_run(scheme: str, bits, config: SchemeConfig):
             out.append(OfflineEstimate(t, tau, count, estimate, _ref_histogram(residuals)))
             continue
         if scheme == "poly":
-            threshold = t**exponent
+            threshold = t ** (1.0 - parameter)
             if count < threshold:
                 continue
             used = at_age[count - math.ceil(threshold) :]
@@ -782,13 +763,13 @@ def ref_run(scheme: str, bits, config: SchemeConfig):
             if not np.any(age[psi + 1 : low_stop + 1] == tau):
                 continue
             scale = t.bit_length() - 1
-            needed = math.ceil(2.0 ** (scale * exponent))
+            needed = math.ceil(2.0 ** (scale * (1.0 - parameter)))
             used = at_age[(at_age > scale) & (at_age < (1 << scale))][:needed]
             if used.size < needed:
                 continue
             start, end = used[0], used[-1]
         else:  # eps
-            if int((age[psi : t + 1] < tau).sum()) > t * factor or count == 0:
+            if int((age[psi : t + 1] < tau).sum()) > t * (1.0 - 0.5 * parameter) or count == 0:
                 continue
             used, start, end = at_age, psi, t
         residuals = next_zero[used] - used - 1

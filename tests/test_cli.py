@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import renewalbench
-from renewalbench import laws
+from renewalbench import cli, laws
 from renewalbench.cli import main
 from renewalbench.evaluation import CSV_COLUMNS, report_from_json
 from renewalbench.paths import load_path
@@ -166,6 +166,9 @@ class TestEvaluate:
             ("replicates", 2.5),
             ("base_seed", 1.5),
             ("base_seed", False),
+            ("format", "xml"),
+            ("format", 5),
+            ("format", None),
             ("keep_records", "no"),
             ("keep_records", 1),
             ("tolerances", 0.1),
@@ -221,10 +224,42 @@ class TestEvaluate:
         assert first.err.startswith(b"# config ")
         cfg = tmp_path / "echo.json"
         cfg.write_bytes(first.err[len(b"# config ") :])
-        assert main(["evaluate", "--config", str(cfg), "--format", fmt]) == 0
-        again = capsysbinary.readouterr()
-        assert again.out == first.out
-        assert again.err == first.err
+        # the echo's format chooses the output when no --format is given
+        for flags in ([], ["--format", fmt]):
+            assert main(["evaluate", "--config", str(cfg), *flags]) == 0
+            again = capsysbinary.readouterr()
+            assert again.out == first.out
+            assert again.err == first.err
+
+    @pytest.mark.parametrize(
+        "config_format, flags, written",
+        [
+            ("csv", [], "csv"),
+            ("csv", ["--format", "json"], "json"),
+            ("json", ["--format", "csv"], "csv"),
+        ],
+    )
+    def test_config_format_unless_the_flag_overrides(self, capsysbinary, tmp_path, config_format, flags, written):
+        config = {"law": json.loads(GEOM_LAW), "scheme": "offline", "length": 60, "format": config_format}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["evaluate", "--config", str(cfg), *flags]) == 0
+        captured = capsysbinary.readouterr()
+        assert captured.out.startswith(b"replicate,scheme," if written == "csv" else b"{")
+        assert json.loads(captured.err[len(b"# config ") :])["format"] == written
+
+    @pytest.mark.parametrize("change", [{"format": "csv"}, {"keep_records": True}])
+    def test_record_cap_applies_to_every_run_that_keeps_records(self, capsys, tmp_path, monkeypatch, change):
+        monkeypatch.setattr(cli, "MAX_CSV_POSITIONS", 100)
+        config = {"law": json.loads(GEOM_LAW), "scheme": "offline", "length": 60, "replicates": 2}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, _, _ = run_cli(capsys, "evaluate", "--config", str(cfg))
+        assert code == 0  # no records kept, no cap
+        cfg.write_text(json.dumps({**config, **change}))
+        code, out, err = run_cli(capsys, "evaluate", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "record" in err and "100" in err, err
 
     def test_oversized_csv_rejected(self, capsys):
         code, _, err = run_cli(

@@ -172,6 +172,18 @@ class TestRunExperiment:
             by_rep.setdefault(record.replicate, []).append(record.row()[2:])
         assert by_rep[0] != by_rep[1]  # distinct streams, distinct paths
 
+    def test_numpy_integers_run_as_python_ints(self):
+        law = {"type": "geometric", "q": 0.5, "truncate": 60}
+        plain = p2_config(law=law, length=300, replicates=2, base_seed=5)
+        numpy_law = make_law({**law, "truncate": np.int64(60)})
+        assert numpy_law == make_law(law)
+        config = p2_config(
+            law=numpy_law.provenance, length=np.int64(300), replicates=np.int32(2), base_seed=np.uint8(5)
+        )
+        assert config == plain
+        assert {type(getattr(config, name)) for name in ("length", "replicates", "base_seed")} == {int}
+        assert emit_report(run_experiment(config)) == emit_report(run_experiment(plain))
+
     def test_offline_reports_good_index_densities(self):
         config = p2_config(scheme="offline", length=101, tolerances=(0.01, 0.5))
         report = run_experiment(config)

@@ -249,6 +249,8 @@ class TestValidation:
             ({"type": "explicit", "p": [1.0], "truncate": 1}, "'truncate'"),
             ({"type": "zipf", "s": 2.0, "truncate": 5, "q": 0.5}, "'q'"),
             ({"type": "zipf", "s": True, "truncate": 5}, "got True"),
+            ({"type": "geometric", "q": 0.5, "truncate": True}, "got True"),
+            ({"type": "zipf", "s": 2.0, "truncate": 5.0}, "got 5.0"),
             ({"type": "geometric", "q": "0.5", "truncate": 5}, "got '0.5'"),
             ({"type": "explicit", "p": [True]}, "index 0"),
             ({"type": "explicit", "p": ["0.5", "0.5"]}, "index 0"),

@@ -5,6 +5,8 @@ Equality here is exact object equality: same firing times, same
 ordinals, same histograms, same floats.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from renewalbench.laws import make_law
 from renewalbench.paths import StartMode, sample_path
-from renewalbench.schemes import SCHEME_TAGS, OfflineEstimate, SchemeConfig, ref_run, run_scheme
+from renewalbench.schemes import SCHEME_TAGS, OfflineEstimate, SchemeConfig, ref_run, run_scheme, scheme_columns
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -104,3 +106,59 @@ def test_reference_reads_only_the_prefix():
             full = ref_run(tag, bits, config)
             for t in range(size):
                 assert ref_run(tag, bits[: t + 1], config) == _cut(full, t), (bits, config, tag, t)
+
+
+class TestOneEntryPath:
+    """The engine and the reference decide a tag and its parameter in
+    the same place, so they refuse and warn alike."""
+
+    @pytest.mark.parametrize(
+        "tag, config",
+        [
+            ("quadratic", SchemeConfig(gamma=0.3, epsilon=0.3)),
+            ("poly", SchemeConfig(epsilon=0.3)),
+            ("log", SchemeConfig(epsilon=0.3)),
+            ("eps", SchemeConfig(gamma=0.3)),
+        ],
+    )
+    def test_same_errors(self, tag, config):
+        # a path without a zero too: the check comes before the scan
+        for bits in ([0, 1, 1, 0, 1, 0], [1, 1]):
+            messages = []
+            for run in (run_scheme, ref_run):
+                with pytest.raises(ValueError) as caught:
+                    run(tag, bits, config)
+                messages.append(str(caught.value))
+            assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize(
+        "tag, config, count",
+        [
+            ("poly", SchemeConfig(gamma=0.3, declared_alpha=2.5), 1),
+            ("poly", SchemeConfig(gamma=0.1, declared_alpha=2.0), 1),
+            ("poly", SchemeConfig(gamma=0.5), 0),
+            ("log", SchemeConfig(gamma=0.4), 1),
+            ("log", SchemeConfig(gamma=0.2, declared_alpha=2.0), 0),
+            ("eps", SchemeConfig(gamma=0.9, epsilon=0.5, declared_alpha=2.0), 0),
+            ("offline", SchemeConfig(gamma=0.9, declared_alpha=2.0), 0),
+        ],
+    )
+    def test_same_warnings(self, tag, config, count):
+        seen = []
+        for run in (run_scheme, ref_run):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run(tag, [0, 1, 1, 0, 1, 0, 1, 1, 0] * 4, config)
+            seen.append([(w.category, str(w.message)) for w in caught])
+        assert seen[0] == seen[1]
+        assert len(seen[0]) == count
+
+    @pytest.mark.parametrize("tag", SCHEME_TAGS)
+    def test_generator_reads_as_its_list(self, tag):
+        law = make_law({"type": "geometric", "q": 0.5, "truncate": 60})
+        bits = sample_path(law, 400, StartMode.STATIONARY, seed=5).bits.tolist()
+        config = SchemeConfig(gamma=0.3, epsilon=0.4)
+        assert run_scheme(tag, (b for b in bits), config) == run_scheme(tag, bits, config)
+        assert ref_run(tag, (b for b in bits), config) == ref_run(tag, bits, config)
+        streamed, listed = scheme_columns(tag, (b for b in bits), config), scheme_columns(tag, bits, config)
+        assert all(np.array_equal(a, b) for a, b in zip(streamed, listed))
