@@ -21,7 +21,10 @@ the scheme's columns per block, and the checks are existence tests on
 the columns (path, time, age, sum/m); any other runner is called path
 by path and fills the same columns.  The exact prefix distance builds
 the 2^N string masses of each law in place, and keeps the base law's
-for the next call of the delta search.
+for the next call of the delta search.  That search screens each
+candidate on the prefix six bits shorter first: the distance cannot
+grow as the prefix shrinks, so a candidate already too far there is
+rejected for a 64th of the exact call's work.
 """
 
 from __future__ import annotations
@@ -204,10 +207,10 @@ def _string_masses(law: RenewalLaw, n: int) -> np.ndarray:
     return probs
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _base_string_masses(law: RenewalLaw, n: int) -> np.ndarray:
     """Read-only string masses of the law that the delta search compares
-    with a new candidate per step."""
+    with a new candidate per step, at its screening and its exact length."""
     masses = _string_masses(law, n)
     masses.setflags(write=False)
     return masses
@@ -494,6 +497,12 @@ def advance_stage(
             delta *= 0.5
             continue
         candidate = perturb(law, k, delta)
+        # a shorter prefix is a function of the longer one, so its
+        # distance is no larger: a screen over a 64th of the strings
+        # rejects most candidates, with a margin for float error
+        if tv_prefix_exact(law, candidate, max(exact_n - 6, 0)) > tv_threshold * (1.0 + 1e-9):
+            delta *= 0.5
+            continue
         tv_value = tv_prefix_exact(law, candidate, exact_n)
         if tv_value <= tv_threshold:
             chosen = (delta, k, candidate, tv_value)

@@ -21,7 +21,7 @@ from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .laws import RenewalLaw, _is_integer, _is_real, make_law, residual_mean
+from .laws import RenewalLaw, _is_integer, _is_real, _plain, _plain_spec, make_law, residual_mean
 from .paths import StartMode, parse_start_mode, sample_path
 from .schemes import (
     SCHEME_TAGS,
@@ -329,8 +329,9 @@ class ExperimentConfig:
             _is_real(t) and 0 < t < math.inf for t in self.tolerances
         ):
             raise ValueError(f"tolerances must be a list of positive, finite numbers, got {self.tolerances!r}")
-        object.__setattr__(self, "tolerances", tuple(self.tolerances))
+        object.__setattr__(self, "tolerances", tuple(map(_plain, self.tolerances)))
         make_law(self.law)  # validate eagerly so bad configs fail here
+        object.__setattr__(self, "law", _plain_spec(self.law))
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "start_mode": self.start_mode.value}

@@ -222,9 +222,27 @@ def _is_integer(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
+def _plain(value):
+    """A number as the Python int or float it equals, so that a numpy
+    scalar computes in double precision and echoes as JSON; any other
+    value as it is, for its check to reject."""
+    if _is_integer(value):
+        return int(value)
+    return float(value) if _is_real(value) else value
+
+
+def _plain_spec(spec: dict) -> dict:
+    """A law spec with each number, and each number of a list, plain."""
+    return {
+        key: type(value)(map(_plain, value)) if isinstance(value, (list, tuple)) else _plain(value)
+        for key, value in spec.items()
+    }
+
+
 def _make_law(spec: dict) -> RenewalLaw:
     if not isinstance(spec, dict):
         raise LawError(f"law spec must be a mapping, got {type(spec).__name__}")
+    spec = _plain_spec(spec)
     kind = spec.get("type")
     keys = _LAW_KEYS.get(kind) if isinstance(kind, str) else None
     if keys is None:

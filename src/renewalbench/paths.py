@@ -13,8 +13,11 @@ stationary start), however many are drawn at a time, so a path is a
 prefix of the path any longer horizon produces for the same key.
 
 sample_paths draws a block of streams at once: one Philox re-keyed per
-stream, and the paths as the rows of one array.  sample_path is its
-one-stream case.
+stream, and the paths as the rows of one array.  Up to a horizon of
+_CHUNK, each stream's uniforms fill one row of a matrix, and one pass
+over the matrix turns the whole block into zero positions; longer paths
+are drawn one stream and one chunk of uniforms at a time.  sample_path
+is the one-stream case.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import enum
 import json
 from dataclasses import dataclass
 from pathlib import Path as FsPath
+from typing import Iterator
 
 import numpy as np
 
@@ -88,8 +92,37 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draw_run_lengths(law: RenewalLaw, rng: np.random.Generator, count: int) -> np.ndarray:
-    return law.length_cdf.searchsorted(rng.random(count), side="right")
+def _keyed(seed: int, streams) -> Iterator[np.random.Generator]:
+    """The generator of each stream in turn.  Re-keying one generator by
+    its state (counter 0, empty buffer) is the stream _generator would
+    build, at a quarter of the cost."""
+    rng = _generator(seed, 0)
+    state = rng.bit_generator.state
+    key = state["state"]["key"]
+    for stream in streams:
+        key[1] = stream & _MASK64
+        rng.bit_generator.state = state
+        yield rng
+
+
+def _start_state(law: RenewalLaw, uniforms):
+    """The stationary start's countdown state for each uniform."""
+    states = law.stationary_cdf.searchsorted(uniforms, side="right")
+    return np.minimum(states, law.support - 1)  # guard the float edge at cumsum ~ 1
+
+
+def _end_runs(law: RenewalLaw, uniforms: np.ndarray, last, ends, flat: np.ndarray) -> np.ndarray:
+    """Zero in flat the position that ends each run drawn from uniforms
+    (along the last axis), and return those positions.  A row's runs
+    start after its zero at last; positions at or past ends fall outside
+    the row and are not written."""
+    zeros = law.length_cdf.searchsorted(uniforms, side="right")
+    # each run of k ones ends with the zero k + 1 positions on
+    zeros += 1
+    zeros.cumsum(axis=-1, out=zeros)
+    zeros += last
+    flat[zeros[zeros < ends]] = 0
+    return zeros
 
 
 def sample_run_length(law: RenewalLaw, rng: np.random.Generator) -> int:
@@ -116,36 +149,30 @@ def sample_paths(
     """
     if horizon < 0:
         raise PathError(f"horizon must be >= 0, got {horizon}")
-    if mode is StartMode.STATIONARY:
-        states = law.stationary_cdf
-    elif mode is not StartMode.AT_RENEWAL:
+    if not isinstance(mode, StartMode):
         raise PathError(f"unsupported start mode {mode!r}")
+    stationary = mode is StartMode.STATIONARY
     need = horizon + 1
     rows = np.ones((len(streams), need), dtype=np.uint8)
-    # Re-keying one generator by its state (counter 0, empty buffer) is
-    # the stream _generator would build, at a quarter of the cost.
-    rng = _generator(seed, 0)
-    state = rng.bit_generator.state
-    key = state["state"]["key"]
-    for row, stream in zip(rows, streams):
-        key[1] = stream & _MASK64
-        rng.bit_generator.state = state
-        if mode is StartMode.STATIONARY:
-            total = int(states.searchsorted(rng.random(), side="right"))
-            total = min(total, law.support - 1)  # guard the float edge at cumsum ~ 1
-        else:
-            total = 0
-        if total < need:
-            row[total] = 0
-        total += 1
-        while total < need:
-            # each run of k ones ends with the zero k + 1 positions on
-            zeros = _draw_run_lengths(law, rng, min(_CHUNK, need - total))
-            zeros += 1
-            zeros.cumsum(out=zeros)
-            zeros += total - 1
-            row[zeros[zeros < need]] = 0
-            total = int(zeros[-1]) + 1
+    if horizon <= _CHUNK:
+        # horizon uniforms after the start finish any path, so draw them
+        # per stream into one matrix and convert the block at once
+        uniforms = np.empty((len(streams), stationary + horizon))
+        for row, rng in zip(uniforms, _keyed(seed, streams)):
+            rng.random(out=row)
+        base = np.arange(0, rows.size, need)  # each row's position 0 in flat
+        last = _start_state(law, uniforms[:, 0]) if stationary else np.zeros_like(base)
+        flat = rows.reshape(-1)
+        flat[(last + base)[last < need]] = 0
+        last += base
+        _end_runs(law, uniforms[:, stationary:], last[:, None], (base + need)[:, None], flat)
+    else:
+        for row, rng in zip(rows, _keyed(seed, streams)):
+            last = int(_start_state(law, rng.random())) if stationary else 0
+            if last < need:
+                row[last] = 0
+            while last < horizon:
+                last = int(_end_runs(law, rng.random(min(_CHUNK, horizon - last)), last, need, row)[-1])
     rows.setflags(write=False)
     return rows
 

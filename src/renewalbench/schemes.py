@@ -64,7 +64,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .laws import LawError, _is_real, gamma_limit
+from .laws import LawError, _is_real, _plain, gamma_limit
 
 __all__ = [
     "SCHEME_TAGS",
@@ -111,6 +111,7 @@ class SchemeConfig:
             value = getattr(self, name)
             if value is not None and not _is_real(value):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, _plain(value))
         if self.gamma is not None and not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
         if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:

@@ -8,7 +8,10 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from renewalbench import adversary
 from renewalbench.adversary import (
     BudgetExhausted,
     FoolingResult,
@@ -198,6 +201,23 @@ class TestPrefixTvExact:
         for law_a, law_b in pairs:
             for n in range(21):
                 assert tv_prefix_exact(law_a, law_b, n) == concatenated(law_a, law_b, n), n
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        masses=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=16),
+        k=st.integers(min_value=1, max_value=40),
+        share=st.floats(min_value=0.01, max_value=0.99),
+        lengths=st.tuples(st.integers(min_value=0, max_value=14), st.integers(min_value=0, max_value=14)),
+    )
+    def test_shorter_prefixes_are_no_further_apart(self, masses, k, share, lengths):
+        # the delta search screens on a shorter prefix; it may reject on
+        # it only because the distance cannot shrink as the prefix grows
+        masses[0] += 0.1
+        law = p_law(np.array(masses) / sum(masses))
+        moved = perturb(law, k, share * law.prob(0))
+        n, N = sorted(lengths)
+        assume(n < N)
+        assert tv_prefix_exact(law, moved, n) <= tv_prefix_exact(law, moved, N) + 1e-15
 
     def test_rejects_out_of_range_lengths(self):
         law = stage0().law
@@ -413,6 +433,28 @@ class TestAdvanceStage:
         )
         # the analytic per-coordinate bound dominates the exact value
         assert audit.tv_value <= audit.tv_analytic_bound
+
+    def test_screened_search_picks_what_the_unscreened_one_picks(self):
+        # stage 1 from the halving law: marker 0, delta = 0.2 * p_0 halved
+        # until the exact distance at N = 20 is within 1e-3
+        law = stage0().law
+        delta = 0.2 * law.prob(0)
+        while True:
+            k = math.floor(2.0 / delta) + 1
+            value = tv_prefix_exact(law, perturb(law, k, delta), 20)
+            if value <= 1e-3:
+                break
+            delta *= 0.5
+        audit = advance_stage(stage0(), "poly", CFG, seed=0).audits[0]
+        assert (audit.delta, audit.k, audit.tv_value) == (delta, k, value)
+
+    def test_screen_leaves_one_exact_call(self, monkeypatch):
+        lengths = []
+        exact = adversary.tv_prefix_exact
+        monkeypatch.setattr(adversary, "tv_prefix_exact", lambda a, b, N: lengths.append(N) or exact(a, b, N))
+        advance_stage(stage0(), "poly", CFG, seed=0)
+        # twelve candidates, eleven rejected by the 14-bit screen alone
+        assert lengths == [14] * 12 + [20]
 
     def test_deterministic_given_seed(self):
         a = advance_stage(stage0(), iter_poly, CFG, seed=3)

@@ -299,6 +299,23 @@ class TestAdversary:
         assert doc["next_stage"]["advanced"] is False
         assert doc["next_stage"]["constraint"] == "marker"
 
+    # Payload digests recorded before the delta search screened on a
+    # shorter prefix and the sampler converted short paths by the block;
+    # both must leave the bytes as they were.
+    @pytest.mark.parametrize(
+        "scheme, seed, digest",
+        [
+            ("poly", "0", "3e0adb656fb5ce77e3610e0a1018144cdab433820d896c6578156c9324a9b2f6"),
+            ("poly", "42", "2cd9498b7f9460b2153d427fd4e9bdcbb6f43da2be6fe155c3f9c68c0e8ef36b"),
+            ("log", "0", "5abcdb6d6435cc282dc6119f461c355732d3001ac33c3545358103f953d52997"),
+        ],
+    )
+    def test_payloads_keep_their_recorded_digests(self, capsys, tmp_path, scheme, seed, digest):
+        out = tmp_path / "adversary.json"
+        argv = ("adversary", "--scheme", scheme, "--seed", seed, "--replicates", "1000", "--out", str(out))
+        assert run_cli(capsys, *argv)[0] == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_offline_scheme_rejected(self, capsys):
         code, _, err = run_cli(capsys, "adversary", "--scheme", "offline")
         assert code == 1  # argparse choices catch it as usage

@@ -184,6 +184,33 @@ class TestRunExperiment:
         assert {type(getattr(config, name)) for name in ("length", "replicates", "base_seed")} == {int}
         assert emit_report(run_experiment(config)) == emit_report(run_experiment(plain))
 
+    @pytest.mark.parametrize(
+        "change, plain",
+        [
+            ({"law": {"type": "geometric", "q": 0.5, "truncate": np.int64(60)}}, {"law": {"type": "geometric", "q": 0.5, "truncate": 60}}),
+            ({"law": {"type": "geometric", "q": np.float32(0.5), "truncate": 60}}, {"law": {"type": "geometric", "q": 0.5, "truncate": 60}}),
+            ({"law": {"type": "zipf", "s": np.float32(2.5), "truncate": 60}}, {"law": {"type": "zipf", "s": 2.5, "truncate": 60}}),
+            ({"law": {"type": "explicit", "p": [np.float32(0.5), np.int64(0), 0.5]}}, {"law": {"type": "explicit", "p": [0.5, 0, 0.5]}}),
+            ({"scheme_config": SchemeConfig(gamma=np.float32(0.25))}, {"scheme_config": SchemeConfig(gamma=0.25)}),
+            ({"tolerances": (np.float32(0.25), np.int64(1))}, {"tolerances": (0.25, 1)}),
+        ],
+        ids=["int64-truncate", "float32-q", "float32-s", "explicit-masses", "float32-gamma", "tolerances"],
+    )
+    def test_numpy_scalars_are_stored_as_python_numbers(self, change, plain):
+        # each value is exactly representable, so the plain config is equal
+        config, expected = p2_config(length=300, **change), p2_config(length=300, **plain)
+        assert config == expected
+        payload = emit_report(run_experiment(config))
+        assert payload == emit_report(run_experiment(expected))
+        echo = json.loads(payload)["config"]
+        assert json.dumps(echo, sort_keys=True) == json.dumps(expected.to_json_dict(), sort_keys=True)
+
+    def test_python_ints_echo_as_ints(self):
+        config = p2_config(law={"type": "zipf", "s": 3, "truncate": 40}, tolerances=(1,))
+        echo = json.loads(emit_report(run_experiment(config)))["config"]
+        assert echo["law"] == {"type": "zipf", "s": 3, "truncate": 40}
+        assert type(echo["law"]["s"]) is int and echo["tolerances"] == [1]
+
     def test_offline_reports_good_index_densities(self):
         config = p2_config(scheme="offline", length=101, tolerances=(0.01, 0.5))
         report = run_experiment(config)

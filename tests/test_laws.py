@@ -270,6 +270,16 @@ class TestValidation:
         assert thirds.probs == (1 / 3, 1 / 3, 1 / 3)
         assert make_law({"type": "geometric", "q": np.float64(0.5), "truncate": 9}).support == 9
 
+    def test_numpy_scalars_build_in_double_precision(self):
+        # a float32 exponent once made float32 masses that missed a sum of 1
+        for spec, numpy_spec in (
+            ({"type": "zipf", "s": 2.5, "truncate": 60}, {"type": "zipf", "s": np.float32(2.5), "truncate": np.int64(60)}),
+            ({"type": "geometric", "q": 0.5, "truncate": 60}, {"type": "geometric", "q": np.float32(0.5), "truncate": 60}),
+        ):
+            law = make_law(numpy_spec)
+            assert law == make_law(spec) and law.provenance == spec
+            assert {type(p) for p in law.probs} == {float}
+
     def test_json_roundtrip_and_malformed(self):
         law = law_from_json(json.dumps({"type": "explicit", "p": [0, 0, 1]}))
         assert law.mean == 2.0

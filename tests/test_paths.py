@@ -16,7 +16,6 @@ from renewalbench.paths import (
     Path,
     PathError,
     StartMode,
-    _draw_run_lengths,
     _generator,
     dump_path,
     load_path,
@@ -33,6 +32,10 @@ def det2():
 
 def geom_half():
     return make_law({"type": "geometric", "q": 0.5, "truncate": 60})
+
+
+def draw_run_lengths(law, rng, count):
+    return law.length_cdf.searchsorted(rng.random(count), side="right")
 
 
 def completed_run_lengths(bits):
@@ -108,7 +111,7 @@ def chunked_path(law, horizon, mode, seed, stream):
         segments = [np.zeros(1, dtype=np.uint8)]
     total = segments[0].size
     while total < horizon + 1:
-        runs = _draw_run_lengths(law, rng, 1024)
+        runs = draw_run_lengths(law, rng, 1024)
         chunk = np.ones(int(runs.sum()) + runs.size, dtype=np.uint8)
         chunk[np.cumsum(runs + 1) - 1] = 0
         segments.append(chunk)
@@ -118,9 +121,10 @@ def chunked_path(law, horizon, mode, seed, stream):
 
 class TestBatchedSampler:
     # Under the all-zero law every run is a lone zero, so a renewal path
-    # of horizon h draws exactly h uniforms: one chunk short of full,
-    # full, one past it, and two full chunks.
-    @pytest.mark.parametrize("horizon", [1023, 1024, 1025, 2048])
+    # of horizon h draws exactly h uniforms.  Horizons up to 1024 (one
+    # chunk) are converted a block of streams at once; past it, one
+    # stream a chunk at a time.
+    @pytest.mark.parametrize("horizon", [1, 63, 64, 1023, 1024, 1025, 2048])
     @pytest.mark.parametrize("mode", list(StartMode), ids=lambda mode: mode.value)
     @pytest.mark.parametrize(
         "spec",
@@ -141,6 +145,21 @@ class TestBatchedSampler:
             expected = chunked_path(law, horizon, mode, 77, stream)
             assert np.array_equal(row, expected), stream
             assert np.array_equal(sample_path(law, horizon, mode, 77, stream).bits, expected)
+
+    @pytest.mark.parametrize("horizon", [1, 63, 64, 1024, 1025])
+    @pytest.mark.parametrize("mode", list(StartMode), ids=lambda mode: mode.value)
+    def test_long_runs_lone_streams_and_wide_keys(self, mode, horizon):
+        # runs of 0 or 199 ones: a stationary start often lands past a
+        # short horizon, which leaves a row of ones
+        law = make_law({"type": "explicit", "p": [0.5] + [0.0] * 198 + [0.5]})
+        streams = [*range(40), 2**70]
+        rows = sample_paths(law, horizon, mode, 4, streams)
+        for row, stream in zip(rows, streams):
+            expected = chunked_path(law, horizon, mode, 4, stream)
+            assert np.array_equal(row, expected), stream
+            assert np.array_equal(sample_paths(law, horizon, mode, 4, [stream])[0], expected), stream
+        if mode is StartMode.STATIONARY and horizon <= 64:
+            assert rows.all(axis=1).any()
 
     def test_short_horizons_and_stream_order(self):
         law = geom_half()
@@ -166,13 +185,13 @@ class TestScalarDraws:
         rng = _generator(123, 5)
         for _ in range(50):
             scalars.append(sample_run_length(law, rng))
-        batch = _draw_run_lengths(law, _generator(123, 5), 50)
+        batch = draw_run_lengths(law, _generator(123, 5), 50)
         assert scalars == batch.tolist()
 
     def test_empirical_mean_of_draws(self):
         # mean 1, variance 2: 3 sigma over 10^6 draws is ~0.0042
         law = geom_half()
-        draws = _draw_run_lengths(law, _generator(77, 0), 10**6)
+        draws = draw_run_lengths(law, _generator(77, 0), 10**6)
         assert draws.mean() == pytest.approx(1.0, abs=0.005)
 
     def test_inverse_cdf_tie_convention(self):
