@@ -15,11 +15,17 @@ the mean-shift, bookkeeping, and prefix-closeness constraints.  Any of
 them can run out of room at finite scale; that is reported as
 BudgetExhausted naming the constraint, never papered over.
 
-The Monte Carlo checks sample their paths a block at a time.  A scheme
-tag, or the package's iter_poly/iter_log/iter_eps, runs as one call of
-the scheme's columns per block, and the checks are existence tests on
-the columns (path, time, age, sum/m); any other runner is called path
-by path and fills the same columns.  The exact prefix distance builds
+One Monte Carlo routine serves the horizon search and the
+verification: it takes a list of windows (age, bound, cutoff) and counts
+the paths fooled in all of them, a block of sampled paths at a time.
+The search passes one window and its age marker, so that only paths
+reaching the marker count; verify_stage passes every stage's window.
+A scheme tag, or the package's iter_poly/iter_log/iter_eps, runs as one
+call of the scheme's columns per block, and the checks are existence
+tests on the columns (path, time, age, sum/m); any other runner is
+called path by path and fills the same columns.  Each stage's bounds
+and the prefix length of its closeness check are stated once, in
+_stage_bounds and _closeness_length.  The exact prefix distance builds
 the 2^N string masses of each law in place, and keeps the base law's
 for the next call of the delta search.  That search screens each
 candidate on the prefix six bits shorter first: the distance cannot
@@ -33,7 +39,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -43,7 +49,6 @@ from .paths import sample_path  # noqa: F401  bench/traced.py wraps adversary.sa
 from .schemes import (
     _BLOCK_BITS,
     EstimateEvent,
-    PrefixScan,
     SchemeConfig,
     _scan_columns,
     iter_eps,
@@ -66,6 +71,8 @@ __all__ = [
     "verify_stage",
     "audit_json",
 ]
+
+_EXACT_CAP = 20  # longest prefix tv_prefix_exact enumerates
 
 # two-sided 95% normal quantile, for Wilson intervals
 _Z95 = 1.959963984540054
@@ -223,8 +230,8 @@ def tv_prefix_exact(law_a: RenewalLaw, law_b: RenewalLaw, N: int) -> float:
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    if N > 20:
-        raise ValueError(f"exact enumeration is capped at N=20, got {N}")
+    if N > _EXACT_CAP:
+        raise ValueError(f"exact enumeration is capped at N={_EXACT_CAP}, got {N}")
     gaps = _string_masses(law_b, N)
     np.subtract(_base_string_masses(law_a, N), gaps, out=gaps)
     return float(np.abs(gaps, out=gaps).sum())
@@ -277,54 +284,65 @@ def _runner_columns(runner: SchemeRunner, config: SchemeConfig, bits: np.ndarray
     return np.array(path), np.array(time), np.array(age), np.array(estimate, dtype=np.float64)
 
 
-def _monte_carlo(
+def _fooled(
     law: RenewalLaw,
     runner: str | SchemeRunner,
     config: SchemeConfig,
-    bound: int,
+    windows: Sequence[tuple[int, int, float]],
     reps: int,
     seed: int,
     marker: int | None = None,
-) -> Iterator[tuple[np.ndarray, tuple]]:
+) -> tuple[int, int, bool]:
     """The estimator on the renewal-started paths of streams 0..reps-1,
-    positions 0..bound, a block of paths at a time.
+    positions 0..the largest window bound, a block of paths at a time.
 
-    Yields per block the mask of the paths that count, and the (path,
-    time, age, estimate) columns of the estimates fired on them before
-    bound.  With a marker age, a path counts only if one of its
-    positions in (marker, bound) has that age, since no estimate at the
-    marker can fire on the others; a runner is not run on them.  A tag
-    runs the scheme's columns on the whole block at once; any other
-    runner runs path by path.
+    A path is fooled in the window (age, bound, cutoff) if the estimator
+    fires in (age, bound) at that run age with an estimate below cutoff.
+    Returns the paths fooled in every window, the paths counted, and
+    whether any estimate fired after the first window's age.  With a
+    marker age, only the paths with a position in (marker, bound) at
+    that age count, since no estimate at the marker can fire on the
+    others; a runner is not run on them.  A tag runs the scheme's
+    columns on the whole block at once; any other runner runs path by
+    path.
     """
     runner = _runner_tag(runner)
+    bound = max(end for _, end, _ in windows)
     per_block = max(1, _BLOCK_BITS // (bound + 1))
+    fooled_paths = counted_paths = 0
+    any_fired = False
     for start in range(0, reps, per_block):
         streams = range(start, min(reps, start + per_block))
         bits = sample_paths(law, bound, StartMode.AT_RENEWAL, seed, streams)
-        if isinstance(runner, str):
-            scan, cols = _scan_columns(runner, bits, config)
-            counted = _counted(scan, marker, bound)
+        scan, cols = _scan_columns(runner, bits, config) if isinstance(runner, str) else (prefix_scan(bits), None)
+        # the paths that count; each window then keeps those it fooled
+        if marker is None:
+            fooled = np.ones(len(streams), dtype=bool)
+        else:
+            at = scan.ages == marker
+            at &= scan.time > marker
+            at &= scan.time < bound
+            fooled = np.zeros(len(streams), dtype=bool)
+            fooled[scan.first.searchsorted(at.nonzero()[0], "right") - 1] = True
+        if cols is None:
+            path, time, ages, estimate = _runner_columns(runner, config, bits, fooled.nonzero()[0], bound)
+        else:
             path = np.arange(len(streams)).repeat(np.diff(cols.first))
             keep = cols.time < bound
-            keep &= counted[path]
-            yield counted, (path[keep], cols.time[keep], cols.age[keep], cols.sum[keep] / cols.m[keep])
-        else:
-            counted = _counted(prefix_scan(bits), marker, bound)
-            yield counted, _runner_columns(runner, config, bits, counted.nonzero()[0], bound)
-
-
-def _counted(scan: PrefixScan, marker: int | None, bound: int) -> np.ndarray:
-    """The paths of a scanned block that count: all of them, or with a
-    marker those with a position in (marker, bound) at that age."""
-    if marker is None:
-        return np.ones(scan.psi.size, dtype=bool)
-    at = scan.ages == marker
-    at &= scan.time > marker
-    at &= scan.time < bound
-    counted = np.zeros(scan.psi.size, dtype=bool)
-    counted[scan.first.searchsorted(at.nonzero()[0], "right") - 1] = True
-    return counted
+            keep &= fooled[path]
+            path, time, ages, estimate = path[keep], cols.time[keep], cols.age[keep], cols.sum[keep] / cols.m[keep]
+        counted_paths += int(np.count_nonzero(fooled))
+        any_fired = any_fired or bool((time > windows[0][0]).any())
+        for age, end, cutoff in windows:
+            hit = time > age
+            hit &= time < end
+            hit &= ages == age
+            hit &= estimate < cutoff
+            inside = np.zeros_like(fooled)
+            inside[path[hit]] = True
+            fooled &= inside
+        fooled_paths += int(np.count_nonzero(fooled))
+    return fooled_paths, counted_paths, any_fired
 
 
 def fooling_probability(
@@ -348,19 +366,7 @@ def fooling_probability(
         raise ValueError(f"window must satisfy 0 <= age < bound, got {window}")
     if reps < 100:
         raise ValueError(f"need at least 100 reps for a usable interval, got {reps}")
-    cutoff = target_mu - 1.0
-    successes = 0
-    executed = 0
-    any_fired = False
-    for counted, (path, time, ages, estimate) in _monte_carlo(law, runner, config, n_bound, reps, seed, age):
-        executed += int(np.count_nonzero(counted))
-        inside = time > age
-        any_fired = any_fired or bool(inside.any())
-        inside &= ages == age
-        inside &= estimate < cutoff
-        fooled = np.zeros_like(counted)
-        fooled[path[inside]] = True
-        successes += int(np.count_nonzero(fooled))
+    successes, executed, any_fired = _fooled(law, runner, config, [(age, n_bound, target_mu - 1.0)], reps, seed, age)
     low, high = _wilson(successes, reps)
     return FoolingResult(
         estimate=successes / reps,
@@ -377,11 +383,12 @@ def fooling_probability(
 class SearchBudgets:
     horizon_start: int = 64
     horizon_max: int = 1 << 15
-    fooling_reps: int = 1500
-    delta_start_fraction: float = 0.2  # of p_0, then halved
     delta_halvings: int = 60
-    marker_scan_limit: int = MAX_SUPPORT
     max_stage: int = 3
+
+
+_FOOLING_REPS = 1500  # paths per horizon tried
+_DELTA_START_FRACTION = 0.2  # of p_0, then halved
 
 
 class BudgetExhausted(RuntimeError):
@@ -390,6 +397,18 @@ class BudgetExhausted(RuntimeError):
     def __init__(self, constraint: str, message: str):
         super().__init__(message)
         self.constraint = constraint
+
+
+def _stage_bounds(stage: int) -> tuple[float, float]:
+    """Stage s's mass bound 100^-s and closeness bound 1000^-s; its
+    fooling may fall short of 1 by twice the closeness bound."""
+    return 100.0 ** (-stage), 1000.0 ** (-stage)
+
+
+def _closeness_length(horizon: int) -> int:
+    """Prefix length at which a stage with this window horizon must be
+    close to the stage before, capped where the enumeration stops."""
+    return min(horizon, _EXACT_CAP)
 
 
 def _k_bound(law: RenewalLaw, age_markers: Iterable[int]) -> float:
@@ -411,9 +430,8 @@ def advance_stage(
         raise ValueError(f"stage cap is {budgets.max_stage}, state is at {j}")
     law = stage.law
     next_stage = j + 1
-    small = 100.0 ** (-next_stage)
-    tv_threshold = 1000.0 ** (-next_stage)
-    fool_threshold = 1.0 - 2.0 * 1000.0 ** (-next_stage)
+    small, tv_threshold = _stage_bounds(next_stage)
+    fool_threshold = 1.0 - 2.0 * tv_threshold
 
     # 1) age marker: tiny but realizable tail mass beyond every marker
     if j == 0:
@@ -422,7 +440,7 @@ def advance_stage(
         # the first candidate whose tail is small enough, or 0: tails
         # only shrink, so nothing further is realizable
         start = stage.markers[-1] + 1
-        tails = np.asarray(law.tails[start : budgets.marker_scan_limit])
+        tails = np.asarray(law.tails[start:MAX_SUPPORT])
         stops = ((tails <= 0.0) | (3.0 * tails < small)).nonzero()[0]
         marker = start + int(stops[0]) if stops.size and tails[stops[0]] > 0.0 else None
         if marker is None:
@@ -443,13 +461,7 @@ def advance_stage(
     while n <= budgets.horizon_max:
         if n > marker:
             result = fooling_probability(
-                law,
-                runner,
-                config,
-                (marker, n),
-                target_mu,
-                budgets.fooling_reps,
-                seed=seed + 1_000_003 * trial,
+                law, runner, config, (marker, n), target_mu, _FOOLING_REPS, seed=seed + 1_000_003 * trial
             )
             if best is None or result.estimate > best[1].estimate:
                 best = (n, result)
@@ -476,13 +488,10 @@ def advance_stage(
     p0 = law.prob(0)
     beta = law.tail(marker)
     k_floor = _k_bound(law, stage.markers[0::2] + (marker,))
-    exact_n = min(horizon, 20)
-    delta = budgets.delta_start_fraction * p0
+    exact_n = _closeness_length(horizon)
+    delta = _DELTA_START_FRACTION * p0
     chosen = None
     for _ in range(budgets.delta_halvings):
-        if delta >= 0.25 * p0:
-            delta *= 0.5
-            continue
         if marker == 0:
             k = math.floor(2.0 / delta) + 1
         else:
@@ -490,10 +499,7 @@ def advance_stage(
         k = max(k, math.floor(k_floor) + 1, marker)
         while mu_L_shift(law, marker, delta, k) <= 2.0:  # float-edge guard
             k += 1
-        if k >= MAX_SUPPORT:
-            delta *= 0.5
-            continue
-        if next_stage >= 2 and k * delta >= small:
+        if k >= MAX_SUPPORT or (next_stage >= 2 and k * delta >= small):
             delta *= 0.5
             continue
         candidate = perturb(law, k, delta)
@@ -568,23 +574,11 @@ def verify_stage(
     laws = stage.law_history
     windows = [stage.window(i) for i in range(1, j + 1)]
     targets = [residual_mean(law, age) for age, _ in windows]
-    cutoffs = [t - 1.0 for t in targets]
-    max_bound = max(bound for _, bound in windows)
-
-    successes = 0
-    for fooled, (path, time, ages, estimate) in _monte_carlo(law, runner, config, max_bound, reps, seed):
-        for (age, bound), cutoff in zip(windows, cutoffs):
-            hit = time > age
-            hit &= time < bound
-            hit &= ages == age
-            hit &= estimate < cutoff
-            inside = np.zeros_like(fooled)
-            inside[path[hit]] = True
-            fooled &= inside
-        successes += int(np.count_nonzero(fooled))
+    cutoffs = [(age, bound, target - 1.0) for (age, bound), target in zip(windows, targets)]
+    successes = _fooled(law, runner, config, cutoffs, reps, seed)[0]
     estimate = successes / reps
     low, high = _wilson(successes, reps)
-    joint_threshold = 1.0 - sum(2.0 * 1000.0 ** (-i) for i in range(1, j + 1))
+    joint_threshold = 1.0 - sum(2.0 * _stage_bounds(i)[1] for i in range(1, j + 1))
     half_width = (high - low) / 2.0
     conditions = [
         {
@@ -606,7 +600,7 @@ def verify_stage(
     # tens of thousands of entries.
     first = stage.audits[0]
     identity_gap = abs(laws[1].mean - laws[0].mean - first.k * first.delta)
-    anchored_budget = sum(100.0 ** (-h) for h in range(2, j + 1))
+    anchored_budget = sum(_stage_bounds(h)[0] for h in range(2, j + 1))
     anchored_ok = law.mean <= laws[1].mean + anchored_budget + 1e-12
     conditions.append(
         {
@@ -626,10 +620,10 @@ def verify_stage(
 
     tv_entries = []
     tv_ok = True
-    for i, audit in enumerate(stage.audits, start=1):
-        n_exact = min(stage.markers[2 * i - 1], 20)
+    for i, (_, horizon) in enumerate(windows, start=1):
+        n_exact = _closeness_length(horizon)
         value = tv_prefix_exact(laws[i - 1], laws[i], n_exact)
-        bound = 1000.0 ** (-i)
+        bound = _stage_bounds(i)[1]
         tv_entries.append({"stage": i, "exact_n": n_exact, "value": value, "bound": bound})
         tv_ok = tv_ok and value <= bound
     conditions.append({"condition": "prefix_tv", "passed": tv_ok, "stages": tv_entries})

@@ -406,8 +406,8 @@ def tv_l1(a, b) -> float:
     """Variation distance in L1 form: sum of |a_l - b_l|, range [0, 2].
 
     Accepts plain mass sequences; shorter ones are zero-padded.  Both
-    inputs must be (sub)probability vectors; this is the metric every
-    distribution estimate is scored with.
+    inputs must be (sub)probability vectors.  No scorer calls it: it is
+    the plain L1 distance that the tests compare the scorer's tv with.
     """
     n = max(len(a), len(b))
     return math.fsum(

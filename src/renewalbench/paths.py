@@ -37,7 +37,6 @@ __all__ = [
     "StartMode",
     "Path",
     "parse_start_mode",
-    "sample_run_length",
     "sample_path",
     "sample_paths",
     "dump_path",
@@ -123,11 +122,6 @@ def _end_runs(law: RenewalLaw, uniforms: np.ndarray, last, ends, flat: np.ndarra
     zeros += last
     flat[zeros[zeros < ends]] = 0
     return zeros
-
-
-def sample_run_length(law: RenewalLaw, rng: np.random.Generator) -> int:
-    """Draw one run length k with probability p_k."""
-    return int(np.searchsorted(law.length_cdf, rng.random(), side="right"))
 
 
 def sample_paths(

@@ -639,29 +639,25 @@ def _histograms(residuals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Iterat
 def _events(cols: EventColumns, window_start: np.ndarray, window_end: np.ndarray) -> Iterator[EstimateEvent]:
     # Histograms come from _histograms, counted a block of rows at a
     # time; the scan is not kept, only the columns the events read.
+    # Each estimate is the float64 quotient of the int64 columns.  It
+    # equals Python's int / int while the sums stay below 2^53, which
+    # holds on any path shorter than 2^32 bits (residuals are < 2^21).
     histograms = _histograms(cols.residuals, cols.lo, cols.hi)
     for block in range(0, cols.time.size, _HISTOGRAM_BLOCK):
         part = slice(block, block + _HISTOGRAM_BLOCK)
-        rows = zip(
-            cols.time[part].tolist(),
-            cols.age[part].tolist(),
-            cols.m[part].tolist(),
-            cols.sum[part].tolist(),
-            window_start[part].tolist(),
-            window_end[part].tolist(),
-            histograms,
+        yield from map(
+            EstimateEvent._make,
+            zip(
+                range(block + 1, cols.time.size + 1),
+                cols.time[part].tolist(),
+                cols.age[part].tolist(),
+                (cols.sum[part] / cols.m[part]).tolist(),
+                histograms,
+                cols.m[part].tolist(),
+                window_start[part].tolist(),
+                window_end[part].tolist(),
+            ),
         )
-        for ordinal, (t, tau, m, total, first, last, counts) in enumerate(rows, block + 1):
-            yield EstimateEvent(
-                ordinal=ordinal,
-                time=t,
-                run_age=tau,
-                estimate=total / m,
-                residual_counts=counts,
-                sample_count=m,
-                window_start=first,
-                window_end=last,
-            )
 
 
 def run_poly(bits, config: SchemeConfig) -> list[EstimateEvent]:
@@ -679,24 +675,24 @@ def run_eps(bits, config: SchemeConfig) -> list[EstimateEvent]:
 def iter_offline(bits) -> Iterator[OfflineEstimate]:
     """Windowless per-position estimates, one for every position >= psi."""
     scan, cols = _scan_columns("offline", bits, SchemeConfig())
-    return _offline_rows(int(scan.psi[0]), scan.ages, scan.rank, cols.sum, _histograms(cols.residuals, cols.lo, cols.hi))
+    return _offline_rows(int(scan.psi[0]), scan.ages, scan.rank, cols, _histograms(cols.residuals, cols.lo, cols.hi))
 
 
-def _offline_rows(psi: int, ages: np.ndarray, rank: np.ndarray, sums: np.ndarray, histograms) -> Iterator[OfflineEstimate]:
+def _offline_rows(psi: int, ages: np.ndarray, rank: np.ndarray, cols: EventColumns, histograms) -> Iterator[OfflineEstimate]:
     """One estimate per scan row; the rows of positive rank are the
-    defined ones, whose totals and histograms come in order."""
+    defined ones, whose columns and histograms come in order."""
     defined = 0
     for block in range(0, ages.size, _HISTOGRAM_BLOCK):
         part = slice(block, block + _HISTOGRAM_BLOCK)
         counts = rank[part]
-        totals = sums[defined : defined + np.count_nonzero(counts)].tolist()
-        defined += len(totals)
-        totals = iter(totals)
+        rows = slice(defined, defined + np.count_nonzero(counts))
+        defined = rows.stop
+        estimates = iter((cols.sum[rows] / cols.m[rows]).tolist())
         for position, tau, count in zip(range(psi + block, psi + ages.size), ages[part].tolist(), counts.tolist()):
             if count == 0:
                 yield OfflineEstimate(position, tau, 0, None, ())
             else:
-                yield OfflineEstimate(position, tau, count, next(totals) / count, next(histograms))
+                yield OfflineEstimate(position, tau, count, next(estimates), next(histograms))
 
 
 def run_offline(bits) -> list[OfflineEstimate]:

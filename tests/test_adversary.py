@@ -413,6 +413,31 @@ def stage_one():
     return advance_stage(stage0(), "poly", CFG, seed=0)
 
 
+def two_window_state(stage_one, marker, horizon, k, share):
+    """stage_one advanced by hand: share * p_0 moved to k, and the window
+    (marker, horizon) added."""
+    law = stage_one.law
+    delta = share * law.prob(0)
+    law_next = perturb(law, k, delta)
+    audit = dataclasses.replace(
+        stage_one.audits[0],
+        stage=2,
+        marker=marker,
+        horizon=horizon,
+        delta=delta,
+        k=k,
+        p0_before=law.prob(0),
+        mean_before=law.mean,
+        mean_after=law_next.mean,
+    )
+    return StageState(
+        stage=2,
+        markers=stage_one.markers + (marker, horizon),
+        law_history=stage_one.law_history + (law_next,),
+        audits=stage_one.audits + (audit,),
+    )
+
+
 class TestAdvanceStage:
     def test_first_stage_within_default_budgets(self):
         state = advance_stage(stage0(), iter_poly, CFG, seed=0)
@@ -518,27 +543,8 @@ class TestStageStateInvariants:
 
     def test_two_window_state(self, stage_one):
         # (L_0, N_1, L_1, N_2): the layout advance_stage builds at stage 2
-        law = stage_one.law
         marker, horizon = stage_one.markers[1] + 1, 2 * stage_one.markers[1]
-        delta = 0.01 * law.prob(0)
-        law_next = perturb(law, 300, delta)
-        audit = dataclasses.replace(
-            stage_one.audits[0],
-            stage=2,
-            marker=marker,
-            horizon=horizon,
-            delta=delta,
-            k=300,
-            p0_before=law.prob(0),
-            mean_before=law.mean,
-            mean_after=law_next.mean,
-        )
-        state = StageState(
-            stage=2,
-            markers=stage_one.markers + (marker, horizon),
-            law_history=stage_one.law_history + (law_next,),
-            audits=stage_one.audits + (audit,),
-        )
+        state = two_window_state(stage_one, marker, horizon, 300, 0.01)
         assert state.window(1) == stage_one.window(1)
         assert state.window(2) == (marker, horizon)
         entries = json.loads(audit_json(state))
@@ -549,6 +555,26 @@ class TestStageStateInvariants:
         assert by_name["joint_fooling"]["windows"] == [list(state.window(1)), [marker, horizon]]
         assert [entry["stage"] for entry in by_name["prefix_tv"]["stages"]] == [1, 2]
         assert {check["age"] for check in by_name["tail_mean_monotone"]["checks"]} == {0, marker}
+        # the joint verdict over both windows, for a tag and a wrapped runner
+        joint = per_path_joint(state, iter_poly, CFG, 100, 5)
+        assert by_name["joint_fooling"]["estimate"] == joint
+        wrapped = verify_stage(state, lambda bits, config: iter_poly(bits, config), CFG, reps=100, seed=5)
+        assert wrapped["conditions"][0]["estimate"] == joint
+
+    def test_two_window_joint_verdict_needs_both_windows(self, stage_one):
+        # eps fires at age 65 once runs of 70 are common: each window
+        # alone fools many paths, and the joint verdict fewer than either
+        config = SchemeConfig(gamma=0.3, epsilon=0.1)
+        state = two_window_state(stage_one, 65, 400, 70, 0.24)
+        law = state.law
+        alone = [
+            fooling_probability(law, "eps", config, window, residual_mean(law, window[0]), 200, seed=5).estimate
+            for window in (state.window(1), state.window(2))
+        ]
+        joint = per_path_joint(state, iter_eps, config, 200, 5)
+        assert 0.0 < joint < min(alone)
+        for runner in ("eps", lambda bits, config: iter_eps(bits, config)):
+            assert verify_stage(state, runner, config, reps=200, seed=5)["conditions"][0]["estimate"] == joint
 
 
 class TestVerifyStage:

@@ -300,14 +300,16 @@ class TestAdversary:
         assert doc["next_stage"]["constraint"] == "marker"
 
     # Payload digests recorded before the delta search screened on a
-    # shorter prefix and the sampler converted short paths by the block;
-    # both must leave the bytes as they were.
+    # shorter prefix and the sampler converted short paths by the block
+    # (eps at seed 42: before the search and the verification shared one
+    # Monte Carlo routine); these must leave the bytes as they were.
     @pytest.mark.parametrize(
         "scheme, seed, digest",
         [
             ("poly", "0", "3e0adb656fb5ce77e3610e0a1018144cdab433820d896c6578156c9324a9b2f6"),
             ("poly", "42", "2cd9498b7f9460b2153d427fd4e9bdcbb6f43da2be6fe155c3f9c68c0e8ef36b"),
             ("log", "0", "5abcdb6d6435cc282dc6119f461c355732d3001ac33c3545358103f953d52997"),
+            ("eps", "42", "65e588831c50e5d66985dc42b022313c888a0bb401c10afe86e1b6370eaf09a1"),
         ],
     )
     def test_payloads_keep_their_recorded_digests(self, capsys, tmp_path, scheme, seed, digest):

@@ -22,7 +22,6 @@ from renewalbench.paths import (
     parse_start_mode,
     sample_path,
     sample_paths,
-    sample_run_length,
 )
 
 
@@ -175,18 +174,9 @@ class TestBatchedSampler:
 class TestScalarDraws:
     def test_deterministic_laws(self):
         rng = _generator(0, 0)
-        assert sample_run_length(det2(), rng) == 2
+        assert draw_run_lengths(det2(), rng, 1).tolist() == [2]
         law0 = make_law({"type": "explicit", "p": [1.0]})
-        assert sample_run_length(law0, rng) == 0
-
-    def test_scalar_matches_batch(self):
-        law = geom_half()
-        scalars = []
-        rng = _generator(123, 5)
-        for _ in range(50):
-            scalars.append(sample_run_length(law, rng))
-        batch = draw_run_lengths(law, _generator(123, 5), 50)
-        assert scalars == batch.tolist()
+        assert draw_run_lengths(law0, rng, 1).tolist() == [0]
 
     def test_empirical_mean_of_draws(self):
         # mean 1, variance 2: 3 sigma over 10^6 draws is ~0.0042
