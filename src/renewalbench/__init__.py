@@ -30,15 +30,8 @@ from .schemes import (
     EstimateEvent,
     OfflineEstimate,
     SchemeConfig,
-    iter_eps,
-    iter_log,
-    iter_offline,
-    iter_poly,
+    iter_scheme,
     ref_run,
-    run_eps,
-    run_log,
-    run_offline,
-    run_poly,
     run_scheme,
 )
 from .evaluation import (

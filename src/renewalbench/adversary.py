@@ -20,10 +20,10 @@ verification: it takes a list of windows (age, bound, cutoff) and counts
 the paths fooled in all of them, a block of sampled paths at a time.
 The search passes one window and its age marker, so that only paths
 reaching the marker count; verify_stage passes every stage's window.
-A scheme tag, or the package's iter_poly/iter_log/iter_eps, runs as one
-call of the scheme's columns per block, and the checks are existence
-tests on the columns (path, time, age, sum/m); any other runner is
-called path by path and fills the same columns.  Each stage's bounds
+A runner is a scheme tag or any callable (bits, config) -> events.  A
+tag runs as one call of the scheme's columns per block, and the checks
+are existence tests on the columns (path, time, age, sum/m); a callable
+is called path by path and fills the same columns.  Each stage's bounds
 and the prefix length of its closeness check are stated once, in
 _stage_bounds and _closeness_length.  The exact prefix distance builds
 the 2^N string masses of each law in place, and keeps the base law's
@@ -46,16 +46,7 @@ import numpy as np
 from .laws import MAX_SUPPORT, LawError, RenewalLaw, make_law, perturb, residual_mean
 from .paths import StartMode, sample_paths
 from .paths import sample_path  # noqa: F401  bench/traced.py wraps adversary.sample_path
-from .schemes import (
-    _BLOCK_BITS,
-    EstimateEvent,
-    SchemeConfig,
-    _scan_columns,
-    iter_eps,
-    iter_log,
-    iter_poly,
-    prefix_scan,
-)
+from .schemes import _BLOCK_BITS, EstimateEvent, SchemeConfig, _scan_columns, prefix_scan
 
 __all__ = [
     "StageAudit",
@@ -79,8 +70,8 @@ _Z95 = 1.959963984540054
 
 SchemeRunner = Callable[[Sequence[int], SchemeConfig], Iterable[EstimateEvent]]
 
-# The package's iterators run as their tags: one kernel call per block.
-_TAGS = {iter_poly: "poly", iter_log: "log", iter_eps: "eps"}
+# The tags a runner can be: each runs one kernel call per block.
+_TAGS = ("poly", "log", "eps")
 
 
 @dataclass(frozen=True)
@@ -261,13 +252,6 @@ class FoolingResult:
     any_fired: bool
 
 
-def _runner_tag(runner) -> str | SchemeRunner:
-    tag = _TAGS.get(runner, runner)
-    if isinstance(tag, str) and tag not in _TAGS.values():
-        raise ValueError(f"unknown scheme tag {tag!r}; expected one of {sorted(_TAGS.values())}")
-    return tag
-
-
 def _runner_columns(runner: SchemeRunner, config: SchemeConfig, bits: np.ndarray, paths: np.ndarray, bound: int):
     """(path, time, age, estimate) of what a runner fires on the given
     paths of a block before bound.  Event times increase, so a path's
@@ -306,7 +290,8 @@ def _fooled(
     columns on the whole block at once; any other runner runs path by
     path.
     """
-    runner = _runner_tag(runner)
+    if isinstance(runner, str) and runner not in _TAGS:
+        raise ValueError(f"unknown scheme tag {runner!r}; expected one of {sorted(_TAGS)}")
     bound = max(end for _, end, _ in windows)
     per_block = max(1, _BLOCK_BITS // (bound + 1))
     fooled_paths = counted_paths = 0
@@ -358,8 +343,9 @@ def fooling_probability(
     a renewal, fires somewhere strictly inside the window at exactly the
     window's age with an estimate more than 1 below target_mu.
 
-    runner is a scheme tag ("poly", "log", "eps") or a callable like
-    iter_poly; the package's iterators run as their tags.
+    runner is a scheme tag ("poly", "log", "eps"), run on a block of
+    paths at once, or any callable (bits, config) -> events, run path by
+    path.
     """
     age, n_bound = window
     if not 0 <= age < n_bound:

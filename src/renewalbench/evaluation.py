@@ -30,9 +30,6 @@ from .schemes import (
     OfflineEstimate,
     SchemeConfig,
     _stable_order,
-    # run_experiment scores every scheme from its columns; the name
-    # stays here because bench/traced.py wraps evaluation.iter_offline
-    iter_offline,  # noqa: F401
     scheme_columns,
     window_counts,
 )
@@ -402,9 +399,10 @@ class EvalReport:
 
 
 # run_experiment scores every scheme from its columns and calls no
-# iterator from here; the empty table stays because bench/traced.py
-# wraps its entries.
+# iterator from here; the empty table and the placeholder stay because
+# bench/traced.py wraps them.
 _SCHEME_ITERATORS: dict = {}
+iter_offline = None
 
 
 # bench/traced.py wraps this name to time the aggregation layer

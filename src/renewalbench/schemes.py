@@ -75,14 +75,7 @@ __all__ = [
     "EventColumns",
     "prefix_scan",
     "scheme_columns",
-    "iter_poly",
-    "iter_log",
-    "iter_eps",
-    "iter_offline",
-    "run_poly",
-    "run_log",
-    "run_offline",
-    "run_eps",
+    "iter_scheme",
     "run_scheme",
     "ref_run",
 ]
@@ -166,10 +159,19 @@ class OfflineEstimate(NamedTuple):
 
 
 def _as_path(bits) -> np.ndarray:
-    """The one input rule of prefix_scan and ref_run: an ndarray is read
-    as it is, and any other sequence or iterable of bits, a generator
+    """The one input rule of every entry point: an ndarray is read as it
+    is, and any other sequence or iterable of bits, a generator
     included, is read once into one."""
     return bits if isinstance(bits, np.ndarray) else np.array(list(bits))
+
+
+def _one_path(bits) -> np.ndarray:
+    """_as_path for iter_scheme and ref_run, which take one path: a
+    block of paths goes to prefix_scan or scheme_columns."""
+    arr = _as_path(bits)
+    if arr.ndim != 1:
+        raise ValueError(f"expected one path of bits, got an array of shape {arr.shape}")
+    return arr
 
 
 def _warn_gamma_poly(config: SchemeConfig):
@@ -566,28 +568,6 @@ def scheme_columns(tag: str, bits, config: SchemeConfig) -> EventColumns:
     return _scan_columns(tag, bits, config)[1]
 
 
-def _iter_events(tag: str, bits, config: SchemeConfig) -> Iterator[EstimateEvent]:
-    """Events of a firing scheme on one path.  Its window starts at the
-    first entry averaged, or at psi for eps, and ends at the firing, or
-    at the last entry averaged for log."""
-    scan, cols = _scan_columns(tag, bits, config)
-    start = np.full(cols.time.size, scan.psi[0]) if tag == "eps" else scan.time[scan.order[cols.lo]]
-    end = scan.time[scan.order[cols.hi - 1]] if tag == "log" else cols.time
-    return _events(cols, start, end)
-
-
-def iter_poly(bits, config: SchemeConfig) -> Iterator[EstimateEvent]:
-    return _iter_events("poly", bits, config)
-
-
-def iter_log(bits, config: SchemeConfig) -> Iterator[EstimateEvent]:
-    return _iter_events("log", bits, config)
-
-
-def iter_eps(bits, config: SchemeConfig) -> Iterator[EstimateEvent]:
-    return _iter_events("eps", bits, config)
-
-
 # Rows whose histograms are counted together, and that are then turned
 # into events or offline rows together; bounds the counts held.
 _HISTOGRAM_BLOCK = 1 << 10
@@ -636,13 +616,12 @@ def _histograms(residuals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Iterat
             yield histogram
 
 
-def _events(cols: EventColumns, window_start: np.ndarray, window_end: np.ndarray) -> Iterator[EstimateEvent]:
+def _events(cols: EventColumns, window_start: np.ndarray, window_end: np.ndarray, histograms) -> Iterator[EstimateEvent]:
     # Histograms come from _histograms, counted a block of rows at a
     # time; the scan is not kept, only the columns the events read.
     # Each estimate is the float64 quotient of the int64 columns.  It
     # equals Python's int / int while the sums stay below 2^53, which
     # holds on any path shorter than 2^32 bits (residuals are < 2^21).
-    histograms = _histograms(cols.residuals, cols.lo, cols.hi)
     for block in range(0, cols.time.size, _HISTOGRAM_BLOCK):
         part = slice(block, block + _HISTOGRAM_BLOCK)
         yield from map(
@@ -658,24 +637,6 @@ def _events(cols: EventColumns, window_start: np.ndarray, window_end: np.ndarray
                 window_end[part].tolist(),
             ),
         )
-
-
-def run_poly(bits, config: SchemeConfig) -> list[EstimateEvent]:
-    return list(iter_poly(bits, config))
-
-
-def run_log(bits, config: SchemeConfig) -> list[EstimateEvent]:
-    return list(iter_log(bits, config))
-
-
-def run_eps(bits, config: SchemeConfig) -> list[EstimateEvent]:
-    return list(iter_eps(bits, config))
-
-
-def iter_offline(bits) -> Iterator[OfflineEstimate]:
-    """Windowless per-position estimates, one for every position >= psi."""
-    scan, cols = _scan_columns("offline", bits, SchemeConfig())
-    return _offline_rows(int(scan.psi[0]), scan.ages, scan.rank, cols, _histograms(cols.residuals, cols.lo, cols.hi))
 
 
 def _offline_rows(psi: int, ages: np.ndarray, rank: np.ndarray, cols: EventColumns, histograms) -> Iterator[OfflineEstimate]:
@@ -695,13 +656,29 @@ def _offline_rows(psi: int, ages: np.ndarray, rank: np.ndarray, cols: EventColum
                 yield OfflineEstimate(position, tau, count, next(estimates), next(histograms))
 
 
-def run_offline(bits) -> list[OfflineEstimate]:
-    return list(iter_offline(bits))
+def iter_scheme(tag: str, bits, config: SchemeConfig = SchemeConfig()) -> Iterator[EstimateEvent | OfflineEstimate]:
+    """Estimates of one scheme on one path, in time order: an
+    EstimateEvent per firing, or for offline an OfflineEstimate per
+    position from psi on.  The tag, its parameter and the path are
+    checked, and the path scanned, at the call.
+
+    An event's window starts at the first entry averaged, or at psi for
+    eps, and ends at the firing, or at the last entry averaged for log.
+    """
+    parameter = _setting(tag, config)
+    scan = prefix_scan(_one_path(bits))
+    cols = _BUILDERS[tag](scan, parameter)
+    histograms = _histograms(cols.residuals, cols.lo, cols.hi)
+    if tag == "offline":
+        return _offline_rows(int(scan.psi[0]), scan.ages, scan.rank, cols, histograms)
+    start = np.full(cols.time.size, scan.psi[0]) if tag == "eps" else scan.time[scan.order[cols.lo]]
+    end = scan.time[scan.order[cols.hi - 1]] if tag == "log" else cols.time
+    return _events(cols, start, end, histograms)
 
 
-def run_scheme(tag: str, bits, config: SchemeConfig):
-    """Dispatch by tag; offline returns OfflineEstimates, the rest events."""
-    return run_offline(bits) if tag == "offline" else list(_iter_events(tag, bits, config))
+def run_scheme(tag: str, bits, config: SchemeConfig = SchemeConfig()) -> list[EstimateEvent | OfflineEstimate]:
+    """The estimates of iter_scheme as a list."""
+    return list(iter_scheme(tag, bits, config))
 
 
 # --- quadratic reference ---------------------------------------------------
@@ -727,7 +704,7 @@ def _ref_histogram(residuals: np.ndarray) -> tuple[tuple[int, int], ...]:
 def ref_run(scheme: str, bits, config: SchemeConfig):
     """Slow per-position rescan twin of run_scheme, same output exactly."""
     parameter = _setting(scheme, config)
-    arr = _as_path(bits)
+    arr = _one_path(bits)
     zeros = np.flatnonzero(arr == 0)
     out: list = []
     if zeros.size == 0:

@@ -18,15 +18,7 @@ from .adversary import mu_L_shift, stage0, tv_prefix_exact
 from .evaluation import CSV_COLUMNS, firing_density, score_events
 from .laws import make_law, perturb, residual_mean, stationary_zero_prob
 from .paths import StartMode, sample_path
-from .schemes import (
-    SCHEME_TAGS,
-    SchemeConfig,
-    prefix_scan,
-    ref_run,
-    run_eps,
-    run_poly,
-    run_scheme,
-)
+from .schemes import SCHEME_TAGS, SchemeConfig, prefix_scan, ref_run, run_scheme
 
 P2_BITS = [0, 1, 1] * 14 + [0]
 
@@ -48,9 +40,9 @@ def _check_law_closed_forms() -> None:
 
 
 def _check_scheme_traces() -> None:
-    poly_times = [e.time for e in run_poly(P2_BITS, SchemeConfig(gamma=0.5))]
+    poly_times = [e.time for e in run_scheme("poly", P2_BITS, SchemeConfig(gamma=0.5))]
     _expect(poly_times == [9] + list(range(12, len(P2_BITS))), poly_times)
-    eps_events = run_eps(P2_BITS[:12], SchemeConfig(epsilon=0.5))
+    eps_events = run_scheme("eps", P2_BITS[:12], SchemeConfig(epsilon=0.5))
     _expect([e.time for e in eps_events] == [3, 4, 6, 7, 8, 9, 10, 11])
     _expect(eps_events[0].estimate == 2.0)
     scored = score_events(make_law({"type": "explicit", "p": [0, 0, 1]}), eps_events)

@@ -36,13 +36,8 @@ from renewalbench.paths import StartMode, sample_path
 from renewalbench.schemes import (
     SCHEME_TAGS,
     SchemeConfig,
-    iter_log,
-    iter_poly,
+    iter_scheme,
     ref_run,
-    run_eps,
-    run_log,
-    run_offline,
-    run_poly,
     run_scheme,
 )
 
@@ -60,16 +55,16 @@ def test_criterion_1_deterministic_law():
     law = make_law(P2)
     bits = [0, 1, 1] * 60 + [0]
 
-    poly_events = run_poly(bits, SchemeConfig(gamma=0.5))
+    poly_events = run_scheme("poly", bits, SchemeConfig(gamma=0.5))
     assert [e.time for e in poly_events] == [9] + list(range(12, len(bits)))
 
-    eps_events = run_eps(bits, SchemeConfig(epsilon=0.5))
+    eps_events = run_scheme("eps", bits, SchemeConfig(epsilon=0.5))
     assert [e.time for e in eps_events][:5] == [3, 4, 6, 7, 8]
 
-    log_events = run_log(bits, SchemeConfig(gamma=0.25))
+    log_events = run_scheme("log", bits, SchemeConfig(gamma=0.25))
     assert log_events, "the dyadic scheme must fire on the periodic path"
 
-    offline = [row for row in run_offline(bits) if row.defined]
+    offline = [row for row in run_scheme("offline", bits) if row.defined]
     assert offline
 
     for events in (poly_events, eps_events, log_events, offline):
@@ -150,7 +145,7 @@ def test_criterion_4_dyadic_scheme_final_event_and_density():
         bits = sample_path(law, 199_999, StartMode.STATIONARY, seed=777, stream=r).bits
         last = None
         count = 0
-        for event in iter_log(bits, config):
+        for event in iter_scheme("log", bits, config):
             last = event
             count += 1
         final_errors.append(abs(last.estimate - residual_mean(law, last.run_age)))
@@ -164,7 +159,7 @@ def test_criterion_4_dyadic_scheme_final_event_and_density():
         per_rep = []
         for r in range(20):
             bits = sample_path(law, n_positions - 1, StartMode.STATIONARY, seed=777, stream=r).bits
-            per_rep.append(sum(1 for _ in iter_log(bits, config)) / n_positions)
+            per_rep.append(sum(1 for _ in iter_scheme("log", bits, config)) / n_positions)
         medians.append(statistics.median(per_rep))
     assert medians[0] < medians[1] < medians[2]
 
@@ -200,7 +195,7 @@ def test_criterion_6_occupancy_scheme_on_heavy_tail():
 
     # hand-derived deterministic trace on the period-3 path
     bits = [0, 1, 1] * 10 + [0]
-    events = run_eps(bits, SchemeConfig(epsilon=0.5))
+    events = run_scheme("eps", bits, SchemeConfig(epsilon=0.5))
     assert [e.time for e in events][:8] == [3, 4, 6, 7, 8, 9, 10, 11]
     assert events[0].estimate == 2.0
     assert events[1].estimate == 1.0
@@ -253,12 +248,12 @@ def test_criterion_7_inequality_suite():
             config = SchemeConfig(gamma=gamma)
             for r in range(4):
                 bits = sample_path(law, 30_000, StartMode.STATIONARY, seed=4242, stream=r).bits
-                for event in iter_poly(bits, config):
+                for event in iter_scheme("poly", bits, config):
                     assert event.estimate <= event.time**gamma - 1.0 + 1e-12
         config = SchemeConfig(gamma=0.3)
         for r in range(4):
             bits = sample_path(law, 30_000, StartMode.STATIONARY, seed=4242, stream=r).bits
-            for event in iter_log(bits, config):
+            for event in iter_scheme("log", bits, config):
                 scale = event.time.bit_length() - 1
                 assert event.estimate <= 2.0 ** (scale * 0.3) - 1.0 + 1e-12
 
@@ -276,7 +271,7 @@ def test_criterion_8_adversarial_stage_demonstration():
     base = stage0()
     budgets = SearchBudgets(max_stage=2)
 
-    state = advance_stage(base, iter_poly, config, budgets=budgets, seed=0)
+    state = advance_stage(base, "poly", config, budgets=budgets, seed=0)
     audit = state.audits[0]
     assert state.markers == (0, 64)
 
@@ -294,7 +289,7 @@ def test_criterion_8_adversarial_stage_demonstration():
     n_exact = min(state.markers[1], 20)
     assert tv_prefix_exact(base.law, state.law, n_exact) <= 1e-3
 
-    report = verify_stage(state, iter_poly, config, reps=10_000, seed=914_771)
+    report = verify_stage(state, "poly", config, reps=10_000, seed=914_771)
     assert report["all_passed"]
     joint = next(c for c in report["conditions"] if c["condition"] == "joint_fooling")
     assert joint["threshold"] == pytest.approx(0.998)
@@ -304,6 +299,6 @@ def test_criterion_8_adversarial_stage_demonstration():
     # left every tail beyond the window at exactly delta, and 3*delta
     # exceeds the next stage's tail cap
     with pytest.raises(BudgetExhausted) as info:
-        advance_stage(state, iter_poly, config, budgets=budgets, seed=1)
+        advance_stage(state, "poly", config, budgets=budgets, seed=1)
     assert info.value.constraint == "marker"
     assert time.perf_counter() - started < 1200.0

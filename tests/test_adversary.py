@@ -4,6 +4,7 @@ fooling Monte Carlo with stub estimators, stage advance and verification."""
 import dataclasses
 import json
 import math
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -34,7 +35,7 @@ from renewalbench.laws import (
     stationary_zero_prob,
 )
 from renewalbench.paths import StartMode, sample_path
-from renewalbench.schemes import EstimateEvent, SchemeConfig, iter_eps, iter_log, iter_poly, run_poly
+from renewalbench.schemes import EstimateEvent, SchemeConfig, iter_scheme
 
 CFG = SchemeConfig(gamma=0.3)
 
@@ -234,7 +235,7 @@ def silent_runner(bits, config):
 def rewriting_runner(fn):
     # keeps real firing times and ages, only rewrites the estimate
     def runner(bits, config):
-        for event in iter_poly(bits, config):
+        for event in iter_scheme("poly", bits, config):
             yield EstimateEvent(
                 ordinal=event.ordinal,
                 time=event.time,
@@ -289,14 +290,14 @@ class TestFoolingProbability:
 
     def test_real_scheme_is_fooled_by_inflated_target(self):
         law = stage0().law
-        result = fooling_probability(law, iter_poly, CFG, (0, 64), law.mean + 2.0, 500, seed=7)
+        result = fooling_probability(law, "poly", CFG, (0, 64), law.mean + 2.0, 500, seed=7)
         assert result.estimate > 0.98
         assert result.any_fired
 
     def test_reproducible_for_fixed_seed(self):
         law = stage0().law
-        a = fooling_probability(law, iter_poly, CFG, (0, 64), law.mean + 2.0, 150, seed=11)
-        b = fooling_probability(law, iter_poly, CFG, (0, 64), law.mean + 2.0, 150, seed=11)
+        a = fooling_probability(law, "poly", CFG, (0, 64), law.mean + 2.0, 150, seed=11)
+        b = fooling_probability(law, "poly", CFG, (0, 64), law.mean + 2.0, 150, seed=11)
         assert a == b
 
     def test_precondition_errors(self):
@@ -369,31 +370,26 @@ class TestBlockedMonteCarlo:
         )
         assert 0 < result.executed_reps == reached < 300
 
-    @pytest.mark.parametrize("scheme, runner", [("poly", iter_poly), ("log", iter_log), ("eps", iter_eps)])
-    def test_tag_and_wrapped_runner_agree(self, scheme, runner, stage_one):
+    @pytest.mark.parametrize("scheme", ["poly", "log", "eps"])
+    def test_tag_and_wrapped_runner_agree(self, scheme, stage_one):
         config = SchemeConfig(gamma=0.3, epsilon=0.1)
-
-        def wrapped(bits, config):
-            return runner(bits, config)
-
+        runner = partial(iter_scheme, scheme)
         results = []
         for law in (stage0().law, stage_one.law):
             for age, bound in ((0, 64), (1, 200), (2, 700)):
                 # the cutoff at the true conditional mean splits the paths
                 args = (config, (age, bound), residual_mean(law, age) + 1.0, 150)
                 tagged = fooling_probability(law, scheme, *args, seed=3)
-                assert fooling_probability(law, wrapped, *args, seed=3) == tagged
                 assert fooling_probability(law, runner, *args, seed=3) == tagged
                 results.append(tagged)
         assert any(0 < r.successes < r.executed_reps for r in results)
         report = verify_stage(stage_one, scheme, config, reps=300, seed=9)
-        assert verify_stage(stage_one, wrapped, config, reps=300, seed=9) == report
         assert verify_stage(stage_one, runner, config, reps=300, seed=9) == report
 
     @pytest.mark.parametrize("scheme", ["poly", "eps"])
     def test_results_equal_the_per_path_loops(self, scheme, stage_one):
         config = SchemeConfig(gamma=0.3, epsilon=0.1)
-        runner = {"poly": iter_poly, "eps": iter_eps}[scheme]
+        runner = partial(iter_scheme, scheme)
         for law in (stage0().law, stage_one.law):
             # age 40 is out of reach of 45 bits: nothing counts as fired
             for age, bound in ((0, 64), (1, 90), (3, 40), (40, 45)):
@@ -404,7 +400,7 @@ class TestBlockedMonteCarlo:
         assert report["conditions"][0]["estimate"] == per_path_joint(stage_one, runner, config, 200, 6)
 
     def test_unknown_tag_is_rejected(self):
-        with pytest.raises(ValueError, match="scheme tag"):
+        with pytest.raises(ValueError, match=r"unknown scheme tag 'offline'; expected one of \['eps', 'log', 'poly'\]"):
             fooling_probability(stage0().law, "offline", CFG, (0, 64), 3.0, 200, seed=1)
 
 
@@ -440,7 +436,7 @@ def two_window_state(stage_one, marker, horizon, k, share):
 
 class TestAdvanceStage:
     def test_first_stage_within_default_budgets(self):
-        state = advance_stage(stage0(), iter_poly, CFG, seed=0)
+        state = advance_stage(stage0(), "poly", CFG, seed=0)
         assert state.stage == 1
         assert len(state.markers) == 2
         assert state.markers[0] == 0
@@ -482,8 +478,8 @@ class TestAdvanceStage:
         assert lengths == [14] * 12 + [20]
 
     def test_deterministic_given_seed(self):
-        a = advance_stage(stage0(), iter_poly, CFG, seed=3)
-        b = advance_stage(stage0(), iter_poly, CFG, seed=3)
+        a = advance_stage(stage0(), "poly", CFG, seed=3)
+        b = advance_stage(stage0(), "poly", CFG, seed=3)
         assert a.audits == b.audits
         assert a.markers == b.markers
         assert a.law.probs == b.law.probs
@@ -492,27 +488,27 @@ class TestAdvanceStage:
         # the first perturbation leaves every tail beyond the window at
         # exactly delta, and 3*delta sits above the next stage's cap, so
         # no admissible age marker exists at any scale
-        state = advance_stage(stage0(), iter_poly, CFG, seed=0)
+        state = advance_stage(stage0(), "poly", CFG, seed=0)
         with pytest.raises(BudgetExhausted) as info:
-            advance_stage(state, iter_poly, CFG, seed=1)
+            advance_stage(state, "poly", CFG, seed=1)
         assert info.value.constraint == "marker"
 
     def test_horizon_budget_can_exhaust(self):
         budgets = SearchBudgets(horizon_start=64, horizon_max=32)
         with pytest.raises(BudgetExhausted) as info:
-            advance_stage(stage0(), iter_poly, CFG, budgets=budgets, seed=0)
+            advance_stage(stage0(), "poly", CFG, budgets=budgets, seed=0)
         assert info.value.constraint == "horizon"
 
     def test_perturbation_budget_can_exhaust(self):
         budgets = SearchBudgets(delta_halvings=0)
         with pytest.raises(BudgetExhausted) as info:
-            advance_stage(stage0(), iter_poly, CFG, budgets=budgets, seed=0)
+            advance_stage(stage0(), "poly", CFG, budgets=budgets, seed=0)
         assert info.value.constraint == "perturbation"
 
     def test_stage_cap(self):
-        state = advance_stage(stage0(), iter_poly, CFG, seed=0)
+        state = advance_stage(stage0(), "poly", CFG, seed=0)
         with pytest.raises(ValueError, match="cap"):
-            advance_stage(state, iter_poly, CFG, budgets=SearchBudgets(max_stage=1))
+            advance_stage(state, "poly", CFG, budgets=SearchBudgets(max_stage=1))
 
 
 class TestStageStateInvariants:
@@ -527,7 +523,7 @@ class TestStageStateInvariants:
             StageState(stage=1, markers=(0, 64), law_history=(law,), audits=())
 
     def test_window_accessor(self):
-        state = advance_stage(stage0(), iter_poly, CFG, seed=0)
+        state = advance_stage(stage0(), "poly", CFG, seed=0)
         assert state.window(1) == (state.markers[0], state.markers[1])
         with pytest.raises(ValueError):
             state.window(2)
@@ -555,11 +551,11 @@ class TestStageStateInvariants:
         assert by_name["joint_fooling"]["windows"] == [list(state.window(1)), [marker, horizon]]
         assert [entry["stage"] for entry in by_name["prefix_tv"]["stages"]] == [1, 2]
         assert {check["age"] for check in by_name["tail_mean_monotone"]["checks"]} == {0, marker}
-        # the joint verdict over both windows, for a tag and a wrapped runner
-        joint = per_path_joint(state, iter_poly, CFG, 100, 5)
+        # the joint verdict over both windows, for a tag and a callable runner
+        joint = per_path_joint(state, partial(iter_scheme, "poly"), CFG, 100, 5)
         assert by_name["joint_fooling"]["estimate"] == joint
-        wrapped = verify_stage(state, lambda bits, config: iter_poly(bits, config), CFG, reps=100, seed=5)
-        assert wrapped["conditions"][0]["estimate"] == joint
+        called = verify_stage(state, partial(iter_scheme, "poly"), CFG, reps=100, seed=5)
+        assert called["conditions"][0]["estimate"] == joint
 
     def test_two_window_joint_verdict_needs_both_windows(self, stage_one):
         # eps fires at age 65 once runs of 70 are common: each window
@@ -571,16 +567,16 @@ class TestStageStateInvariants:
             fooling_probability(law, "eps", config, window, residual_mean(law, window[0]), 200, seed=5).estimate
             for window in (state.window(1), state.window(2))
         ]
-        joint = per_path_joint(state, iter_eps, config, 200, 5)
+        joint = per_path_joint(state, partial(iter_scheme, "eps"), config, 200, 5)
         assert 0.0 < joint < min(alone)
-        for runner in ("eps", lambda bits, config: iter_eps(bits, config)):
+        for runner in ("eps", partial(iter_scheme, "eps")):
             assert verify_stage(state, runner, config, reps=200, seed=5)["conditions"][0]["estimate"] == joint
 
 
 class TestVerifyStage:
     def test_first_stage_verifies(self):
-        state = advance_stage(stage0(), iter_poly, CFG, seed=0)
-        report = verify_stage(state, iter_poly, CFG, reps=2000, seed=424243)
+        state = advance_stage(stage0(), "poly", CFG, seed=0)
+        report = verify_stage(state, "poly", CFG, reps=2000, seed=424243)
         assert report["all_passed"]
         by_name = {c["condition"]: c for c in report["conditions"]}
         joint = by_name["joint_fooling"]
@@ -591,31 +587,31 @@ class TestVerifyStage:
         assert by_name["tail_mean_monotone"]["passed"]
 
     def test_corrupted_law_fails_the_mean_condition(self):
-        state = advance_stage(stage0(), iter_poly, CFG, seed=0)
+        state = advance_stage(stage0(), "poly", CFG, seed=0)
         doctored = StageState(
             stage=1,
             markers=state.markers,
             law_history=(state.law_history[0], p_law([0, 0, 1])),
             audits=state.audits,
         )
-        report = verify_stage(doctored, iter_poly, CFG, reps=300, seed=99)
+        report = verify_stage(doctored, "poly", CFG, reps=300, seed=99)
         assert not report["all_passed"]
         by_name = {c["condition"]: c for c in report["conditions"]}
         assert not by_name["mean_increment"]["passed"]
 
     def test_requires_an_advanced_stage(self):
         with pytest.raises(ValueError):
-            verify_stage(stage0(), iter_poly, CFG)
+            verify_stage(stage0(), "poly", CFG)
 
     def test_rejects_tiny_rep_counts(self):
-        state = advance_stage(stage0(), iter_poly, CFG, seed=0)
+        state = advance_stage(stage0(), "poly", CFG, seed=0)
         with pytest.raises(ValueError, match="100 reps"):
-            verify_stage(state, iter_poly, CFG, reps=10)
+            verify_stage(state, "poly", CFG, reps=10)
 
 
 class TestAuditJson:
     def test_shape_and_values(self):
-        state = advance_stage(stage0(), iter_poly, CFG, seed=0)
+        state = advance_stage(stage0(), "poly", CFG, seed=0)
         entries = json.loads(audit_json(state))
         assert len(entries) == 1
         entry = entries[0]

@@ -340,7 +340,7 @@ class TestSelftest:
         script = (
             "import sys\n"
             "from renewalbench import selfcheck\n"
-            "selfcheck.run_poly = lambda bits, config: []\n"
+            "selfcheck.run_scheme = lambda tag, bits, config: []\n"
             "selfcheck.stationary_zero_prob = lambda law: 0.0\n"
             "failures = selfcheck.run_selftest(lambda line: None)\n"
             "print(f'optimize={sys.flags.optimize} failures={failures}')\n"
@@ -355,7 +355,7 @@ class TestSelftest:
             timeout=300,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "optimize=1 failures=2"
+        assert done.stdout.splitlines()[-1] == "optimize=1 failures=3"
 
 
 EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"

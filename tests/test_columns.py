@@ -27,10 +27,6 @@ from renewalbench.schemes import (
     _window_sizes,
     prefix_scan,
     ref_run,
-    run_eps,
-    run_log,
-    run_offline,
-    run_poly,
     run_scheme,
     scheme_columns,
     window_counts,
@@ -139,7 +135,7 @@ def test_paths_without_estimates():
     for bits in ([1] * 50, [1, 1, 0, 1], [0, 1]):
         for scheme in ("poly", "log", "eps"):
             assert run_scheme(scheme, bits, config) == ref_run(scheme, bits, config) == []
-        assert run_offline(bits) == ref_run("offline", bits, config)
+        assert run_scheme("offline", bits) == ref_run("offline", bits, config)
         assert prefix_scan(bits).rank.size == len(bits) - (bits.index(0) if 0 in bits else len(bits))
     for scheme in ("poly", "offline", "eps", "log"):
         report = run_experiment(
@@ -196,7 +192,7 @@ def test_threshold_at_exact_powers(gamma, t, m):
     for rank in (m - 1, m):
         bits = _rank_at(t, rank)
         assert len(bits) == t + 3 and prefix_scan(bits).rank[t] == rank
-        events = run_poly(bits, config)
+        events = run_scheme("poly", bits, config)
         assert events == ref_run("poly", bits, config)
         at_t = [e for e in events if e.time == t]
         if rank < m:
@@ -212,7 +208,7 @@ def test_eps_fires_at_equality():
     config = SchemeConfig(epsilon=0.5)
     for bits, fires in (([0, 1, 1] * 4, True), ([0, 1, 1, 0, 0, 1, 0, 1, 1, 0], False)):
         assert bits[6:9] == [0, 1, 1]
-        events = run_eps(bits, config)
+        events = run_scheme("eps", bits, config)
         assert events == ref_run("eps", bits, config)
         assert any(e.time == 8 for e in events) == fires
 
@@ -236,7 +232,7 @@ def test_eps_fires_at_equality():
 )
 def test_log_scale_gate_and_window_boundaries(bits, gamma, fired):
     config = SchemeConfig(gamma=gamma)
-    events = run_log(bits, config)
+    events = run_scheme("log", bits, config)
     assert events == ref_run("log", bits, config)
     assert [e.time for e in events if e.run_age == 0] == fired
 

@@ -27,7 +27,7 @@ from renewalbench.evaluation import (
     score_events,
 )
 from renewalbench.paths import StartMode, sample_path
-from renewalbench.schemes import SchemeConfig, run_eps, run_offline, run_poly, scheme_columns
+from renewalbench.schemes import SchemeConfig, run_scheme, scheme_columns
 
 P2_LAW = make_law({"type": "explicit", "p": [0.0, 0.0, 1.0]})
 GEOM = make_law({"type": "geometric", "q": 0.5, "truncate": 60})
@@ -57,7 +57,7 @@ class TestThetaOracle:
 
 class TestScoreEvents:
     def test_periodic_events_score_zero(self):
-        events = run_poly(p2_bits(40), SchemeConfig(gamma=0.5))
+        events = run_scheme("poly", p2_bits(40), SchemeConfig(gamma=0.5))
         assert events
         for record in score_events(P2_LAW, events, scheme="poly"):
             assert record.abs_err == 0.0
@@ -65,7 +65,7 @@ class TestScoreEvents:
 
     def test_matching_histogram_scores_zero(self):
         law = make_law({"type": "explicit", "p": [0.0, 0.5, 0.5]})
-        events = run_eps([0, 1, 0, 1, 1, 0, 1, 0, 1, 1, 0], SchemeConfig(epsilon=0.9))
+        events = run_scheme("eps", [0, 1, 0, 1, 1, 0, 1, 0, 1, 1, 0], SchemeConfig(epsilon=0.9))
         hits = [
             r
             for r in score_events(law, events)
@@ -96,7 +96,7 @@ class TestScoreEvents:
             assert abs(got - expected) < 1e-12
 
     def test_order_independence(self):
-        events = run_eps(p2_bits(40), SchemeConfig(epsilon=0.5))
+        events = run_scheme("eps", p2_bits(40), SchemeConfig(epsilon=0.5))
         forward = score_events(P2_LAW, events)
         backward = score_events(P2_LAW, list(reversed(events)))
         assert sorted(r.row() for r in forward) == sorted(r.row() for r in backward)
@@ -104,7 +104,7 @@ class TestScoreEvents:
 
 class TestDensities:
     def test_periodic_firing_density(self):
-        events = run_poly(p2_bits(100), SchemeConfig(gamma=0.5))
+        events = run_scheme("poly", p2_bits(100), SchemeConfig(gamma=0.5))
         assert [e.time for e in events] == [9] + list(range(12, 100))
         assert firing_density(events, 100) == 0.89
 
@@ -112,17 +112,17 @@ class TestDensities:
         assert firing_density([], 1000) == 0.0
 
     def test_all_zero_eps_density(self):
-        events = run_eps([0] * 50, SchemeConfig(epsilon=0.3))
+        events = run_scheme("eps", [0] * 50, SchemeConfig(epsilon=0.3))
         assert firing_density(events, 50) == 49 / 50
 
     def test_periodic_good_index_density(self):
-        rows = run_offline(p2_bits(101))
+        rows = run_scheme("offline", p2_bits(101))
         density = good_index_density(rows, P2_LAW, tolerance=0.01, N=100)
         assert density == 98 / 101
         assert density >= 0.9
 
     def test_huge_tolerance_counts_defined_rows(self):
-        rows = run_offline(p2_bits(101))
+        rows = run_scheme("offline", p2_bits(101))
         assert good_index_density(rows, P2_LAW, tolerance=1e9, N=100) == 98 / 101
 
     def test_bad_inputs(self):

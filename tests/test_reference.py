@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from renewalbench.laws import make_law
 from renewalbench.paths import StartMode, sample_path
-from renewalbench.schemes import SCHEME_TAGS, OfflineEstimate, SchemeConfig, ref_run, run_scheme, scheme_columns
+from renewalbench.schemes import SCHEME_TAGS, OfflineEstimate, SchemeConfig, iter_scheme, ref_run, run_scheme, scheme_columns
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -108,28 +108,36 @@ def test_reference_reads_only_the_prefix():
                 assert ref_run(tag, bits[: t + 1], config) == _cut(full, t), (bits, config, tag, t)
 
 
+# a path without a zero too: the checks come before the scan
+PATHS = ([0, 1, 1, 0, 1, 0], [1, 1])
+BLOCKS = (np.zeros((2, 12), dtype=int), [[0, 1], [1, 0]])
+
+
 class TestOneEntryPath:
-    """The engine and the reference decide a tag and its parameter in
-    the same place, so they refuse and warn alike."""
+    """The engine and the reference decide a tag, its parameter and the
+    path's shape in the same place, so they refuse and warn alike, and
+    iter_scheme does so when it is called, not when it is iterated."""
 
     @pytest.mark.parametrize(
-        "tag, config",
+        "tag, config, inputs",
         [
-            ("quadratic", SchemeConfig(gamma=0.3, epsilon=0.3)),
-            ("poly", SchemeConfig(epsilon=0.3)),
-            ("log", SchemeConfig(epsilon=0.3)),
-            ("eps", SchemeConfig(gamma=0.3)),
+            ("quadratic", SchemeConfig(gamma=0.3, epsilon=0.3), PATHS),
+            ("poly", SchemeConfig(epsilon=0.3), PATHS),
+            ("log", SchemeConfig(epsilon=0.3), PATHS),
+            ("eps", SchemeConfig(gamma=0.3), PATHS),
+            # a block of paths is not one path, whatever the tag
+            *((tag, SchemeConfig(gamma=0.3, epsilon=0.3), BLOCKS) for tag in SCHEME_TAGS),
         ],
     )
-    def test_same_errors(self, tag, config):
-        # a path without a zero too: the check comes before the scan
-        for bits in ([0, 1, 1, 0, 1, 0], [1, 1]):
+    def test_same_errors(self, tag, config, inputs):
+        for bits in inputs:
             messages = []
-            for run in (run_scheme, ref_run):
+            for run in (run_scheme, iter_scheme, ref_run):
                 with pytest.raises(ValueError) as caught:
                     run(tag, bits, config)
                 messages.append(str(caught.value))
-            assert messages[0] == messages[1]
+            assert messages[0] == messages[1] == messages[2]
+            assert np.ndim(bits) == 1 or f"shape {np.shape(bits)}" in messages[0]
 
     @pytest.mark.parametrize(
         "tag, config, count",
@@ -145,12 +153,12 @@ class TestOneEntryPath:
     )
     def test_same_warnings(self, tag, config, count):
         seen = []
-        for run in (run_scheme, ref_run):
+        for run in (run_scheme, iter_scheme, ref_run):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 run(tag, [0, 1, 1, 0, 1, 0, 1, 1, 0] * 4, config)
             seen.append([(w.category, str(w.message)) for w in caught])
-        assert seen[0] == seen[1]
+        assert seen[0] == seen[1] == seen[2]
         assert len(seen[0]) == count
 
     @pytest.mark.parametrize("tag", SCHEME_TAGS)

@@ -16,10 +16,6 @@ from renewalbench.paths import StartMode, sample_path
 from renewalbench.schemes import (
     EstimateEvent,
     SchemeConfig,
-    run_eps,
-    run_log,
-    run_offline,
-    run_poly,
     run_scheme,
 )
 
@@ -35,7 +31,7 @@ def geometric_bits(n, seed=7):
 
 class TestPoly:
     def test_alternating_first_event(self):
-        events = run_poly([0, 1, 0, 1, 0, 1, 0], G05)
+        events = run_scheme("poly", [0, 1, 0, 1, 0, 1, 0], G05)
         assert [e.time for e in events] == [4, 6]
         first = events[0]
         assert first == EstimateEvent(
@@ -50,7 +46,7 @@ class TestPoly:
         )
 
     def test_periodic_trace(self):
-        events = run_poly(P2[:31], G05)
+        events = run_scheme("poly", P2[:31], G05)
         assert [e.time for e in events] == [9] + list(range(12, 31))
         first = events[0]
         assert (first.sample_count, first.estimate) == (3, 2.0)
@@ -64,16 +60,16 @@ class TestPoly:
             assert event.estimate == {0: 2.0, 1: 1.0, 2: 0.0}[event.run_age]
 
     def test_single_run_never_fires(self):
-        assert run_poly([0, 1, 1, 1, 1], G05) == []
-        assert run_poly([1, 1, 1, 1], G05) == []
+        assert run_scheme("poly", [0, 1, 1, 1, 1], G05) == []
+        assert run_scheme("poly", [1, 1, 1, 1], G05) == []
 
     def test_requires_gamma(self):
         with pytest.raises(ValueError):
-            run_poly([0, 1, 0], SchemeConfig(epsilon=0.5))
+            run_scheme("poly", [0, 1, 0], SchemeConfig(epsilon=0.5))
 
     def test_sample_count_follows_fire_time(self):
         bits = geometric_bits(4000)
-        for event in run_poly(bits, SchemeConfig(gamma=0.3)):
+        for event in run_scheme("poly", bits, SchemeConfig(gamma=0.3)):
             assert event.sample_count == math.ceil(event.time**0.7)
 
     def test_mean_bound_on_emitted_events(self):
@@ -81,7 +77,7 @@ class TestPoly:
         # polynomial bound estimate <= time^gamma - 1
         for gamma in (0.3, 0.5):
             config = SchemeConfig(gamma=gamma)
-            for event in run_poly(geometric_bits(5000, seed=11), config):
+            for event in run_scheme("poly", geometric_bits(5000, seed=11), config):
                 assert event.estimate <= event.time / event.sample_count - 1 + 1e-9
                 assert event.estimate <= event.time**gamma - 1 + 1e-9
 
@@ -89,31 +85,31 @@ class TestPoly:
 class TestPolyWarnings:
     def test_warns_when_gamma_too_big_for_alpha(self):
         with pytest.warns(UserWarning, match="1-2/alpha"):
-            run_poly([0, 1, 0], SchemeConfig(gamma=0.3, declared_alpha=2.5))
+            run_scheme("poly", [0, 1, 0], SchemeConfig(gamma=0.3, declared_alpha=2.5))
 
     def test_warns_when_alpha_admits_nothing(self):
         with pytest.warns(UserWarning, match="no gamma"):
-            run_poly([0, 1, 0], SchemeConfig(gamma=0.1, declared_alpha=2.0))
+            run_scheme("poly", [0, 1, 0], SchemeConfig(gamma=0.1, declared_alpha=2.0))
 
     def test_silent_when_admissible(self):
         import warnings as w
 
         with w.catch_warnings():
             w.simplefilter("error")
-            run_poly([0, 1, 0], SchemeConfig(gamma=0.2, declared_alpha=10.0))
-            run_poly([0, 1, 0], G05)  # no declared alpha, advisory skipped
+            run_scheme("poly", [0, 1, 0], SchemeConfig(gamma=0.2, declared_alpha=10.0))
+            run_scheme("poly", [0, 1, 0], G05)  # no declared alpha, advisory skipped
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 class TestLog:
     def test_periodic_trace(self):
-        events = run_log(P2[:36], G05)
+        events = run_scheme("log", P2[:36], G05)
         assert [e.time for e in events] == [
             17, 18, 20, 21, 23, 24, 26, 27, 29, 30, 32, 33, 34, 35,
         ]
 
     def test_periodic_event_fields(self):
-        events = {e.time: e for e in run_log(P2[:22], G05)}
+        events = {e.time: e for e in run_scheme("log", P2[:22], G05)}
         at18 = events[18]
         assert at18.run_age == 0
         assert at18.estimate == 2.0
@@ -131,16 +127,16 @@ class TestLog:
         assert events[17].window_end == at20.window_end
 
     def test_estimates_by_age(self):
-        for event in run_log(P2, G05):
+        for event in run_scheme("log", P2, G05):
             assert event.estimate == {0: 2.0, 1: 1.0, 2: 0.0}[event.run_age]
 
     def test_never_fires_at_or_below_two(self):
         for bits in ([0, 1, 0], [0, 0, 0], [0, 1, 1]):
-            assert run_log(bits, G05) == []
+            assert run_scheme("log", bits, G05) == []
 
     def test_window_end_below_scale_boundary(self):
         config = SchemeConfig(gamma=0.3)
-        for event in run_log(geometric_bits(6000, seed=3), config):
+        for event in run_scheme("log", geometric_bits(6000, seed=3), config):
             scale = event.time.bit_length() - 1
             assert event.window_end < (1 << scale)
             assert event.window_start > scale
@@ -149,12 +145,12 @@ class TestLog:
 
     def test_warns_on_large_gamma(self):
         with pytest.warns(UserWarning, match="1/3"):
-            run_log([0, 1, 0], G05)
+            run_scheme("log", [0, 1, 0], G05)
 
 
 class TestOffline:
     def test_short_trace(self):
-        rows = run_offline([0, 1, 0, 1, 1])
+        rows = run_scheme("offline", [0, 1, 0, 1, 1])
         assert [r.position for r in rows] == [0, 1, 2, 3, 4]
         assert [r.defined for r in rows] == [False, False, True, True, False]
         assert rows[2].estimate == 1.0
@@ -162,7 +158,7 @@ class TestOffline:
         assert rows[4].run_age == 2 and rows[4].estimate is None
 
     def test_periodic_trace(self):
-        rows = {r.position: r for r in run_offline(P2[:10])}
+        rows = {r.position: r for r in run_scheme("offline", P2[:10])}
         assert not rows[0].defined and not rows[1].defined and not rows[2].defined
         n6 = rows[6]
         assert n6.run_age == 0
@@ -173,14 +169,14 @@ class TestOffline:
         assert rows[9].sample_count == 3
 
     def test_rows_start_at_first_zero(self):
-        rows = run_offline([1, 1, 0, 1])
+        rows = run_scheme("offline", [1, 1, 0, 1])
         assert [r.position for r in rows] == [2, 3]
         assert not rows[0].defined
 
 
 class TestEps:
     def test_periodic_trace(self):
-        events = run_eps(P2[:12], E05)
+        events = run_scheme("eps", P2[:12], E05)
         assert [e.time for e in events] == [3, 4, 6, 7, 8, 9, 10, 11]
         assert [e.estimate for e in events] == [2.0, 1.0, 2.0, 1.0, 0.0, 2.0, 1.0, 0.0]
         # t=8 is an exact tie: 6 positions of smaller age, threshold 6.0
@@ -188,7 +184,7 @@ class TestEps:
         assert (tie.time, tie.run_age) == (8, 2)
 
     def test_all_zero_path(self):
-        events = run_eps([0] * 8, SchemeConfig(epsilon=0.3))
+        events = run_scheme("eps", [0] * 8, SchemeConfig(epsilon=0.3))
         assert [e.time for e in events] == list(range(1, 8))
         assert all(e.estimate == 0.0 for e in events)
         assert [e.sample_count for e in events] == list(range(1, 8))
@@ -196,8 +192,8 @@ class TestEps:
     def test_firings_without_history_are_suppressed(self):
         # ages 1..3 in the open run beat the threshold thanks to the
         # late first zero, but no completed run has seen them
-        assert run_eps([1, 1, 0, 1, 1, 1], E05) == []
-        events = run_eps([1, 1, 0, 1, 1, 1, 0, 1], E05)
+        assert run_scheme("eps", [1, 1, 0, 1, 1, 1], E05) == []
+        events = run_scheme("eps", [1, 1, 0, 1, 1, 1, 0, 1], E05)
         assert [(e.time, e.run_age, e.estimate) for e in events] == [
             (6, 0, 3.0),
             (7, 1, 2.0),
@@ -205,7 +201,7 @@ class TestEps:
 
     def test_requires_epsilon(self):
         with pytest.raises(ValueError):
-            run_eps([0, 1, 0], G05)
+            run_scheme("eps", [0, 1, 0], G05)
 
 
 class TestConfigValidation:
@@ -228,9 +224,9 @@ def _event_runs():
     config = SchemeConfig(gamma=0.3, epsilon=0.4)
     bits = geometric_bits(3000, seed=23)
     return [
-        ("poly", run_poly(bits, config), bits),
-        ("log", run_log(bits, config), bits),
-        ("eps", run_eps(bits, config), bits),
+        ("poly", run_scheme("poly", bits, config), bits),
+        ("log", run_scheme("log", bits, config), bits),
+        ("eps", run_scheme("eps", bits, config), bits),
     ]
 
 
@@ -271,8 +267,8 @@ class TestEventInvariants:
 
     def test_offline_no_lookahead(self):
         bits = geometric_bits(800, seed=5)
-        full = run_offline(bits)
-        prefix = run_offline(bits[:401])
+        full = run_scheme("offline", bits)
+        prefix = run_scheme("offline", bits[:401])
         assert prefix == [r for r in full if r.position <= 400]
 
 
@@ -292,7 +288,7 @@ def test_fuzz_event_structure(bits, gamma, epsilon):
             previous = event.time
             assert sum(c for _, c in event.residual_counts) == event.sample_count
             assert event.estimate <= event.time / event.sample_count - 1 + 1e-9
-    rows = run_offline(bits)
+    rows = run_scheme("offline", bits)
     zeros = [i for i, b in enumerate(bits) if b == 0]
     if zeros:
         assert [r.position for r in rows] == list(range(zeros[0], len(bits)))
