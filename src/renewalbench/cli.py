@@ -17,6 +17,7 @@ import sys
 from dataclasses import asdict, replace
 
 from .adversary import (
+    _TAGS,
     BudgetExhausted,
     advance_stage,
     audit_json,
@@ -36,7 +37,7 @@ MAX_CSV_POSITIONS = 2_000_000
 
 # The adversary's schemes by tag.  A runner is its tag; bench/traced.py
 # wraps the values in place, and nothing calls them.
-_ADVERSARY_RUNNERS = {"poly": "poly", "log": "log", "eps": "eps"}
+_ADVERSARY_RUNNERS = {tag: tag for tag in _TAGS}
 
 
 class _Parser(argparse.ArgumentParser):

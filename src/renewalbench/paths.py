@@ -209,28 +209,36 @@ def dump_path(path: Path, file: str | FsPath) -> None:
     )
 
 
+def _json_object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 def load_path(file: str | FsPath) -> Path:
-    """Read a path dump written by :func:`dump_path`."""
+    """Read a path dump written by :func:`dump_path`; a malformed one
+    raises PathError naming its file."""
     file = FsPath(file)
-    line = file.read_text().strip()
+    line = file.read_bytes().strip()
     if not line:
         raise PathError(f"{file}: empty path dump")
-    raw = np.frombuffer(line.encode("ascii"), dtype=np.uint8) - ord("0")
+    raw = np.frombuffer(line, dtype=np.uint8) - ord("0")
     if not np.isin(raw, (0, 1)).all():
         raise PathError(f"{file}: path line must contain only '0' and '1'")
     sidecar_file = file.with_name(file.name + ".json")
     try:
-        sidecar = json.loads(sidecar_file.read_text())
+        values = {"stream": 0, **_json_object(json.loads(sidecar_file.read_bytes()))}
     except FileNotFoundError as exc:
         raise PathError(f"missing path sidecar {sidecar_file}") from exc
-    except json.JSONDecodeError as exc:
+    except (TypeError, ValueError) as exc:  # not UTF-8, not JSON, or not an object
         raise PathError(f"{sidecar_file}: malformed sidecar: {exc}") from exc
+    for name, parse in (("seed", int), ("stream", int), ("mode", parse_start_mode), ("law", _json_object)):
+        if name not in values:
+            raise PathError(f"{sidecar_file}: sidecar has no {name!r} field")
+        try:
+            values[name] = parse(values[name])
+        except (TypeError, ValueError) as exc:
+            raise PathError(f"{sidecar_file}: bad sidecar field {name!r}: {exc}") from exc
     bits = raw.copy()
     bits.setflags(write=False)
-    return Path(
-        bits=bits,
-        seed=int(sidecar["seed"]),
-        stream=int(sidecar.get("stream", 0)),
-        mode=parse_start_mode(sidecar["mode"]),
-        law_provenance=sidecar["law"],
-    )
+    return Path(bits=bits, seed=values["seed"], stream=values["stream"], mode=values["mode"], law_provenance=values["law"])

@@ -1,36 +1,35 @@
-"""Streaming index over an observed bit sequence.
+"""Streaming per-bit index over an observed bit sequence.
 
-No scheme reads it: all four take the same facts from one columnar scan
-of the whole path (schemes.prefix_scan).  It stays as the per-bit
-baseline whose feed cost bench/traced.py times.
+Only bench/traced.py uses it: its runindex.feed layer times this feed,
+bit by bit, as a per-bit baseline.  No scheme, CLI path or other module
+reads it; the schemes take every age, class and residual from one
+columnar scan of the whole path (schemes.prefix_scan), checked against
+the oracle schemes.ref_run.  The module goes with that layer (ROADMAP
+item 2).
 
-Feeds one bit at a time and maintains, in O(1) amortized work per bit:
+Feeding one bit at a time maintains, in O(1) amortized work per bit
+(plus O(log) for the optional age counts):
 
 * psi, the position of the first zero;
 * the run age of the newest position (time since the last zero);
 * per-age occurrence logs: every position of every completed run,
-  keyed by its age, with the residual run length that followed it;
-* cumulative counts of observed ages, for "how many positions had age
-  below a" queries.
+  keyed by its age, with the residual run length that followed it and
+  the running sum of those residuals;
+* the first position after psi at which each age occurred;
+* a Fenwick tree of the ages observed (with track_ages).
 
-Occurrences are recorded only when a run completes.  That is enough
-for every estimator query: positions inside the still-open run share
-the current run's start, so their ages are all distinct from each
-other and strictly below the age of any later position in the same
-run; a query for the newest position's age can therefore only be
-matched by completed-run positions.  The equivalence is fuzz-tested
-against a full-prefix rescan.
+Occurrences are recorded only when a run completes, since a position's
+residual is known only then.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-
-__all__ = ["RunIndex", "ClassLog"]
+__all__ = ["RunIndex"]
 
 
 class _Fenwick:
-    """Prefix-sum tree over nonnegative integer keys with dynamic growth."""
+    """Prefix-sum (Fenwick) tree over nonnegative integer keys with
+    dynamic growth; only its upkeep remains, no prefix query."""
 
     __slots__ = ("size", "tree", "raw")
 
@@ -63,16 +62,6 @@ class _Fenwick:
             tree[j] += value
             j += j & -j
 
-    def prefix(self, count: int) -> int:
-        """Sum of entries at indexes < count."""
-        j = min(count, self.size)
-        total = 0
-        tree = self.tree
-        while j > 0:
-            total += tree[j]
-            j -= j & -j
-        return total
-
 
 class ClassLog:
     """All completed-run occurrences of one age value, in position order.
@@ -93,22 +82,11 @@ class ClassLog:
         self.residuals.append(residual)
         self.prefix.append(self.prefix[-1] + residual)
 
-    def __len__(self):
-        return len(self.positions)
-
-    def range_sum(self, lo: int, hi: int) -> int:
-        """Exact sum of residuals[lo:hi]."""
-        return self.prefix[hi] - self.prefix[lo]
-
-
-_EMPTY = ClassLog()
-
 
 class RunIndex:
-    """Single-threaded mutable index; feed bits, then query freely.
-
-    Queries about ages never observed return 0/empty.  Queries that
-    need psi raise ValueError while no zero has been seen.
+    """Single-threaded mutable index, built by feeding bits; its state is
+    read from the attributes.  track_ages=False skips the Fenwick upkeep
+    (no query reads it any more; the traced benchmark times both feeds).
     """
 
     __slots__ = (
@@ -166,61 +144,3 @@ class RunIndex:
         self._ages_total += 1
         if position > self.psi and tau not in self.first_seen:
             self.first_seen[tau] = position
-
-    def _require_psi(self):
-        if self.psi is None:
-            raise ValueError("no zero observed yet; queries need psi")
-
-    def class_log(self, tau: int) -> ClassLog:
-        return self.classes.get(tau, _EMPTY)
-
-    def match_count(self, tau: int) -> int:
-        """Completed-run occurrences of this age.
-
-        When ``tau`` is the newest position's age this equals the
-        number of earlier positions (from psi on) with that age.
-        """
-        self._require_psi()
-        log = self.classes.get(tau)
-        return len(log) if log is not None else 0
-
-    def last_m_occurrences(self, tau: int, m: int) -> list[tuple[int, int]]:
-        """The m most recent occurrences, ascending by position."""
-        self._require_psi()
-        log = self.classes.get(tau)
-        have = len(log) if log is not None else 0
-        if m < 1 or have < m:
-            raise ValueError(
-                f"need {m} occurrences of age {tau}, have {have}"
-            )
-        return list(zip(log.positions[-m:], log.residuals[-m:]))
-
-    def first_m_in_window(
-        self, tau: int, lo: int, hi: int, m: int
-    ) -> list[tuple[int, int]]:
-        """First m occurrences with lo < position < hi, ascending.
-
-        Returns fewer than m (possibly none) if the window holds fewer.
-        """
-        log = self.classes.get(tau)
-        if log is None or m < 1:
-            return []
-        positions = log.positions
-        start = bisect_right(positions, lo)
-        stop = bisect_left(positions, hi, start)
-        stop = min(stop, start + m)
-        return list(zip(positions[start:stop], log.residuals[start:stop]))
-
-    def count_tau_less(self, tau: int) -> int:
-        """Positions from psi on (current one included) with age < tau."""
-        self._require_psi()
-        if self._age_counts is None:
-            raise ValueError("age counting disabled for this index")
-        if tau <= 0:
-            return 0
-        if tau >= self._age_counts.size:
-            return self._ages_total
-        return self._age_counts.prefix(tau)
-
-    def total_occurrences(self) -> int:
-        return sum(len(log) for log in self.classes.values())

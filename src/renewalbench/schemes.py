@@ -55,6 +55,8 @@ mean of the emitted distribution bit for bit.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -174,6 +176,18 @@ def _one_path(bits) -> np.ndarray:
     return arr
 
 
+_PACKAGE = os.path.dirname(__file__) + os.sep
+
+
+def _warn(message: str) -> None:
+    """A UserWarning located at the first frame outside this package,
+    whichever entry point the caller went through."""
+    frame, level = sys._getframe(), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, UserWarning, stacklevel=level)
+
+
 def _warn_gamma_poly(config: SchemeConfig):
     alpha = config.declared_alpha
     if alpha is None:
@@ -181,19 +195,10 @@ def _warn_gamma_poly(config: SchemeConfig):
     try:
         limit = gamma_limit(alpha)
     except LawError:
-        warnings.warn(
-            f"declared_alpha={alpha} admits no gamma (needs alpha > 2)",
-            UserWarning,
-            stacklevel=4,
-        )
+        _warn(f"declared_alpha={alpha} admits no gamma (needs alpha > 2)")
         return
     if config.gamma >= limit:
-        warnings.warn(
-            f"gamma={config.gamma} is not below min(1-2/alpha, 1/3)="
-            f"{limit:.6g} for declared_alpha={alpha}",
-            UserWarning,
-            stacklevel=4,
-        )
+        _warn(f"gamma={config.gamma} is not below min(1-2/alpha, 1/3)={limit:.6g} for declared_alpha={alpha}")
 
 
 def _setting(tag: str, config: SchemeConfig) -> float | None:
@@ -212,11 +217,7 @@ def _setting(tag: str, config: SchemeConfig) -> float | None:
     if tag == "poly":
         _warn_gamma_poly(config)
     elif tag == "log" and value >= 1.0 / 3.0:
-        warnings.warn(
-            f"gamma={value} is not below 1/3; the log scheme's guarantees assume gamma < 1/3",
-            UserWarning,
-            stacklevel=3,
-        )
+        _warn(f"gamma={value} is not below 1/3; the log scheme's guarantees assume gamma < 1/3")
     return value
 
 

@@ -6,6 +6,13 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from renewalbench.laws import make_law
+from renewalbench.paths import StartMode, sample_path
+from renewalbench.runindex import RunIndex
+
 TRACED = Path(__file__).resolve().parents[1] / "bench" / "traced.py"
 MODULES = {"adversary", "cli", "evaluation", "schemes"}
 
@@ -59,3 +66,15 @@ def test_runner_tables_are_dicts():
     # traced.py replaces their entries in place
     assert isinstance(resolve("cli._ADVERSARY_RUNNERS"), dict)
     assert isinstance(resolve("evaluation._SCHEME_ITERATORS"), dict)
+
+
+@pytest.mark.parametrize("track_ages", [True, False])
+def test_runindex_feeds_as_traced(track_ages):
+    # feed_pass's loop: one bound feed per path, fed the path's bits
+    bits = sample_path(make_law({"type": "geometric", "q": 0.5, "truncate": 60}), 3000, StartMode.STATIONARY, seed=3).bits
+    feed = RunIndex(track_ages=track_ages).feed
+    for bit in bits.tolist():
+        feed(bit)
+    index = feed.__self__
+    assert index.length == bits.size
+    assert index.psi == int(np.flatnonzero(bits == 0)[0])

@@ -281,6 +281,30 @@ class TestDumpLoad:
         with pytest.raises(PathError):
             load_path(file)
 
+    @pytest.mark.parametrize(
+        "line, sidecar, named",
+        [
+            # an Arabic-Indic three, the text's only non-ASCII digit
+            ("01\u06630\n".encode(), {"seed": 0, "mode": "renewal", "law": {}}, "bad.path:"),
+            (b"01\xff0\n", {"seed": 0, "mode": "renewal", "law": {}}, "bad.path:"),
+            (b"0110\n", b'{"seed": 0, "mode": "renewal", "law": {"p": "\xff"}}', "bad.path.json:"),
+            (b"0110\n", [0, "renewal", {}], "bad.path.json:"),
+            (b"0110\n", {"seed": 0, "law": {}}, "no 'mode' field"),
+            (b"0110\n", {"seed": "zero", "mode": "renewal", "law": {}}, "field 'seed'"),
+            (b"0110\n", {"seed": 0, "mode": None, "law": {}}, "field 'mode'"),
+            (b"0110\n", {"seed": 0, "mode": "renewal", "law": "geometric"}, "field 'law'"),
+        ],
+        ids=["non-ascii-digit", "non-utf8-line", "non-utf8-sidecar", "sidecar-list", "no-mode", "seed", "mode", "law"],
+    )
+    def test_malformed_dump_names_its_file(self, tmp_path, line, sidecar, named):
+        file = tmp_path / "bad.path"
+        file.write_bytes(line)
+        sidecar_file = tmp_path / "bad.path.json"
+        sidecar_file.write_bytes(sidecar if isinstance(sidecar, bytes) else json.dumps(sidecar).encode())
+        with pytest.raises(PathError, match="bad.path") as caught:
+            load_path(file)
+        assert named in str(caught.value)
+
     def test_missing_sidecar(self, tmp_path):
         file = tmp_path / "lone.path"
         file.write_text("0101\n")

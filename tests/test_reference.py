@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from renewalbench.adversary import fooling_probability
+from renewalbench.evaluation import ExperimentConfig, run_experiment
 from renewalbench.laws import make_law
 from renewalbench.paths import StartMode, sample_path
 from renewalbench.schemes import SCHEME_TAGS, OfflineEstimate, SchemeConfig, iter_scheme, ref_run, run_scheme, scheme_columns
@@ -160,6 +162,29 @@ class TestOneEntryPath:
             seen.append([(w.category, str(w.message)) for w in caught])
         assert seen[0] == seen[1] == seen[2]
         assert len(seen[0]) == count
+
+    @pytest.mark.parametrize(
+        "tag, config",
+        [("log", SchemeConfig(gamma=0.4)), ("poly", SchemeConfig(gamma=0.4, declared_alpha=2.5))],
+    )
+    def test_warnings_point_at_the_caller(self, tag, config):
+        # a filter on the caller's module must catch the warning whichever
+        # entry point the caller went through
+        geometric = {"type": "geometric", "q": 0.5, "truncate": 60}
+        bits = [0, 1, 1, 0, 1, 0, 1, 1, 0] * 4
+        entries = {
+            "iter_scheme": lambda: iter_scheme(tag, bits, config),
+            "run_scheme": lambda: run_scheme(tag, bits, config),
+            "scheme_columns": lambda: scheme_columns(tag, bits, config),
+            "ref_run": lambda: ref_run(tag, bits, config),
+            "run_experiment": lambda: run_experiment(ExperimentConfig(geometric, tag, config, length=200)),
+            "fooling_probability": lambda: fooling_probability(make_law(geometric), tag, config, (1, 30), 1.0, 100, 0),
+        }
+        for name, call in entries.items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert [(w.filename, w.lineno) for w in caught] == [(__file__, call.__code__.co_firstlineno)], name
 
     @pytest.mark.parametrize("tag", SCHEME_TAGS)
     def test_generator_reads_as_its_list(self, tag):

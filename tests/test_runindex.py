@@ -1,15 +1,15 @@
-"""Run-index oracle tests.
+"""Tests of the state RunIndex.feed builds, read from its attributes.
 
-The naive reference here recomputes every query by rescanning the full
+The naive reference here recomputes that state by rescanning the full
 bit prefix with nothing but the definitions: age = distance to the last
 zero at or before a position, residual = distance to the next zero
 after it, occurrences recorded only once that next zero exists.
 """
 
 from collections import defaultdict
+from itertools import accumulate
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,73 +51,38 @@ def naive_state(bits):
     return psi, taus, occurrences
 
 
+def occurrences_of(index):
+    return {t: list(zip(log.positions, log.residuals)) for t, log in index.classes.items()}
+
+
 class TestSpecTraces:
     def test_open_run_stores_nothing(self):
         index = feed_all([0, 1, 1])
         assert index.psi == 0
         assert index.current_tau == 2
-        assert index.match_count(0) == 0
-        assert index.match_count(2) == 0
+        assert index.classes == {}
 
     def test_single_completed_run(self):
         index = feed_all([0, 1, 0])
         assert index.current_tau == 0
-        assert index.match_count(0) == 1
-        assert index.match_count(1) == 1
-        assert index.last_m_occurrences(0, 1) == [(0, 1)]
-        assert index.last_m_occurrences(1, 1) == [(1, 0)]
+        assert occurrences_of(index) == {0: [(0, 1)], 1: [(1, 0)]}
 
     def test_ones_before_first_zero_are_ignored(self):
         index = feed_all([1, 1, 0, 1])
         assert index.psi == 2
         assert index.current_tau == 1
-        assert index.total_occurrences() == 0
+        assert index.classes == {}
 
     def test_alternating_counts(self):
         index = feed_all([0, 1, 0, 1, 0])
         assert index.current_tau == 0
-        assert index.match_count(0) == 2
-        assert index.last_m_occurrences(0, 2) == [(0, 1), (2, 1)]
+        assert occurrences_of(index) == {0: [(0, 1), (2, 1)], 1: [(1, 0), (3, 0)]}
 
     def test_periodic_run_of_two(self):
         bits = [0, 1, 1, 0, 1, 1, 0, 1, 1, 0]
         index = feed_all(bits)
         # position 9's zero closes the run opened at 6
-        assert index.match_count(0) == 3
-        assert index.last_m_occurrences(0, 3) == [(0, 2), (3, 2), (6, 2)]
-
-    def test_first_m_in_window(self):
-        # periodic path through position 18 so the run ending there closes
-        bits = [0, 1, 1] * 6 + [0]
-        index = feed_all(bits)
-        got = index.first_m_in_window(0, 4, 16, 4)
-        assert [p for p, _ in got] == [6, 9, 12, 15]
-        assert [r for _, r in got] == [2, 2, 2, 2]
-        assert index.first_m_in_window(0, 4, 4, 3) == []
-        assert index.first_m_in_window(77, 0, 100, 3) == []
-
-    def test_count_tau_less(self):
-        index = feed_all([0, 1, 1])
-        assert index.count_tau_less(2) == 2
-        assert index.count_tau_less(0) == 0
-        index = feed_all([0, 1, 1, 0, 1, 1, 0, 1, 1])
-        assert index.count_tau_less(2) == 6
-        assert index.count_tau_less(1) == 3
-        assert index.count_tau_less(10**9) == 9
-
-    def test_queries_error_without_psi(self):
-        index = feed_all([1, 1, 1])
-        with pytest.raises(ValueError):
-            index.match_count(0)
-        with pytest.raises(ValueError):
-            index.count_tau_less(1)
-        with pytest.raises(ValueError):
-            index.last_m_occurrences(0, 1)
-
-    def test_insufficient_occurrences(self):
-        index = feed_all([0, 1, 0])
-        with pytest.raises(ValueError):
-            index.last_m_occurrences(0, 2)
+        assert occurrences_of(index)[0] == [(0, 2), (3, 2), (6, 2)]
 
 
 def check_against_naive(bits):
@@ -126,28 +91,23 @@ def check_against_naive(bits):
     assert index.psi == psi
     assert index.length == len(bits)
     if psi is None:
+        assert index.classes == {}
         return
     n = len(bits)
     assert index.current_tau == taus[n - 1]
-    seen = set(occurrences) | set(index.classes) | {0, 1, max(taus.values()) + 1}
-    for t in seen:
-        expected = occurrences.get(t, [])
-        assert index.match_count(t) == len(expected)
-        log = index.class_log(t)
-        assert list(zip(log.positions, log.residuals)) == expected
-        if expected:
-            m = min(len(expected), 3)
-            assert index.last_m_occurrences(t, m) == expected[-m:]
-        lo, hi = n // 4, 3 * n // 4
-        windowed = [(p, r) for p, r in expected if lo < p < hi]
-        assert index.first_m_in_window(t, lo, hi, 5) == windowed[:5]
-        want_less = sum(1 for i, tau in taus.items() if tau < t)
-        assert index.count_tau_less(t) == want_less
-    # the newest position's age is matched only by completed runs
-    t_now = taus[n - 1]
-    assert index.match_count(t_now) == sum(
-        1 for i, tau in taus.items() if i < n - 1 and tau == t_now
-    )
+    assert occurrences_of(index) == dict(occurrences)
+    for log in index.classes.values():
+        # prefix sums reproduce the residuals exactly
+        assert log.prefix == [0, *accumulate(log.residuals)]
+    first_seen = {}
+    for i in range(psi + 1, n):
+        first_seen.setdefault(taus[i], i)
+    assert index.first_seen == first_seen
+    ages = [0] * index._age_counts.size
+    for tau in taus.values():
+        ages[tau] += 1
+    assert index._age_counts.raw == ages
+    assert index._ages_total == n - psi
 
 
 class TestNaiveEquivalence:
@@ -184,7 +144,8 @@ class TestStructuralInvariants:
         for bits in self.sampled_paths():
             index = feed_all(bits)
             open_positions = index.length - index.open_run_start
-            assert index.total_occurrences() + open_positions + index.psi == index.length
+            recorded = sum(len(log.positions) for log in index.classes.values())
+            assert recorded + open_positions + index.psi == index.length
 
     def test_residual_identity_per_completed_run(self):
         for bits in self.sampled_paths():
@@ -193,7 +154,7 @@ class TestStructuralInvariants:
             for z, nxt in zip(zeros[:-1], zeros[1:]):
                 s = int(nxt - z - 1)
                 for t in range(s + 1):
-                    log = index.class_log(t)
+                    log = index.classes[t]
                     row = log.positions.index(int(z) + t)
                     assert log.residuals[row] == s - t
 
@@ -206,11 +167,6 @@ class TestStructuralInvariants:
                     p + r + 1 <= last_fed for p, r in zip(log.positions, log.residuals)
                 )
                 assert log.positions == sorted(log.positions)
-                # prefix sums reproduce the residuals exactly
-                diffs = [
-                    log.prefix[i + 1] - log.prefix[i] for i in range(len(log))
-                ]
-                assert diffs == log.residuals
 
     def test_fenwick_growth_under_long_run(self):
         index = RunIndex()
@@ -218,6 +174,9 @@ class TestStructuralInvariants:
         for _ in range(3000):
             index.feed(1)
         assert index.current_tau == 3000
-        assert index.count_tau_less(3000) == 3000
-        assert index.count_tau_less(4000) == 3001
-        assert index.count_tau_less(1) == 1
+        counts = index._age_counts
+        assert counts.size == 4096
+        assert counts.raw == [1] * 3001 + [0] * (counts.size - 3001)
+        # every node holds the sum of the keys it covers after each growth
+        for j in range(1, counts.size + 1):
+            assert counts.tree[j] == sum(counts.raw[j - (j & -j) : j])
