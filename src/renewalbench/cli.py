@@ -2,11 +2,12 @@
 runs, the adversarial stage construction, and a self-test.
 
 Exit codes: 0 success, 1 usage error (bad flags or subcommand), 2
-validation error (well-formed invocation, bad values), 3 self-test
-failure.  Every run echoes the resolved configuration, seeds included;
-the echo goes to stdout when the data payload is written to a file and
-to stderr when the payload itself occupies stdout, so the payload bytes
-stay clean either way.
+validation error (well-formed invocation, bad values) or an adversary
+whose stage-1 search ran out of room, 3 self-test failure.  Every run
+echoes the resolved configuration, seeds included; the echo goes to
+stdout when the data payload is written to a file and to stderr when
+the payload itself occupies stdout, so the payload bytes stay clean
+either way.
 """
 
 from __future__ import annotations
@@ -167,7 +168,11 @@ def _cmd_adversary(args) -> int:
     config = SchemeConfig(gamma=gamma, epsilon=epsilon, declared_alpha=args.alpha)
     reps = args.replicates if args.replicates is not None else 2000
     seed = args.seed
-    state = advance_stage(stage0(), args.scheme, config, seed=seed)
+    try:
+        state = advance_stage(stage0(), args.scheme, config, seed=seed)
+    except BudgetExhausted as exc:
+        print(f"error: stage 1: {exc.constraint}: {exc}", file=sys.stderr)
+        return 2
     verify = verify_stage(state, args.scheme, config, reps=reps, seed=seed + 58_000_001)
     try:
         further = advance_stage(state, args.scheme, config, seed=seed + 1)

@@ -13,6 +13,7 @@ import pytest
 
 import renewalbench
 from renewalbench import cli, laws
+from renewalbench.adversary import BudgetExhausted
 from renewalbench.cli import main
 from renewalbench.evaluation import CSV_COLUMNS, report_from_json
 from renewalbench.paths import load_path
@@ -318,6 +319,17 @@ class TestAdversary:
         assert run_cli(capsys, *argv)[0] == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_stage_one_stop_exits_2_and_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise BudgetExhausted("horizon", "fooling never reached 0.998 by horizon 32768")
+
+        monkeypatch.setattr(cli, "advance_stage", exhausted)
+        out = tmp_path / "audit.json"
+        code, stdout, err = run_cli(capsys, "adversary", "--scheme", "log", "--replicates", "100", "--out", str(out))
+        assert code == 2
+        assert err == "error: stage 1: horizon: fooling never reached 0.998 by horizon 32768\n"
+        assert stdout == "" and not out.exists()
+
     def test_offline_scheme_rejected(self, capsys):
         code, _, err = run_cli(capsys, "adversary", "--scheme", "offline")
         assert code == 1  # argparse choices catch it as usage
@@ -369,6 +381,25 @@ def test_benchmark_payloads_keep_their_recorded_digests(capsys, tmp_path, name):
     assert main([*entry["argv"], "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == entry["sha256"]
+
+
+@pytest.mark.parametrize("fmt, loaded", [(None, []), ("json", []), ("csv", ["orjson"])], ids=["import", "json", "csv"])
+def test_imports_stay_lazy(tmp_path, fmt, loaded):
+    # np.quantile's first call imports numpy.ma (~10 ms), and orjson is
+    # for CSV export only: neither may load where it is not used
+    argv = ["evaluate", "--scheme", "offline", "--law", GEOM_LAW, "--length", "2000",
+            "--format", fmt, "--out", str(tmp_path / "report")] if fmt else []
+    script = (
+        "import sys\n"
+        "from renewalbench.cli import main\n"
+        f"code = main({argv!r}) if {argv!r} else 0\n"
+        "print(code, sorted({'numpy.ma', 'orjson'} & set(sys.modules)))\n"
+    )
+    src = str(Path(renewalbench.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"0 {loaded}"
 
 
 def test_evaluate_builds_its_law_once(capsys, monkeypatch):

@@ -463,6 +463,93 @@ class TestColumnarEmit:
         assert first != dataclasses.replace(first, tv=first.tv + 1.0)
 
 
+def _repr_fields(values):
+    return [repr(x).encode() for x in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def _neighbours(x):
+    return [np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf)]
+
+
+class TestFloatFields:
+    """_float_fields against float.__repr__, which the CSV has always
+    written: orjson's digits inside repr's positional range, repr's
+    own outside it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(width=64), max_size=60))
+    def test_equals_repr(self, values):
+        array = np.array(values, dtype=np.float64)
+        if array.size:
+            assert evaluation._float_fields(array) == _repr_fields(array)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [y for x in (1e-4, 1e16) for s in (1, -1) for y in _neighbours(s * x)],
+            [y for k in range(-1074, 1024) for y in _neighbours(2.0**k)],
+            [y for k in range(-323, 309) for y in _neighbours(float(f"1e{k}"))],
+            [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf],
+            [9007199254740993.0, 999999999999999.9, 0.30000000000000004, 123456789012345.67, 1.0, 2.0, 10.0],
+        ],
+        ids=["range-edges", "powers-of-two", "powers-of-ten", "specials", "digits"],
+    )
+    def test_fixed_values(self, values):
+        array = np.array(values, dtype=np.float64)
+        assert evaluation._float_fields(array) == _repr_fields(array)
+        assert evaluation._float_fields(-array) == _repr_fields(-array)
+
+    def test_non_contiguous_view(self):
+        array = np.random.default_rng(3).standard_normal((40, 3)) * 10.0 ** np.arange(-6, 12, 6)
+        view = array[::3, 1]
+        assert not view.flags.c_contiguous
+        assert evaluation._float_fields(view) == _repr_fields(view)
+
+    def test_offline_report_with_small_errors(self):
+        # seed 42 on 20k bits has abs_err rows below 1e-4 (exponent form)
+        report = run_experiment(
+            p2_config(law=SUMMARY_LAWS[0], scheme="offline", length=20_000, start_mode="stationary", base_seed=42)
+        )
+        (block,) = report.columns
+        assert ((np.abs(block.abs_err) < 1e-4) & (block.abs_err != 0)).sum() > 10
+        assert emit_report(report, "csv") == writer_csv(report)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.25],
+        [-0.0],
+        [math.inf],
+        [3.0, -1.0],
+        [-0.0, -0.0, -0.0],
+        [1.0, 1.0, 1.0, 2.0, 2.0, 0.0, 0.0],
+        [0.5] * 11,
+        [1.0, math.nan, 2.0],
+        [*range(10), math.nan],
+        list(np.random.default_rng(0).random(1001)),
+        list(np.random.default_rng(1).integers(0, 4, 37) / 3.0),
+        list(np.random.default_rng(2).exponential(size=10) * 1e300),
+    ],
+    ids=["n1", "n1-neg-zero", "n1-inf", "n2", "neg-zeros", "ties", "all-equal", "nan", "nan-not-a-neighbour", "n1001", "ties-37", "huge"],
+)
+def test_quantiles_equal_numpy(values):
+    array = np.array(values, dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # inf - inf in numpy's _lerp
+        expected = [float(np.quantile(array, q)) for q in (0.5, 0.9)]
+    got = evaluation._quantiles(array, 0.5, 0.9)
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+    assert array.tobytes() == np.array(values, dtype=np.float64).tobytes()  # input left as it was
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=1, max_size=80))
+def test_quantiles_equal_numpy_on_any_sample(values):
+    array = np.array(values, dtype=np.float64)
+    expected = [float(np.quantile(array, q)) for q in (0.5, 0.9)]
+    assert np.array(evaluation._quantiles(array, 0.5, 0.9)).tobytes() == np.array(expected).tobytes()
+
+
 SUMMARY_LAWS = [
     {"type": "geometric", "q": 0.5, "truncate": 60},
     {"type": "zipf", "s": 2.5, "truncate": 300},
