@@ -385,15 +385,19 @@ def test_benchmark_payloads_keep_their_recorded_digests(capsys, tmp_path, name):
 
 @pytest.mark.parametrize("fmt, loaded", [(None, []), ("json", []), ("csv", ["orjson"])], ids=["import", "json", "csv"])
 def test_imports_stay_lazy(tmp_path, fmt, loaded):
-    # np.quantile's first call imports numpy.ma (~10 ms), and orjson is
-    # for CSV export only: neither may load where it is not used
+    # on numpy 2, np.quantile's first call imports numpy.ma (~10 ms), and
+    # orjson is for CSV export only: neither may load where it is not
+    # used.  numpy 1 imports numpy.ma with numpy itself, so only what
+    # loads after `import numpy` counts.
     argv = ["evaluate", "--scheme", "offline", "--law", GEOM_LAW, "--length", "2000",
             "--format", fmt, "--out", str(tmp_path / "report")] if fmt else []
     script = (
         "import sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
         "from renewalbench.cli import main\n"
         f"code = main({argv!r}) if {argv!r} else 0\n"
-        "print(code, sorted({'numpy.ma', 'orjson'} & set(sys.modules)))\n"
+        "print(code, sorted({'numpy.ma', 'orjson'} & (set(sys.modules) - before)))\n"
     )
     src = str(Path(renewalbench.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
