@@ -29,7 +29,6 @@ from .evaluation import ExperimentConfig, emit_report, run_experiment
 from .laws import law_from_json, law_info_text
 from .paths import parse_start_mode, sample_path, dump_path
 from .schemes import SCHEME_TAGS, SchemeConfig
-from .selfcheck import run_selftest
 
 # evaluate keeps records (for CSV export, or with keep_records) only up
 # to this many path positions: it retains every scored record, as seven
@@ -200,6 +199,8 @@ def _cmd_adversary(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selfcheck import run_selftest  # only this subcommand runs it
+
     failures = run_selftest()
     return 3 if failures else 0
 

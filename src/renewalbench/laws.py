@@ -137,13 +137,16 @@ def _build(probs: list[float], provenance: dict) -> RenewalLaw:
         raise LawError(
             f"support size {len(probs)} exceeds the {MAX_SUPPORT} cap"
         )
-    for k, p in enumerate(probs):
-        if not math.isfinite(p) or p < 0.0:
-            raise LawError(f"mass at index {k} is invalid: {p!r}")
+    masses = np.array(probs, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(masses) | (masses < 0.0))
+    if bad.size:
+        k = int(bad[0])
+        raise LawError(f"mass at index {k} is invalid: {probs[k]!r}")
     total = math.fsum(probs)
     if abs(total - 1.0) > SUM_TOL:
         raise LawError(f"masses sum to {total!r}, expected 1 within {SUM_TOL}")
-    return _tabulate(tuple(p / total for p in probs), provenance)
+    # IEEE division rounds each quotient exactly as a Python loop would
+    return _tabulate(tuple((masses / total).tolist()), provenance)
 
 
 def _tabulate(probs: tuple[float, ...], provenance: dict) -> RenewalLaw:
@@ -274,8 +277,10 @@ def _make_law(spec: dict) -> RenewalLaw:
         _check_truncate(K)
         raw = [(k + 1.0) ** -s for k in range(K)]
         provenance = {"type": "zipf", "s": float(s), "truncate": int(K)}
+    # The masses stay Python powers, since numpy's power may take a SIMD
+    # path that is not correctly rounded; its product rounds as Python's.
     scale = 1.0 / math.fsum(raw)
-    return _build([p * scale for p in raw], provenance)
+    return _build((np.array(raw) * scale).tolist(), provenance)
 
 
 def _check_truncate(K) -> None:

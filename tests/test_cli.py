@@ -1,6 +1,7 @@
 """Command-line driver: subcommand behavior, exit codes, determinism."""
 
 import csv
+import fnmatch
 import hashlib
 import io
 import json
@@ -26,6 +27,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*args, cwd=None):
+    """Run a fresh interpreter on the package under test."""
+    src = str(Path(renewalbench.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
 
 
 class TestLawInfo:
@@ -357,15 +365,7 @@ class TestSelftest:
             "failures = selfcheck.run_selftest(lambda line: None)\n"
             "print(f'optimize={sys.flags.optimize} failures={failures}')\n"
         )
-        src = str(Path(renewalbench.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
+        done = run_python("-O", "-c", script)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "optimize=1 failures=3"
 
@@ -383,27 +383,51 @@ def test_benchmark_payloads_keep_their_recorded_digests(capsys, tmp_path, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == entry["sha256"]
 
 
-@pytest.mark.parametrize("fmt, loaded", [(None, []), ("json", []), ("csv", ["orjson"])], ids=["import", "json", "csv"])
-def test_imports_stay_lazy(tmp_path, fmt, loaded):
-    # on numpy 2, np.quantile's first call imports numpy.ma (~10 ms), and
-    # orjson is for CSV export only: neither may load where it is not
-    # used.  numpy 1 imports numpy.ma with numpy itself, so only what
-    # loads after `import numpy` counts.
-    argv = ["evaluate", "--scheme", "offline", "--law", GEOM_LAW, "--length", "2000",
-            "--format", fmt, "--out", str(tmp_path / "report")] if fmt else []
+def _evaluate(fmt):
+    argv = ["evaluate", "--scheme", "offline", "--law", GEOM_LAW, "--length", "2000", "--format", fmt, "--out", "report"]
+    return f"from renewalbench.cli import main\ncode = main({argv!r})"
+
+
+# Each entry point: what runs before `before` is taken, the code, the
+# module patterns that may not load after it, and the ones that must.
+# A bare import loads neither a submodule nor numpy, and the benchmark's
+# set-up probe skips evaluation.  On numpy 2, np.quantile's first call
+# imports numpy.ma (~10 ms); numpy 1 imports numpy.ma with numpy itself,
+# so the CLI cases import numpy first.  orjson is for CSV export only,
+# and selfcheck for the selftest subcommand only.
+ENTRY_POINTS = {
+    "bare": ("", "import renewalbench", ["numpy", "renewalbench.*"], []),
+    "probe": ("", "import renewalbench\nfrom renewalbench import adversary, laws", ["renewalbench.evaluation"], []),
+    "import": ("import numpy", "from renewalbench.cli import main", ["numpy.ma", "orjson", "renewalbench.selfcheck"], []),
+    "json": ("import numpy", _evaluate("json"), ["numpy.ma", "orjson", "renewalbench.selfcheck"], []),
+    "csv": ("import numpy", _evaluate("csv"), ["numpy.ma", "renewalbench.selfcheck"], ["orjson"]),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_imports_stay_lazy(tmp_path, entry):
+    first, code, absent, present = ENTRY_POINTS[entry]
     script = (
-        "import sys\n"
-        "import numpy\n"
+        f"import json, sys\n{first}\n"
         "before = set(sys.modules)\n"
-        "from renewalbench.cli import main\n"
-        f"code = main({argv!r}) if {argv!r} else 0\n"
-        "print(code, sorted({'numpy.ma', 'orjson'} & (set(sys.modules) - before)))\n"
+        "code = 0\n"
+        f"{code}\n"
+        "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
     )
-    src = str(Path(renewalbench.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    done = run_python("-c", script, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == f"0 {loaded}"
+    status, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert status == 0
+    assert [pattern for pattern in absent if fnmatch.filter(loaded, pattern)] == []
+    assert [name for name in present if name not in loaded] == []
+
+
+def test_bare_import_reaches_submodules():
+    # a submodule is an attribute of the package before anything imports it
+    script = "import renewalbench\nprint(renewalbench.laws.make_law.__module__)\n"
+    done = run_python("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "renewalbench.laws"
 
 
 def test_evaluate_builds_its_law_once(capsys, monkeypatch):

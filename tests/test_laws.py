@@ -488,3 +488,61 @@ class TestBuiltLawsAreShared:
             make_law({"type": "explicit", "p": [float("nan"), 1.0]})
         with pytest.raises(LawError):
             make_law({"type": "explicit", "p": [float("nan"), 1.0]})
+
+
+def _loop_masses(spec):
+    """The normalized masses as Python loops build them: the raw masses,
+    one scale for geometric and zipf, then each mass over the fsum."""
+    if spec["type"] == "explicit":
+        probs = [float(p) for p in spec["p"]]
+    else:
+        K = spec["truncate"]
+        if spec["type"] == "geometric":
+            q = spec["q"]
+            raw = [(1.0 - q) * q**k for k in range(K)]
+        else:
+            raw = [(k + 1.0) ** -spec["s"] for k in range(K)]
+        scale = 1.0 / math.fsum(raw)
+        probs = [p * scale for p in raw]
+    total = math.fsum(probs)
+    return [p / total for p in probs]
+
+
+ORACLE_LAWS = [
+    {"type": "explicit", "p": [0.25, 0.0, 5e-324, 1e-310, 0.7500000001, 0.0]},
+    {"type": "explicit", "p": [-0.0, 0.5, 2.2250738585072014e-308, 0.0, 0.5]},
+    {"type": "geometric", "q": 0.5, "truncate": 60},
+    {"type": "geometric", "q": 0.999, "truncate": 100_000},
+    {"type": "zipf", "s": 3.0, "truncate": 10_000},
+    {"type": "zipf", "s": 1.1, "truncate": 4096},
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_LAWS, ids=lambda spec: f"{spec['type']}-{spec.get('truncate', len(spec.get('p', ())))}")
+def test_tables_equal_the_python_loop_build(spec):
+    # the array validation, normalization and scaling round every mass
+    # as the loops do, so each table matches bit for bit
+    law = laws._make_law(spec)
+    probs = _loop_masses(spec)
+    tails, overshoots = _loop_tables(probs)
+    assert [x.hex() for x in law.probs] == [x.hex() for x in probs]
+    assert [x.hex() for x in law.tails] == [x.hex() for x in tails]
+    assert [x.hex() for x in law.overshoots] == [x.hex() for x in overshoots]
+    assert all(type(x) is float for x in law.probs)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-300], ids=repr)
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_invalid_mass_is_named_by_its_first_index(bad, k):
+    p = [0.25] * 4
+    p[k] = bad
+    p.append(-1.0)  # a later bad mass: only the first is named
+    with pytest.raises(LawError) as info:
+        make_law({"type": "explicit", "p": p})
+    assert str(info.value) == f"mass at index {k} is invalid: {bad!r}"
+
+
+def test_negative_zero_mass_is_valid():
+    law = laws._make_law({"type": "explicit", "p": [0.5, -0.0, 0.5]})
+    assert law.probs == (0.5, 0.0, 0.5)
+    assert math.copysign(1.0, law.probs[1]) == -1.0
