@@ -8,36 +8,57 @@ echoes the resolved configuration, seeds included; the echo goes to
 stdout when the data payload is written to a file and to stderr when
 the payload itself occupies stdout, so the payload bytes stay clean
 either way.
+
+Each subcommand imports only the modules it runs: the names the
+evaluate and adversary handlers call load their home module on first
+use (PEP 562), so `evaluate` never imports `adversary` and `adversary`
+never imports `evaluation` (nor `csv`).  The handlers read those names
+as attributes of this module, so a name replaced here with `setattr`
+(by a test, or by bench/traced.py) is the one that gets called.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from dataclasses import asdict, replace
 
-from .adversary import (
-    _TAGS,
-    BudgetExhausted,
-    advance_stage,
-    audit_json,
-    stage0,
-    verify_stage,
-)
-from .evaluation import ExperimentConfig, emit_report, run_experiment
 from .laws import law_from_json, law_info_text
 from .paths import parse_start_mode, sample_path, dump_path
 from .schemes import SCHEME_TAGS, SchemeConfig
+
+# The names a handler loads on first use, by their home module.
+_HOMES = {
+    "evaluation": ("ExperimentConfig", "emit_report", "run_experiment"),
+    "adversary": ("BudgetExhausted", "advance_stage", "audit_json", "stage0", "verify_stage"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+# This module, whose attributes the handlers read: a bare global name
+# would not reach __getattr__.
+_cli = sys.modules[__name__]
 
 # evaluate keeps records (for CSV export, or with keep_records) only up
 # to this many path positions: it retains every scored record, as seven
 # numeric columns of 8 bytes each (56 B per record), until it writes
 MAX_CSV_POSITIONS = 2_000_000
 
-# The adversary's schemes by tag.  A runner is its tag; bench/traced.py
-# wraps the values in place, and nothing calls them.
-_ADVERSARY_RUNNERS = {tag: tag for tag in _TAGS}
+# The adversary's schemes by tag (adversary._TAGS, spelled out so that
+# building the parser imports no adversary).  A runner is its tag;
+# bench/traced.py wraps the values in place, and nothing calls them.
+_ADVERSARY_RUNNERS = {tag: tag for tag in ("poly", "log", "eps")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,7 +162,7 @@ def _cmd_evaluate(args) -> int:
     for key in ("law", "scheme", "length"):
         if key not in base:
             raise ValueError(f"evaluate needs {key!r} from --config or flags")
-    config = ExperimentConfig.from_json_dict(base)
+    config = _cli.ExperimentConfig.from_json_dict(base)
     if fmt == "csv" and not config.keep_records:
         config = replace(config, keep_records=True)
     if config.keep_records and config.replicates * config.length > MAX_CSV_POSITIONS:
@@ -150,10 +171,10 @@ def _cmd_evaluate(args) -> int:
             f"event record; limit replicates*length to {MAX_CSV_POSITIONS}, or write "
             "JSON without keep_records"
         )
-    report = run_experiment(config)
+    report = _cli.run_experiment(config)
     resolved = config.to_json_dict()
     resolved["format"] = fmt
-    _emit(lambda fh: emit_report(report, fmt, fh), args.out, resolved)
+    _emit(lambda fh: _cli.emit_report(report, fmt, fh), args.out, resolved)
     return 0
 
 
@@ -166,17 +187,19 @@ def _cmd_adversary(args) -> int:
         epsilon = 0.1
     config = SchemeConfig(gamma=gamma, epsilon=epsilon, declared_alpha=args.alpha)
     reps = args.replicates if args.replicates is not None else 2000
+    if reps < 100:  # verify_stage's floor, checked before the stage-1 search
+        raise ValueError(f"need at least 100 reps, got {reps}")
     seed = args.seed
     try:
-        state = advance_stage(stage0(), args.scheme, config, seed=seed)
-    except BudgetExhausted as exc:
+        state = _cli.advance_stage(_cli.stage0(), args.scheme, config, seed=seed)
+    except _cli.BudgetExhausted as exc:
         print(f"error: stage 1: {exc.constraint}: {exc}", file=sys.stderr)
         return 2
-    verify = verify_stage(state, args.scheme, config, reps=reps, seed=seed + 58_000_001)
+    verify = _cli.verify_stage(state, args.scheme, config, reps=reps, seed=seed + 58_000_001)
     try:
-        further = advance_stage(state, args.scheme, config, seed=seed + 1)
-        next_stage = {"advanced": True, "audit": json.loads(audit_json(further))}
-    except BudgetExhausted as exc:
+        further = _cli.advance_stage(state, args.scheme, config, seed=seed + 1)
+        next_stage = {"advanced": True, "audit": json.loads(_cli.audit_json(further))}
+    except _cli.BudgetExhausted as exc:
         next_stage = {"advanced": False, "constraint": exc.constraint, "detail": str(exc)}
     resolved = {
         "scheme": args.scheme,
@@ -187,7 +210,7 @@ def _cmd_adversary(args) -> int:
     }
     payload = json.dumps(
         {
-            "audit": json.loads(audit_json(state)),
+            "audit": json.loads(_cli.audit_json(state)),
             "verify": verify,
             "next_stage": next_stage,
         },

@@ -10,7 +10,6 @@ being probed are asymptotic and early transients carry no evidence.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -532,6 +531,8 @@ def _csv_rows(block: RecordColumns) -> Iterator[bytes]:
     prefix can need quoting, and the prefix goes through csv.writer
     once, its % escaped.
     """
+    import csv  # like orjson, only CSV export pays for the import
+
     head = io.StringIO()
     csv.writer(head, lineterminator="").writerow((block.replicate, block.scheme))
     line = head.getvalue().replace("%", "%%").encode() + b",%d,%d,%d,%s,%s,%s,%s\n"

@@ -129,33 +129,36 @@ class ResidualLaw:
     mean: float
 
 
-def _build(probs: list[float], provenance: dict) -> RenewalLaw:
-    """Validate raw masses, renormalize, and fill in the derived tables."""
-    if not probs:
+def _build(masses: np.ndarray, provenance: dict) -> RenewalLaw:
+    """Validate raw float64 masses, renormalize, and fill in the derived
+    tables."""
+    if not masses.size:
         raise LawError("law needs at least one mass entry")
-    if len(probs) > MAX_SUPPORT:
+    if masses.size > MAX_SUPPORT:
         raise LawError(
-            f"support size {len(probs)} exceeds the {MAX_SUPPORT} cap"
+            f"support size {masses.size} exceeds the {MAX_SUPPORT} cap"
         )
-    masses = np.array(probs, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(masses) | (masses < 0.0))
     if bad.size:
         k = int(bad[0])
-        raise LawError(f"mass at index {k} is invalid: {probs[k]!r}")
-    total = math.fsum(probs)
+        raise LawError(f"mass at index {k} is invalid: {float(masses[k])!r}")
+    total = math.fsum(masses.tolist())
     if abs(total - 1.0) > SUM_TOL:
         raise LawError(f"masses sum to {total!r}, expected 1 within {SUM_TOL}")
     # IEEE division rounds each quotient exactly as a Python loop would
-    return _tabulate(tuple((masses / total).tolist()), provenance)
+    masses = masses / total
+    return _tabulate(tuple(masses.tolist()), provenance, masses)
 
 
-def _tabulate(probs: tuple[float, ...], provenance: dict) -> RenewalLaw:
-    """The law with masses ``probs`` as given, and its derived tables."""
+def _tabulate(probs: tuple[float, ...], provenance: dict, masses: np.ndarray | None = None) -> RenewalLaw:
+    """The law with masses ``probs`` as given, and its derived tables;
+    ``masses``, where the caller has it, holds the same masses as a
+    float64 array."""
     # Backward accumulation keeps the tails exactly monotone and makes
     # tails[L] - tails[L+1] == probs[L] hold to full precision.  cumsum
     # adds one term at a time, from the leading 0.0, as a loop would.
     tails = np.zeros(len(probs) + 1)
-    tails[1:] = probs[::-1]
+    tails[1:] = (probs if masses is None else masses)[::-1]
     tails = tails.cumsum()[::-1]
     overshoots = np.zeros_like(tails)
     overshoots[1:] = tails[:0:-1]
@@ -261,7 +264,7 @@ def _make_law(spec: dict) -> RenewalLaw:
             if not _is_real(p):
                 raise LawError(f"mass at index {k} must be a real number, got {p!r}")
         probs = [float(p) for p in raw]
-        return _build(probs, {"type": "explicit", "p": probs})
+        return _build(np.array(probs, dtype=np.float64), {"type": "explicit", "p": probs})
     K = spec.get("truncate")
     if kind == "geometric":
         q = spec.get("q")
@@ -280,7 +283,7 @@ def _make_law(spec: dict) -> RenewalLaw:
     # The masses stay Python powers, since numpy's power may take a SIMD
     # path that is not correctly rounded; its product rounds as Python's.
     scale = 1.0 / math.fsum(raw)
-    return _build((np.array(raw) * scale).tolist(), provenance)
+    return _build(np.array(raw) * scale, provenance)
 
 
 def _check_truncate(K) -> None:

@@ -20,6 +20,13 @@ MODULES = {"adversary", "cli", "evaluation", "schemes"}
 # must find at least these
 EXPECTED = {
     "cli._ADVERSARY_RUNNERS",
+    "cli.law_from_json",
+    "cli.run_experiment",
+    "cli.emit_report",
+    "cli.stage0",
+    "cli.advance_stage",
+    "cli.verify_stage",
+    "cli.audit_json",
     "adversary.sample_path",
     "adversary.make_law",
     "adversary.perturb",

@@ -3,6 +3,7 @@
 import csv
 import fnmatch
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import renewalbench
-from renewalbench import cli, laws
+from renewalbench import adversary, cli, laws
 from renewalbench.adversary import BudgetExhausted
 from renewalbench.cli import main
 from renewalbench.evaluation import CSV_COLUMNS, report_from_json
@@ -338,6 +339,20 @@ class TestAdversary:
         assert err == "error: stage 1: horizon: fooling never reached 0.998 by horizon 32768\n"
         assert stdout == "" and not out.exists()
 
+    def test_too_few_replicates_fail_before_the_search(self, capsys, tmp_path, monkeypatch):
+        def searched(*args, **kwargs):
+            raise AssertionError("the stage-1 search ran")
+
+        monkeypatch.setattr(cli, "advance_stage", searched)
+        out = tmp_path / "audit.json"
+        code, stdout, err = run_cli(capsys, "adversary", "--scheme", "log", "--replicates", "50", "--out", str(out))
+        assert code == 2
+        assert err == "error: need at least 100 reps, got 50\n"
+        assert stdout == "" and not out.exists()
+
+    def test_runner_tags_are_the_adversary_tags(self):
+        assert set(cli._ADVERSARY_RUNNERS) == set(adversary._TAGS)
+
     def test_offline_scheme_rejected(self, capsys):
         code, _, err = run_cli(capsys, "adversary", "--scheme", "offline")
         assert code == 1  # argparse choices catch it as usage
@@ -383,9 +398,12 @@ def test_benchmark_payloads_keep_their_recorded_digests(capsys, tmp_path, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == entry["sha256"]
 
 
+def _main(*argv):
+    return f"from renewalbench.cli import main\ncode = main({list(argv)!r})"
+
+
 def _evaluate(fmt):
-    argv = ["evaluate", "--scheme", "offline", "--law", GEOM_LAW, "--length", "2000", "--format", fmt, "--out", "report"]
-    return f"from renewalbench.cli import main\ncode = main({argv!r})"
+    return _main("evaluate", "--scheme", "offline", "--law", GEOM_LAW, "--length", "2000", "--format", fmt, "--out", "report")
 
 
 # Each entry point: what runs before `before` is taken, the code, the
@@ -393,14 +411,36 @@ def _evaluate(fmt):
 # A bare import loads neither a submodule nor numpy, and the benchmark's
 # set-up probe skips evaluation.  On numpy 2, np.quantile's first call
 # imports numpy.ma (~10 ms); numpy 1 imports numpy.ma with numpy itself,
-# so the CLI cases import numpy first.  orjson is for CSV export only,
-# and selfcheck for the selftest subcommand only.
+# so the CLI cases import numpy first.  Each subcommand imports only the
+# modules it runs: csv and orjson are for CSV export only, evaluation
+# for evaluate, adversary for adversary, and selfcheck for selftest.
 ENTRY_POINTS = {
     "bare": ("", "import renewalbench", ["numpy", "renewalbench.*"], []),
     "probe": ("", "import renewalbench\nfrom renewalbench import adversary, laws", ["renewalbench.evaluation"], []),
-    "import": ("import numpy", "from renewalbench.cli import main", ["numpy.ma", "orjson", "renewalbench.selfcheck"], []),
-    "json": ("import numpy", _evaluate("json"), ["numpy.ma", "orjson", "renewalbench.selfcheck"], []),
-    "csv": ("import numpy", _evaluate("csv"), ["numpy.ma", "renewalbench.selfcheck"], ["orjson"]),
+    "import": (
+        "import numpy",
+        "from renewalbench.cli import main",
+        ["numpy.ma", "csv", "orjson", "renewalbench.adversary", "renewalbench.evaluation", "renewalbench.selfcheck"],
+        [],
+    ),
+    "json": (
+        "import numpy",
+        _evaluate("json"),
+        ["numpy.ma", "csv", "orjson", "renewalbench.adversary", "renewalbench.selfcheck"],
+        ["renewalbench.evaluation"],
+    ),
+    "csv": (
+        "import numpy",
+        _evaluate("csv"),
+        ["numpy.ma", "renewalbench.adversary", "renewalbench.selfcheck"],
+        ["csv", "orjson", "renewalbench.evaluation"],
+    ),
+    "adversary": (
+        "import numpy",
+        _main("adversary", "--replicates", "100", "--out", "audit.json"),
+        ["csv", "orjson", "renewalbench.evaluation", "renewalbench.selfcheck"],
+        ["renewalbench.adversary"],
+    ),
 }
 
 
@@ -420,6 +460,35 @@ def test_imports_stay_lazy(tmp_path, entry):
     assert status == 0
     assert [pattern for pattern in absent if fnmatch.filter(loaded, pattern)] == []
     assert [name for name in present if name not in loaded] == []
+
+
+@pytest.mark.parametrize("name", sorted(cli._HOME))
+def test_lazy_cli_names_are_their_home_objects(name):
+    home = importlib.import_module(f"renewalbench.{cli._HOME[name]}")
+    assert getattr(cli, name) is getattr(home, name)
+
+
+def test_unknown_cli_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'run_adversary'"):
+        cli.run_adversary
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["evaluate", "--scheme", "poly", "--gamma", "0.3", "--law", GEOM_LAW, "--length", "2000"], ["run_experiment", "emit_report"]),
+        (["adversary", "--replicates", "100"], ["stage0", "advance_stage", "verify_stage", "audit_json"]),
+    ],
+    ids=["evaluate", "adversary"],
+)
+def test_handlers_call_the_names_set_on_cli(capsys, monkeypatch, argv, names):
+    # bench/traced.py wraps these names with setattr; the wrapper must run
+    called = []
+    for name in names:
+        inner = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, _inner=inner, **k: called.append(_name) or _inner(*a, **k))
+    assert run_cli(capsys, *argv)[0] == 0
+    assert set(called) == set(names)
 
 
 def test_bare_import_reaches_submodules():
