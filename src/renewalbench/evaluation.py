@@ -28,8 +28,8 @@ from .schemes import (
     EventColumns,
     OfflineEstimate,
     SchemeConfig,
+    _path_columns,
     _stable_order,
-    scheme_columns,
     window_counts,
 )
 
@@ -433,22 +433,14 @@ def _final_decile(values):
     return values[count - math.ceil(count / 10) :]
 
 
-def _final_decile_rows(cols: EventColumns) -> EventColumns:
-    """The estimates of a one-path cols whose scores _final_decile keeps."""
-    rows = {name: _final_decile(getattr(cols, name)) for name in ("time", "age", "lo", "hi", "m", "sum")}
-    start = cols.time.size - rows["time"].size
-    return cols._replace(first=cols.first.clip(start) - start, **rows)
-
-
 def _score_columns(scorer, config, bits, replicate, columns, every_row):
     """(event_count, errs, tvs) of the scheme's estimates on one path:
     the scores of every row if every_row, else of the final decile
-    only.  A row's scores depend only on its own window, so they are the
-    same either way.  Offline rows are keyed by position."""
-    cols = scheme_columns(config.scheme, bits, config.scheme_config)
-    count = cols.time.size
-    if not every_row:
-        return (count, *scorer.score_columns(_final_decile_rows(cols)))
+    only, the only rows whose columns are then built.  A row's scores
+    depend only on its own window, so they are the same either way.
+    Offline rows are keyed by position."""
+    # the global, read at each call: bench/traced.py times the cut by wrapping it
+    count, cols = _path_columns(config.scheme, bits, config.scheme_config, None if every_row else _final_decile)
     errs, tvs = scorer.score_columns(cols)
     if config.keep_records and count:
         time = cols.time

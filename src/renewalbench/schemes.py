@@ -36,9 +36,13 @@ path is a block of one.  Callers that run many paths, like the
 adversary's Monte Carlo, pass blocks of at most _BLOCK_BITS = 2^16
 positions (a longer path is a block of its own).  The scan holds 48
 bytes per position (about 56 in a block of several paths, which keeps
-each row's class too), and building a scheme's columns peaks at 85-130
-bytes per position (tracemalloc, geometric paths: poly 84-109, log
-105-116, eps 119-127), so a full block takes about 8 MB.
+each row's class too).  Building a scheme's columns for every row peaks
+at 80-116 bytes per position (tracemalloc, geometric paths, one 1M-bit
+path and a block of 1000 65-bit paths: poly 80-110, log 101-116, eps
+102-107, offline 104-107), so a full block takes about 7 MB.  A JSON
+report reads only each path's final decile, and builds columns only
+for those rows once every firing is found: poly 73, log 86 and eps 65
+bytes per position on the 1M-bit path.
 
 Each estimate's histogram is counted from the same columns:
 window_counts walks the residual values in ascending order and counts
@@ -354,6 +358,12 @@ def _columns(scan: PrefixScan, rows: np.ndarray, age: np.ndarray, lo: np.ndarray
     return EventColumns(scan.residuals, rows.searchsorted(scan.first), scan.time[rows], age, lo, hi, m, total)
 
 
+def _cut(rows: np.ndarray, keep) -> tuple[int, np.ndarray]:
+    """How many rows fired, and the firing rows whose columns are built:
+    the tail that keep returns from all of them, or all without keep."""
+    return rows.size, rows if keep is None else keep(rows)
+
+
 def window_counts(residuals: np.ndarray, blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[tuple[int, int, int, np.ndarray]]:
     """Value-major histograms of windows residuals[begins[i]:ends[i]].
 
@@ -417,32 +427,41 @@ def _window_sizes(n: int, exponent: float) -> np.ndarray:
 
     numpy's power may differ from Python's in the last place.  That
     moves the ceiling only where t ** exponent lies next to an integer,
-    so exactly those entries are recomputed with Python's pow.
+    so exactly those entries are recomputed with Python's pow.  It is
+    built in place, with one temporary of its size besides it.
     """
-    power = np.power(np.arange(n, dtype=np.float64), exponent)
-    sizes = np.ceil(power).astype(np.intp)
-    near = np.flatnonzero(np.abs(power - np.rint(power)) <= power * 1e-9)
+    power = np.arange(n, dtype=np.float64)
+    np.power(power, exponent, out=power)
+    # within 1e-9 relative of an integer; the tolerance dwarfs the last
+    # place, so scaling the gap rather than the power changes nothing
+    gap = np.rint(power)
+    gap -= power
+    np.abs(gap, out=gap)
+    gap *= 1e9
+    near = np.flatnonzero(gap <= power)
+    del gap
+    sizes = np.ceil(power, out=power).astype(np.intp)
     for t in near.tolist():
         sizes[t] = math.ceil(t**exponent)
     sizes.setflags(write=False)
     return sizes
 
 
-def _poly_columns(scan: PrefixScan, gamma: float) -> EventColumns:
+def _poly_columns(scan: PrefixScan, gamma: float, keep=None) -> tuple[int, EventColumns]:
     """poly fires at t > psi when its age class holds at least
     t^(1-gamma) completed occurrences.  The rank is an integer, so that
     means rank >= m = ceil(t^(1-gamma)); it then averages the last m."""
     sizes = _window_sizes(scan.length, 1.0 - gamma)[scan.time]
     # m is at least 1 for t > 0, and so at psi = 0, whose rank is 0
     np.maximum(sizes, 1, out=sizes)
-    rows = (scan.rank >= sizes).nonzero()[0]
+    count, rows = _cut((scan.rank >= sizes).nonzero()[0], keep)
     m = sizes[rows]
     del sizes
     age = scan.ages[rows]
     lo = scan.starts[scan.classes[rows]]
     lo += scan.rank[rows]
     lo -= m
-    return _columns(scan, rows, age, lo, m)
+    return count, _columns(scan, rows, age, lo, m)
 
 
 # 2^s for every scale s a position can have
@@ -457,7 +476,7 @@ def _log_window_sizes(exponent: float) -> np.ndarray:
     return sizes
 
 
-def _log_columns(scan: PrefixScan, gamma: float) -> EventColumns:
+def _log_columns(scan: PrefixScan, gamma: float, keep=None) -> tuple[int, EventColumns]:
     """log fires at t > psi when the age tau = age(t) first recurred
     after psi below log2(t), and the completed occurrences of tau at
     positions in (s, 2^s), s = floor(log2 t), number at least
@@ -470,7 +489,7 @@ def _log_columns(scan: PrefixScan, gamma: float) -> EventColumns:
     length, width, time, ages, classes = scan.length, scan.width, scan.time, scan.ages, scan.classes
     order, starts = scan.order, scan.starts
     if not ages.size:
-        return _columns(scan, ages, ages, ages, ages)
+        return 0, _columns(scan, ages, ages, ages, ages)
     # first position after psi of each class: its head, but the second
     # entry for age 0, whose head is psi itself
     head = starts[:-1].copy()
@@ -512,13 +531,13 @@ def _log_columns(scan: PrefixScan, gamma: float) -> EventColumns:
     del key
     count -= lo
     m = _log_window_sizes(1.0 - gamma)[scale]
-    fired = (count >= m)[cell].nonzero()[0]
-    rows = rows[fired]
-    cell = cell[fired]
-    return _columns(scan, rows, ages[rows], lo[cell], m[cell])
+    fired, kept = _cut((count >= m)[cell].nonzero()[0], keep)
+    rows = rows[kept]
+    cell = cell[kept]
+    return fired, _columns(scan, rows, ages[rows], lo[cell], m[cell])
 
 
-def _eps_columns(scan: PrefixScan, epsilon: float) -> EventColumns:
+def _eps_columns(scan: PrefixScan, epsilon: float, keep=None) -> tuple[int, EventColumns]:
     """eps fires at t > psi when at most t(1 - epsilon/2) positions of
     [psi, t] have an age below tau = age(t), and averages the whole
     completed class of tau if it is not empty.
@@ -528,29 +547,37 @@ def _eps_columns(scan: PrefixScan, epsilon: float) -> EventColumns:
     the open run's position, so the count is tau + rank[t - tau .. t - 1].
     """
     ages, rank = scan.ages, scan.rank
-    ranked = np.zeros(ages.size + 1, dtype=np.int64)
-    rank.cumsum(out=ranked[1:])
-    rows = np.arange(ages.size)
-    below = ranked[rows]
-    below -= ranked[rows - ages]
+    # rank summed over t - tau .. t - 1: its prefix sum before t, less
+    # that before the run's zero, the last row of age 0 up to t (the
+    # sums never fall, so a running maximum carries it along the run)
+    below = rank.cumsum()
+    below -= rank
+    at_zero = np.where(ages == 0, below, 0)
+    np.maximum.accumulate(at_zero, out=at_zero)
+    below -= at_zero
+    del at_zero
     below += ages
     # psi's own row has rank 0, so t > psi holds for every row fired
     fires = below <= scan.time * (1.0 - 0.5 * epsilon)
+    del below
     fires &= rank > 0
-    rows = fires.nonzero()[0]
+    count, rows = _cut(fires.nonzero()[0], keep)
+    del fires
     age = ages[rows]
-    return _columns(scan, rows, age, scan.starts[scan.classes[rows]], rank[rows])
+    return count, _columns(scan, rows, age, scan.starts[scan.classes[rows]], rank[rows])
 
 
-def _offline_columns(scan: PrefixScan, _parameter: None = None) -> EventColumns:
+def _offline_columns(scan: PrefixScan, _parameter: None = None, keep=None) -> tuple[int, EventColumns]:
     """offline averages the whole completed class; rank 0 is undefined
     and has no row."""
-    rows = scan.rank.nonzero()[0]
+    count, rows = _cut(scan.rank.nonzero()[0], keep)
     age = scan.ages[rows]
-    return _columns(scan, rows, age, scan.starts[scan.classes[rows]], scan.rank[rows])
+    return count, _columns(scan, rows, age, scan.starts[scan.classes[rows]], scan.rank[rows])
 
 
-# Each scheme's columns from the scan and the parameter _setting returns.
+# Each scheme's columns from the scan, the parameter _setting returns
+# and an optional cut of its firing rows (see _cut), with the number of
+# rows that fired.
 _BUILDERS = {"poly": _poly_columns, "log": _log_columns, "offline": _offline_columns, "eps": _eps_columns}
 SCHEME_TAGS = tuple(_BUILDERS)
 
@@ -560,7 +587,16 @@ def _scan_columns(tag: str, bits, config: SchemeConfig) -> tuple[PrefixScan, Eve
     the scheme's columns."""
     parameter = _setting(tag, config)
     scan = prefix_scan(bits)
-    return scan, _BUILDERS[tag](scan, parameter)
+    return scan, _BUILDERS[tag](scan, parameter)[1]
+
+
+def _path_columns(tag: str, bits, config: SchemeConfig, keep=None) -> tuple[int, EventColumns]:
+    """How many estimates the scheme makes on one path, and the columns
+    of those keep selects: keep takes the ascending scan rows of all of
+    them and returns a tail, whose columns alone are gathered (every
+    row's without keep)."""
+    parameter = _setting(tag, config)
+    return _BUILDERS[tag](prefix_scan(_one_path(bits)), parameter, keep)
 
 
 def scheme_columns(tag: str, bits, config: SchemeConfig) -> EventColumns:
@@ -668,7 +704,7 @@ def iter_scheme(tag: str, bits, config: SchemeConfig = SchemeConfig()) -> Iterat
     """
     parameter = _setting(tag, config)
     scan = prefix_scan(_one_path(bits))
-    cols = _BUILDERS[tag](scan, parameter)
+    cols = _BUILDERS[tag](scan, parameter)[1]
     histograms = _histograms(cols.residuals, cols.lo, cols.hi)
     if tag == "offline":
         return _offline_rows(int(scan.psi[0]), scan.ages, scan.rank, cols, histograms)

@@ -101,6 +101,40 @@ def test_block_columns_equal_per_path_columns(spec, mode):
                     assert np.array_equal(cols.residuals[lo:hi], one.residuals[one_lo:one_hi])
 
 
+def _cut_paths():
+    """Sampled paths of two laws from both start modes, short sampled
+    paths with a few estimates, a path with none and one without a
+    zero."""
+    for spec in (LAWS[0], LAWS[2]):
+        for mode in StartMode:
+            yield sample_path(make_law(spec), 2999, mode, seed=5, stream=1).bits
+    for length, seed in ((12, 2), (20, 3)):
+        yield sample_path(make_law(LAWS[0]), length - 1, StartMode.STATIONARY, seed=seed).bits
+    yield np.array([0] + [1] * 50)
+    yield np.ones(40, dtype=np.int8)
+
+
+@pytest.mark.parametrize("tag", ["poly", "log", "eps", "offline"])
+def test_cut_columns_are_the_last_rows_of_the_full_columns(tag):
+    # run_experiment's JSON reports build only the final decile's
+    # columns, from the same firing rows as scheme_columns
+    config = SchemeConfig(gamma=0.3, epsilon=0.2)
+    counts = []
+    for bits in _cut_paths():
+        full = scheme_columns(tag, bits, config)
+        count, cut = schemes._path_columns(tag, bits, config, evaluation._final_decile)
+        n = full.time.size
+        kept = math.ceil(n / 10)
+        assert count == n
+        assert cut.first.tolist() == [0, kept]
+        assert cut.residuals.tobytes() == full.residuals.tobytes()
+        for name in ("time", "age", "lo", "hi", "m", "sum"):
+            assert getattr(cut, name).tobytes() == getattr(full, name)[n - kept :].tobytes(), name
+        counts.append(n)
+    assert counts[-2:] == [0, 0]
+    assert any(0 < n < 10 for n in counts) and all(n >= 100 for n in counts[:4])
+
+
 @pytest.mark.parametrize("scheme", ["poly", "offline", "eps", "log"])
 def test_scores_do_not_depend_on_block_size(monkeypatch, scheme):
     # On a heavy tail a value's entries lie far apart, so with tiny

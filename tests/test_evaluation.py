@@ -5,13 +5,14 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renewalbench import evaluation
+from renewalbench import evaluation, schemes
 from renewalbench.laws import LawError, make_law, residual_law, residual_mean, tv_l1
 from renewalbench.evaluation import (
     CSV_COLUMNS,
@@ -588,16 +589,39 @@ class TestFinalDecileScoring:
     def test_decile_rows_score_as_the_full_tail(self, law, scheme):
         built = make_law(law)
         bits = sample_path(built, 4999, StartMode.STATIONARY, seed=3, stream=1).bits
-        cols = scheme_columns(scheme, bits, SchemeConfig(gamma=0.3, epsilon=0.2))
+        config = SchemeConfig(gamma=0.3, epsilon=0.2)
+        cols = scheme_columns(scheme, bits, config)
         scorer = evaluation._Scorer(built)
         errs, tvs = scorer.score_columns(cols)
-        tail = evaluation._final_decile_rows(cols)
+        fired, tail = schemes._path_columns(scheme, bits, config, evaluation._final_decile)
         count = math.ceil(errs.size / 10)
+        assert fired == errs.size
         assert tail.time.size == tail.age.size == tail.lo.size == tail.hi.size == tail.m.size == tail.sum.size == count
         assert tail.first.tolist() == [0, count]
         tail_errs, tail_tvs = scorer.score_columns(tail)
         assert tail_errs.tobytes() == errs[errs.size - count :].tobytes()
         assert tail_tvs.tobytes() == tvs[tvs.size - count :].tobytes()
+
+    @pytest.mark.parametrize("scheme", ["poly", "log", "eps"])
+    def test_rows_are_cut_by_the_final_decile_global(self, monkeypatch, scheme):
+        # bench/traced.py times the cut by wrapping this module global
+        final, cut = evaluation._final_decile, []
+
+        def spy(values):
+            cut.append(values.size)
+            return final(values)
+
+        monkeypatch.setattr(evaluation, "_final_decile", spy)
+        config = p2_config(
+            law=SUMMARY_LAWS[0],
+            scheme=scheme,
+            scheme_config=SchemeConfig(gamma=0.3, epsilon=0.2),
+            length=3000,
+            replicates=2,
+            keep_records=False,
+        )
+        counts = [s.event_count for s in run_experiment(config).replicate_summaries]
+        assert cut == counts  # one cut per replicate, of every firing row
 
     @pytest.mark.parametrize("scheme", ["poly", "log", "offline", "eps"])
     @pytest.mark.parametrize("keep_records", [False, True])
@@ -622,6 +646,33 @@ class TestFinalDecileScoring:
         every = keep_records or scheme == "offline"
         assert seen == [n if every else math.ceil(n / 10) for n in counts]
         assert all(n > 10 for n in counts)
+
+
+# tracemalloc peak of a 1M-bit JSON run_experiment, in bytes per bit.
+# Measured on geometric(0.5) paths, seeds 0-4 (numpy 2.4): poly 73.7-74.5,
+# eps 66.1, log 85.0-88.8; building every row's columns peaked at 111-112,
+# 120 and 116-118.  The bounds leave 12-29% over those figures.
+PEAK_BYTES_PER_BIT = {"poly": 85, "eps": 85, "log": 100}
+
+
+@pytest.mark.parametrize("scheme", sorted(PEAK_BYTES_PER_BIT))
+def test_json_run_memory_per_bit_is_bounded(scheme):
+    length = 1_000_000
+    config = ExperimentConfig(
+        law={"type": "geometric", "q": 0.5, "truncate": 60},
+        scheme=scheme,
+        scheme_config=SchemeConfig(gamma=0.3, epsilon=0.1),
+        length=length,
+    )
+    schemes._window_sizes.cache_clear()  # poly builds its table in the run
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / length < PEAK_BYTES_PER_BIT[scheme]
 
 
 class _Writes(io.BytesIO):
