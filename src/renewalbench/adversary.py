@@ -25,9 +25,9 @@ tag runs as one call of the scheme's columns per block, and the checks
 are existence tests on the columns (path, time, age, sum/m); a callable
 is called path by path and fills the same columns.  Each stage's bounds
 and the prefix length of its closeness check are stated once, in
-_stage_bounds and _closeness_length.  The exact prefix distance builds
-the 2^N string masses of each law in place, and keeps the base law's
-for the next call of the delta search.  That search screens each
+_stage_bounds and _closeness_length.  The exact prefix distance holds
+the masses of 2^14 strings per law at a time, 2.25 MB at N = 20,
+and keeps nothing between calls.  The delta search screens each
 candidate on the prefix six bits shorter first: the distance cannot
 grow as the prefix shrinks, so a candidate already too far there is
 rejected for a 64th of the exact call's work.
@@ -38,7 +38,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -64,6 +63,7 @@ __all__ = [
 ]
 
 _EXACT_CAP = 20  # longest prefix tv_prefix_exact enumerates
+_CHUNK_BITS = 14  # its chunks of 2^14 strings; at least 7, so they sum as numpy does
 
 # two-sided 95% normal quantile, for Wilson intervals
 _Z95 = 1.959963984540054
@@ -169,63 +169,63 @@ def mu_L_shift(law: RenewalLaw, L: int, delta: float, k: int) -> float:
     return (k * delta) / (beta + delta) - delta * weighted / (beta * (beta + delta))
 
 
-def _close_trailing_runs(strings: np.ndarray, table: np.ndarray) -> None:
+def _close_trailing_runs(strings: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Multiply the masses of the 2^s strings of one length by table at
-    their trailing run.  Strings are kept so that the last bit appended
-    is the top bit of the index, so the trailing run is the number of
-    leading ones: r on the r-th dyadic block from the bottom, and s for
-    the last string."""
-    start, size = 0, strings.size
-    run = 0
-    while size > 1:
-        size //= 2
-        strings[start : start + size] *= table[run]
-        start += size
-        run += 1
-    strings[start] *= table[run]
-
-
-def _string_masses(law: RenewalLaw, n: int) -> np.ndarray:
-    """Masses of the 2^n strings x_1..x_n that follow x_0 = 0.
-
-    A string's mass is the product of the run masses of its completed
-    runs times the tail mass of its trailing partial run.
-    """
-    mass = np.array([law.prob(i) for i in range(n + 1)])
-    trail = np.array([1.0] + [law.tail(r) for r in range(1, n + 2)])
-    probs = np.empty(1 << n)
-    probs[0] = 1.0
-    width = 1
-    for _ in range(n):
-        # next bit 1 extends the trailing run, next bit 0 closes it
-        probs[width : 2 * width] = probs[:width]
-        _close_trailing_runs(probs[:width], mass)
-        width *= 2
-    _close_trailing_runs(probs, trail)
-    return probs
-
-
-@lru_cache(maxsize=2)
-def _base_string_masses(law: RenewalLaw, n: int) -> np.ndarray:
-    """Read-only string masses of the law that the delta search compares
-    with a new candidate per step, at its screening and its exact length."""
-    masses = _string_masses(law, n)
-    masses.setflags(write=False)
-    return masses
+    their trailing run, in place.  The last bit appended is the top bit
+    of the index, so the trailing run is the number of leading ones: r
+    on the r-th dyadic block from the bottom, and s for the last string."""
+    n = strings.size
+    for run in range(n.bit_length()):
+        strings[n - (n >> run) : n - (n >> run + 1)] *= table[run]
+    return strings
 
 
 def tv_prefix_exact(law_a: RenewalLaw, law_b: RenewalLaw, N: int) -> float:
     """Exact L1 distance between the two path measures on strings
-    x_0..x_N with x_0 = 0, over all 2^N continuations.  The masses of
-    law_a, the base law, are kept for the next call.
+    x_0..x_N with x_0 = 0, over all 2^N continuations.
+
+    A string's mass is the product, in bit order, of the run masses of
+    its completed runs and the tail mass of its trailing run.  The
+    masses of the first c = min(N, _CHUNK_BITS) bits are built by
+    doubling; the strings then go 2^c at a time, depth first over their
+    last N - c bits, and the chunk sums add pairwise in string order.
+    The value is numpy's sum of the 2^N gaps, bit for bit, from at most
+    N - c + 3 chunks per law (2.25 MB at N = 20); nothing is kept.
     """
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
-    if N > _EXACT_CAP:
-        raise ValueError(f"exact enumeration is capped at N={_EXACT_CAP}, got {N}")
-    gaps = _string_masses(law_b, N)
-    np.subtract(_base_string_masses(law_a, N), gaps, out=gaps)
-    return float(np.abs(gaps, out=gaps).sum())
+    if not 0 <= N <= _EXACT_CAP:
+        raise ValueError(f"N must lie in 0..{_EXACT_CAP}, where exact enumeration is capped, got {N}")
+    c = min(N, _CHUNK_BITS)
+    mass = [np.array([law.prob(i) for i in range(N + 1)]) for law in (law_a, law_b)]
+    trail = [np.array([1.0] + [law.tail(r) for r in range(1, N + 2)]) for law in (law_a, law_b)]
+    heads = [np.ones(1 << c), np.ones(1 << c)]
+    for head, table in zip(heads, mass):
+        for width in 1 << np.arange(c):
+            # next bit 1 extends the trailing run, next bit 0 closes it
+            head[width : 2 * width] = head[:width]
+            _close_trailing_runs(head[:width], table)
+
+    def close(chunks, tables, ones):
+        # until a zero follows bit c, each string's run also holds its head's
+        if chunks is None:
+            return [_close_trailing_runs(head.copy(), table[ones:]) for head, table in zip(heads, tables)]
+        return [chunk * table[ones] for chunk, table in zip(chunks, tables)]
+
+    sums = np.empty(1 << (N - c))
+    # (next bit past c, chunk index, ones since the last zero past c,
+    # masses of the chunk so far, or None until that zero)
+    stack = [(0, 0, 0, None)]
+    while stack:
+        bit, index, ones, chunks = stack.pop()
+        if bit == N - c:
+            a, b = close(chunks, trail, ones)
+            sums[index] = np.abs(np.subtract(a, b, out=a), out=a).sum()
+        else:
+            stack.append((bit + 1, index, 0, close(chunks, mass, ones)))
+            stack.append((bit + 1, index | 1 << bit, ones + 1, chunks))
+    # numpy sums more than 128 doubles as the sum of their two halves
+    while sums.size > 1:
+        sums = sums[0::2] + sums[1::2]
+    return float(sums[0])
 
 
 def _wilson(successes: int, n: int) -> tuple[float, float]:

@@ -490,34 +490,16 @@ def _log_columns(scan: PrefixScan, gamma: float, keep=None) -> tuple[int, EventC
     order, starts = scan.order, scan.starts
     if not ages.size:
         return 0, _columns(scan, ages, ages, ages, ages)
-    # first position after psi of each class: its head, but the second
-    # entry for age 0, whose head is psi itself
-    head = starts[:-1].copy()
-    head[::width] += starts[1::width] - head[::width] > 1
-    # an empty class at the end would read past the last entry
-    np.minimum(head, ages.size - 1, out=head)
-    first = time[order[head]]
-    del head
-    # bit_length(t - 1) at index t, and 0 at t = 0
-    bit_length = _POWERS.searchsorted(np.arange(-1, length), "right")
-    # 2^first < t, i.e. first < bit_length(t - 1); never at psi, where
-    # first >= psi >= bit_length(psi - 1)
-    rows = (first[classes] < bit_length[time]).nonzero()[0]
-    del first
-    # a row that passes has age <= first < bit_length(length), and so
-    # has its scale bit_length(t) - 1: a grid of (path, age, scale)
-    # cells with age and scale below bit_length(length) holds the
-    # window of every row
+    # a row that passes the recurrence test below has age <= first <
+    # bit_length(length), and so has its scale bit_length(t) - 1: a grid
+    # of (path, age, scale) cells with age and scale below
+    # bit_length(length) holds the window of every row.  The windows are
+    # counted first, so that their sort key is never held beside a
+    # row-sized index.
     scales = length.bit_length()
     ages_in = min(width, scales)
-    cell = classes[rows] // width
-    cell *= ages_in
-    cell += ages[rows]
-    cell *= scales
-    cell += bit_length[time[rows] + 1]
-    cell -= 1
-    del bit_length
-    tau, scale = np.divmod(np.arange(scan.psi.size * ages_in * scales), scales)
+    cells = scan.psi.size * ages_in * scales
+    tau, scale = np.divmod(np.arange(cells), scales)
     tau = np.divmod(tau, ages_in)
     tau = tau[0] * width + tau[1]
     # class entries in (class, position) order, as one sorted key
@@ -531,6 +513,27 @@ def _log_columns(scan: PrefixScan, gamma: float, keep=None) -> tuple[int, EventC
     del key
     count -= lo
     m = _log_window_sizes(1.0 - gamma)[scale]
+    # first position after psi of each class: its head, but the second
+    # entry for age 0, whose head is psi itself
+    head = starts[:-1].copy()
+    head[::width] += starts[1::width] - head[::width] > 1
+    # an empty class at the end would read past the last entry
+    np.minimum(head, ages.size - 1, out=head)
+    first = time[order[head]]
+    del head
+    # bit_length(t - 1) at index t, and 0 at t = 0; one byte holds it
+    bit_length = _POWERS.searchsorted(np.arange(-1, length), "right").astype(np.uint8)
+    # 2^first < t, i.e. first < bit_length(t - 1); never at psi, where
+    # first >= psi >= bit_length(psi - 1)
+    rows = (first[classes] < bit_length[time]).nonzero()[0]
+    del first
+    cell = (classes[rows] // width).astype(np.int32 if cells < 1 << 31 else np.int64)
+    cell *= ages_in
+    cell += ages[rows]
+    cell *= scales
+    cell += bit_length[1:][time[rows]]
+    cell -= 1
+    del bit_length
     fired, kept = _cut((count >= m)[cell].nonzero()[0], keep)
     rows = rows[kept]
     cell = cell[kept]

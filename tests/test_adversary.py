@@ -4,6 +4,7 @@ fooling Monte Carlo with stub estimators, stage advance and verification."""
 import dataclasses
 import json
 import math
+import tracemalloc
 from functools import partial
 from itertools import product
 
@@ -202,6 +203,26 @@ class TestPrefixTvExact:
         for law_a, law_b in pairs:
             for n in range(21):
                 assert tv_prefix_exact(law_a, law_b, n) == concatenated(law_a, law_b, n), n
+
+    def test_chunks_of_128_strings_add_up_as_the_full_enumeration(self, monkeypatch):
+        # at 7 bits a chunk is numpy's smallest pairwise block, so every
+        # N above 7 adds several chunk sums pairwise
+        monkeypatch.setattr(adversary, "_CHUNK_BITS", 7)
+        self.test_equals_enumeration_by_concatenation()
+
+    def test_twenty_bits_hold_no_full_enumeration(self):
+        # the 2^20 masses of one law alone take 8 MB
+        law = stage0().law
+        moved = perturb(law, 40961, 4.9e-5)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tv_prefix_exact(law, moved, 20)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 4 << 20
+        assert current - before < 1 << 20
 
     @settings(max_examples=60, deadline=None)
     @given(
