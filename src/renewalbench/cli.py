@@ -52,7 +52,8 @@ _cli = sys.modules[__name__]
 
 # evaluate keeps records (for CSV export, or with keep_records) only up
 # to this many path positions: it retains every scored record, as seven
-# numeric columns of 8 bytes each (56 B per record), until it writes
+# numeric columns (48 B per record; time and age take 4 bytes each),
+# until it writes them
 MAX_CSV_POSITIONS = 2_000_000
 
 # The adversary's schemes by tag (adversary._TAGS, spelled out so that

@@ -142,7 +142,8 @@ class _Scorer:
         # Rows in class order, in blocks of _BLOCK.  acc and seen follow
         # this order until the end.
         by_class = _stable_order(ages, np.intp)
-        row_age = ages[by_class]
+        # native, since each step below indexes by it
+        row_age = ages[by_class].astype(np.intp, copy=False)
         row_m = m[by_class]
         begins = cols.lo[by_class]
         ends = cols.hi[by_class]

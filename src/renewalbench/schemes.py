@@ -34,15 +34,16 @@ The scan and the firing rules also take a block of equal-length paths,
 the rows of a 2-D array, with age classes keyed by (path, age); one
 path is a block of one.  Callers that run many paths, like the
 adversary's Monte Carlo, pass blocks of at most _BLOCK_BITS = 2^16
-positions (a longer path is a block of its own).  The scan holds 48
-bytes per position (about 56 in a block of several paths, which keeps
-each row's class too).  Building a scheme's columns for every row peaks
-at 80-116 bytes per position (tracemalloc, geometric paths, one 1M-bit
-path and a block of 1000 65-bit paths: poly 80-110, log 101-116, eps
-102-107, offline 104-107), so a full block takes about 7 MB.  A JSON
-report reads only each path's final decile, and builds columns only
-for those rows once every firing is found: poly 73, log 86 and eps 65
-bytes per position on the 1M-bit path.
+positions (a longer path is a block of its own).  Every row-sized
+column takes 4 bytes but the prefix sums, which take 8, so the scan
+holds 28 bytes per position (about 35 in a block of several paths,
+which keeps each row's class too).  Building a scheme's columns for
+every row peaks at 56-86 bytes per position (tracemalloc, geometric
+paths, one 1M-bit path and a block of 1000 65-bit paths: poly 56-78,
+log 78-86, eps 74-77, offline 76-78), so a full block takes about
+5 MB.  A JSON report reads only each path's final decile, and builds
+columns only for those rows once every firing is found: poly 46, log
+45 and eps 46 bytes per position on the 1M-bit path.
 
 Each estimate's histogram is counted from the same columns:
 window_counts walks the residual values in ascending order and counts
@@ -225,6 +226,12 @@ def _setting(tag: str, config: SchemeConfig) -> float | None:
     return value
 
 
+def _index_dtype(size: int):
+    """The integer type of row-sized columns and row indices for a block
+    of `size` positions: 4 bytes while every row index fits."""
+    return np.int32 if size < 1 << 31 else np.int64
+
+
 def _stable_order(keys: np.ndarray, dtype) -> np.ndarray:
     """Stable argsort of nonnegative integers as `dtype` indices; numpy
     radix-sorts 16-bit keys, several times faster than its merge sort
@@ -252,6 +259,10 @@ class PrefixScan(NamedTuple):
     is unknown) and the exact prefix sums ``prefix``.  Class c holds class-order entries ``starts[c]:starts[c + 1]``,
     completed occurrences first.  One path is a block of one, whose
     classes are its ages.
+
+    Every row column and ``first`` and ``psi`` take the row type of
+    _index_dtype, 4 bytes below 2^31 positions; ``prefix`` and
+    ``starts`` are int64.
     """
 
     length: int
@@ -274,7 +285,10 @@ def prefix_scan(bits) -> PrefixScan:
     # the adversary's Monte Carlo the call overhead is the cost
     arr = _as_path(bits)
     paths, length = arr.shape if arr.ndim == 2 else (1, arr.size)
-    zeros = (arr.reshape(-1) == 0).nonzero()[0]
+    # every value below but the prefix sums is at most the block's size,
+    # so each takes the row type
+    index = _index_dtype(arr.size)
+    zeros = (arr.reshape(-1) == 0).nonzero()[0].astype(index)
     path = zeros // length if zeros.size else zeros
     # one past each run: the next zero, or the end of its path, where
     # the run is still open
@@ -286,12 +300,12 @@ def prefix_scan(bits) -> PrefixScan:
     runs = ends - zeros  # positions per run, its zero included
     del ends
     # scan row of each run's zero, and the total
-    bounds = np.zeros(runs.size + 1, dtype=np.intp)
-    runs.cumsum(out=bounds[1:])
+    bounds = np.zeros(runs.size + 1, dtype=index)
+    runs.cumsum(dtype=index, out=bounds[1:])
     size = int(bounds[-1])
-    first = bounds[path.searchsorted(np.arange(paths + 1))]
+    first = bounds[path.searchsorted(np.arange(paths + 1, dtype=index))]
     psi = length - (first[1:] - first[:-1])
-    ages = np.arange(size)
+    ages = np.arange(size, dtype=index)
     ages -= bounds[:-1].repeat(runs)
     del bounds
     zeros -= path * length
@@ -314,21 +328,25 @@ def prefix_scan(bits) -> PrefixScan:
         classes = path.repeat(runs)
         classes += ages
     del path, runs
+    # order stays native while it indexes here: numpy would widen a
+    # narrower index on each gather
     order = _stable_order(classes, np.intp)
     sizes = np.bincount(classes, minlength=paths * width)
     starts = np.zeros(sizes.size + 1, dtype=sizes.dtype)
     sizes.cumsum(out=starts[1:])
-    within = np.arange(size)
-    within -= starts[:-1].repeat(sizes)
+    within = np.arange(size, dtype=index)
+    within -= starts[:-1].astype(index).repeat(sizes)
     rank = np.empty_like(ages)
     rank[order] = within
     del within
-    # a leading 0 makes prefix[k] the sum of the first k residuals
-    padded = np.zeros(size + 1, dtype=np.int64)
-    # "clip" (the indices are valid) writes in place; "raise" buffers
-    residuals.take(order, out=padded[1:], mode="clip")
-    del residuals
-    return PrefixScan(length, width, psi, first, time, ages, classes, rank, order, padded[1:], padded.cumsum(), starts)
+    residuals = residuals[order]
+    order = order.astype(index)
+    # a leading 0 makes prefix[k] the sum of the first k residuals; the
+    # sums alone can pass 2^31
+    prefix = np.zeros(size + 1, dtype=np.int64)
+    prefix[1:] = residuals
+    prefix.cumsum(out=prefix)
+    return PrefixScan(length, width, psi, first, time, ages, classes, rank, order, residuals, prefix, starts)
 
 
 class EventColumns(NamedTuple):
@@ -382,10 +400,10 @@ def window_counts(residuals: np.ndarray, blocks: Iterable[tuple[np.ndarray, np.n
     distinct values times the windows: on a heavy-tailed path one long
     run adds hundreds of values that only a few windows hold.
     """
-    # Indices that are only bisected are kept in 32 bits where they fit.
-    # begins and ends stay native: they index the running count, and
-    # numpy widens narrower indices on every gather.
-    index = np.int32 if residuals.size < 1 << 31 else np.intp
+    # Indices that are only bisected are kept in the row type.  begins
+    # and ends stay native: they index the running count, and numpy
+    # widens narrower indices on every gather.
+    index = _index_dtype(residuals.size)
     # class-order entries of each value, ascending
     by_value = _stable_order(residuals, index)
     bounds = np.zeros(int(residuals.max(initial=0)) + 2, dtype=np.intp)
@@ -423,7 +441,8 @@ def window_counts(residuals: np.ndarray, blocks: Iterable[tuple[np.ndarray, np.n
 
 @lru_cache(maxsize=4)
 def _window_sizes(n: int, exponent: float) -> np.ndarray:
-    """math.ceil(t ** exponent) for t in 0..n-1, read-only.
+    """math.ceil(t ** exponent) for t in 0..n-1, read-only, in the row
+    type (the values are at most t).
 
     numpy's power may differ from Python's in the last place.  That
     moves the ceiling only where t ** exponent lies next to an integer,
@@ -440,7 +459,7 @@ def _window_sizes(n: int, exponent: float) -> np.ndarray:
     gap *= 1e9
     near = np.flatnonzero(gap <= power)
     del gap
-    sizes = np.ceil(power, out=power).astype(np.intp)
+    sizes = np.ceil(power, out=power).astype(_index_dtype(n))
     for t in near.tolist():
         sizes[t] = math.ceil(t**exponent)
     sizes.setflags(write=False)
@@ -502,8 +521,10 @@ def _log_columns(scan: PrefixScan, gamma: float, keep=None) -> tuple[int, EventC
     tau, scale = np.divmod(np.arange(cells), scales)
     tau = np.divmod(tau, ages_in)
     tau = tau[0] * width + tau[1]
-    # class entries in (class, position) order, as one sorted key
-    key = classes[order]
+    # class entries in (class, position) order, as one sorted key: the
+    # class of each, read off starts, times the length (which can pass
+    # 2^31), plus its position
+    key = np.arange(starts.size - 1, dtype=np.int64).repeat(np.diff(starts))
     key *= length
     key += time[order]
     tau *= length
@@ -525,9 +546,9 @@ def _log_columns(scan: PrefixScan, gamma: float, keep=None) -> tuple[int, EventC
     bit_length = _POWERS.searchsorted(np.arange(-1, length), "right").astype(np.uint8)
     # 2^first < t, i.e. first < bit_length(t - 1); never at psi, where
     # first >= psi >= bit_length(psi - 1)
-    rows = (first[classes] < bit_length[time]).nonzero()[0]
+    rows = (first[classes] < bit_length[time]).nonzero()[0].astype(_index_dtype(ages.size))
     del first
-    cell = (classes[rows] // width).astype(np.int32 if cells < 1 << 31 else np.int64)
+    cell = (classes[rows] // width).astype(_index_dtype(cells), copy=False)
     cell *= ages_in
     cell += ages[rows]
     cell *= scales
@@ -552,8 +573,9 @@ def _eps_columns(scan: PrefixScan, epsilon: float, keep=None) -> tuple[int, Even
     ages, rank = scan.ages, scan.rank
     # rank summed over t - tau .. t - 1: its prefix sum before t, less
     # that before the run's zero, the last row of age 0 up to t (the
-    # sums never fall, so a running maximum carries it along the run)
-    below = rank.cumsum()
+    # sums never fall, so a running maximum carries it along the run);
+    # the sums can pass 2^31
+    below = rank.cumsum(dtype=np.int64)
     below -= rank
     at_zero = np.where(ages == 0, below, 0)
     np.maximum.accumulate(at_zero, out=at_zero)

@@ -6,8 +6,12 @@ builds.  Both read their histograms from window_counts, which must equal
 np.unique on every window, and both scores must give the same floats,
 bit for bit.  poly's window sizes must equal Python's ceil(t ** e).
 Hand paths pin each firing rule at its boundary against ref_run.
+Row columns take 4 bytes.  Paths whose sums pass 2^31 pin every
+scheme's columns, and eps's on a long geometric path, to those of the
+all-int64 scan.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -327,3 +331,72 @@ def test_window_counts_equal_unique_counts(monkeypatch, spec, length):
         assert int(prefix_scan(bits).residuals.max()) >= 100  # runs in the hundreds
     # both branches ran
     assert counting.cumsum_calls > 0 and bisected > 0
+
+
+def _overflow_path():
+    """A renewal-start path of 400,000 bits with runs of 30,000 ones: its
+    residuals sum past 2^31, and so does a class times the length."""
+    p = [0.0] * 30_001
+    p[0], p[1], p[2], p[30_000] = 0.5, 0.3, 0.19, 0.01
+    return sample_path(make_law({"type": "explicit", "p": p}), 399_999, StartMode.AT_RENEWAL, seed=3, stream=0).bits
+
+
+def _digests(cols) -> str:
+    """The first 16 hex digits of the sha256 of each pinned column as
+    int64 bytes, whatever type the column has."""
+    columns = (cols.time, cols.age, cols.lo, cols.hi, cols.m, cols.sum)
+    return " ".join(hashlib.sha256(np.asarray(c, dtype=np.int64).tobytes()).hexdigest()[:16] for c in columns)
+
+
+# Row count and column digests, recorded while every scan column was int64.
+OVERFLOW_PINS = {
+    "poly": (24, "38f1547fc4177776 5d89f056865052bc 8f8868e00273e512 3a84e3f0f8079c6c 454813d59cc4875b 1da77a7299e4aa21"),
+    "log": (17, "9b0b3eafab2959e0 b707241545a34626 075d8d8e28fb28e9 1054a5c10ab0c6c9 4dead82c2c3edba1 2cb4886951904b20"),
+    "eps": (347_594, "3dfdda4223202973 c42bfdefcc932deb 67a21e8e81afe3f2 ddd8d1867d79015a 96de39a13d3fdf7c 213695f0155fd976"),
+    "offline": (369_999, "20e444c57ed845c3 3e8d82c66c1f263d 0cca036b105e88d1 c7ba94c82cdb3392 4777f246bc285db1 1dd685f10b1e0142"),
+}
+
+
+def test_overflow_regime_path_is_past_int32():
+    scan = prefix_scan(_overflow_path())
+    assert int(scan.prefix[-1]) == 5_850_196_674
+    assert int(scan.ages.max()) * scan.length == 12_000_000_000
+
+
+@pytest.mark.parametrize("tag", sorted(OVERFLOW_PINS))
+def test_overflow_regime_columns_are_pinned(tag):
+    # 4-byte row columns must leave every value that can pass 2^31 (the
+    # prefix sums, log's sort key) in int64
+    cols = scheme_columns(tag, _overflow_path(), SchemeConfig(gamma=0.3, epsilon=0.1))
+    assert (cols.time.size, _digests(cols)) == OVERFLOW_PINS[tag]
+
+
+def test_eps_rank_sums_past_int32_are_pinned():
+    # eps counts occupancy from running sums of the ranks, which pass
+    # 2^31 on a 200k-bit geometric path
+    bits = sample_path(make_law(LAWS[0]), 199_999, StartMode.STATIONARY, seed=0, stream=0).bits
+    assert int(prefix_scan(bits).rank.sum(dtype=np.int64)) == 6_683_789_307
+    cols = scheme_columns("eps", bits, SchemeConfig(epsilon=0.1))
+    assert (cols.time.size, _digests(cols)) == (
+        193_743,
+        "a842c5234a9cfe96 c69d1067b1225528 2f6882e04b74eba3 e5af31b432d23448 a314aaae44ac2cb0 7741a43c4e224f77",
+    )
+
+
+ROW_COLUMNS = ("time", "ages", "classes", "rank", "order", "residuals", "first", "psi")
+
+
+@pytest.mark.parametrize("shape", [(1, 5000), (40, 65)], ids=["path", "block"])
+def test_scan_row_columns_take_four_bytes(shape):
+    bits = sample_paths(make_law(LAWS[0]), shape[1] - 1, StartMode.STATIONARY, 0, range(shape[0]))
+    scan = prefix_scan(bits[0] if shape[0] == 1 else bits)
+    for name in ROW_COLUMNS:
+        assert getattr(scan, name).dtype == np.int32, name
+    assert scan.prefix.dtype == scan.starts.dtype == np.int64
+    assert _window_sizes(shape[1], 0.7).dtype == np.int32
+
+
+def test_row_type_widens_at_2_to_the_31():
+    # sizes only: nothing of that size is allocated
+    assert schemes._index_dtype((1 << 31) - 1) == np.int32
+    assert schemes._index_dtype(1 << 31) == np.int64
