@@ -24,14 +24,11 @@ _HOMES = {
         "law_from_json",
         "law_info_text",
         "make_law",
-        "markov_tail_bound_holds",
         "perturb",
         "power_moment",
         "residual_law",
         "residual_mean",
-        "stationary_state_law",
         "stationary_zero_prob",
-        "tv_l1",
     ),
     "paths": (
         "Path",
@@ -59,11 +56,8 @@ _HOMES = {
         "ReplicateSummary",
         "ScoredRecord",
         "emit_report",
-        "firing_density",
-        "good_index_density",
         "report_from_json",
         "run_experiment",
-        "score_events",
     ),
     "adversary": (
         "BudgetExhausted",

@@ -45,7 +45,7 @@ import numpy as np
 from .laws import MAX_SUPPORT, LawError, RenewalLaw, make_law, perturb, residual_mean
 from .paths import StartMode, sample_paths
 from .paths import sample_path  # noqa: F401  bench/traced.py wraps adversary.sample_path
-from .schemes import _BLOCK_BITS, EstimateEvent, SchemeConfig, _scan_columns, prefix_scan
+from .schemes import _BLOCK_BITS, EstimateEvent, SchemeConfig, _scheme_scan, prefix_scan
 
 __all__ = [
     "StageAudit",
@@ -299,7 +299,7 @@ def _fooled(
     for start in range(0, reps, per_block):
         streams = range(start, min(reps, start + per_block))
         bits = sample_paths(law, bound, StartMode.AT_RENEWAL, seed, streams)
-        scan, cols = _scan_columns(runner, bits, config) if isinstance(runner, str) else (prefix_scan(bits), None)
+        scan, _, cols = _scheme_scan(runner, bits, config) if isinstance(runner, str) else (prefix_scan(bits), 0, None)
         # the paths that count; each window then keeps those it fooled
         if marker is None:
             fooled = np.ones(len(streams), dtype=bool)

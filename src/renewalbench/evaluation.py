@@ -14,9 +14,9 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass
-from itertools import chain, groupby, repeat, takewhile
+from itertools import chain, groupby, repeat
 from operator import itemgetter
-from typing import BinaryIO, Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Iterator, NamedTuple
 
 import numpy as np
 
@@ -24,11 +24,9 @@ from .laws import RenewalLaw, _is_integer, _is_real, _plain, _plain_spec, make_l
 from .paths import StartMode, parse_start_mode, sample_path
 from .schemes import (
     SCHEME_TAGS,
-    EstimateEvent,
     EventColumns,
-    OfflineEstimate,
     SchemeConfig,
-    _path_columns,
+    _scheme_scan,
     _stable_order,
     window_counts,
 )
@@ -40,9 +38,6 @@ __all__ = [
     "AggregateStats",
     "ReplicateSummary",
     "EvalReport",
-    "score_events",
-    "firing_density",
-    "good_index_density",
     "run_experiment",
     "emit_report",
     "report_from_json",
@@ -93,19 +88,6 @@ class _Scorer:
             total = self._total[age] = math.fsum(masses.tolist())
         return total
 
-    def tv(self, counts: tuple[tuple[int, int], ...], m: int, age: int) -> float:
-        # q is the quotient residual_law computes, as score_columns reads it
-        probs, tail = self.law.probs, self.law.tails[age]
-        size = len(probs) - age
-        acc = 0.0
-        seen = 0.0
-        for value, count in counts:
-            q = probs[age + value] / tail if value < size else 0.0
-            acc += abs(count / m - q)
-            seen += q
-        # mass of the true law at values the histogram never hit
-        return acc + max(0.0, self._residual_total(age) - seen)
-
     def _per_age(self, ages: np.ndarray, truth) -> np.ndarray:
         table = np.zeros(int(ages.max()) + 1 if ages.size else 0)
         present = np.flatnonzero(np.bincount(ages))
@@ -116,14 +98,17 @@ class _Scorer:
         return self._per_age(ages, self.theta)
 
     def score_columns(self, cols: EventColumns) -> tuple[np.ndarray, np.ndarray]:
-        """(abs_err, tv) of every row, equal bit for bit to scoring each
-        row's histogram with theta and tv.
+        """(abs_err, tv) of every row.  A row's tv is its histogram's L1
+        distance from the residual law at its age: over the values its
+        window holds, in ascending order, acc adds |count/m - q| and seen
+        adds q, where q = probs[age + value] / tails[age]; then
+        acc + max(0, total - seen), total being the fsum of the residual
+        law's masses, adds the mass at values the window never holds.
 
         tv runs value-major on window_counts: for each residual value in
         ascending order, one vectorized step over the slice of rows that
         can hold it adds that value's term where the window does, so each
-        row sees the same float operations in the same order as the loop
-        in tv.
+        row sees those float operations in that order.
         """
         ages, m = cols.age, cols.m
         err = cols.sum / m
@@ -222,69 +207,6 @@ class RecordColumns:
         ints = [np.array(f, dtype=np.int64) for f in fields[:3]]
         floats = [np.array(f, dtype=np.float64) for f in fields[3:]]
         return RecordColumns(rows[0][0], rows[0][1], *ints, *floats)
-
-
-def score_events(
-    law: RenewalLaw,
-    events: Iterable[EstimateEvent | OfflineEstimate],
-    scheme: str = "",
-    replicate: int = 0,
-) -> list[ScoredRecord]:
-    """Per-event errors against the law; order-independent, pure.
-
-    Offline rows are accepted too; undefined ones are skipped (they
-    carry no estimate to score).
-    """
-    scorer = _Scorer(law)
-    out = []
-    for event in events:
-        if isinstance(event, OfflineEstimate):
-            if not event.defined:
-                continue
-            ordinal, time = event.position, event.position
-        else:
-            ordinal, time = event.ordinal, event.time
-        age = event.run_age
-        theta = scorer.theta(age)
-        estimate = event.estimate
-        out.append(
-            ScoredRecord(
-                replicate=replicate,
-                scheme=scheme,
-                ordinal=ordinal,
-                time=time,
-                run_age=age,
-                estimate=estimate,
-                theta=theta,
-                abs_err=abs(estimate - theta),
-                tv=scorer.tv(event.residual_counts, event.sample_count, age),
-            )
-        )
-    return out
-
-
-def firing_density(events, N: int) -> float:
-    """Stopping times up to N per unit of path, the Theorem 1 Eq. (1) probe."""
-    if N <= 0:
-        raise ValueError(f"N must be positive, got {N}")
-    return sum(1 for e in events if e.time <= N) / N
-
-
-def good_index_density(
-    estimates: Iterable[OfflineEstimate],
-    law: RenewalLaw,
-    tolerance: float,
-    N: int,
-) -> float:
-    """Fraction of positions 0..N whose offline estimate exists and is
-    within tolerance in both mean and L1 distance.  Positions with no
-    row at all (before the first zero, or beyond the path) count as bad.
-    """
-    if not tolerance > 0:  # NaN too
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    rows = takewhile(lambda row: row.position <= N, estimates)
-    records = score_events(law, rows)
-    return sum(r.abs_err <= tolerance and r.tv <= tolerance for r in records) / (N + 1)
 
 
 @dataclass(frozen=True)
@@ -440,8 +362,10 @@ def _score_columns(scorer, config, bits, replicate, columns, every_row):
     only, the only rows whose columns are then built.  A row's scores
     depend only on its own window, so they are the same either way.
     Offline rows are keyed by position."""
-    # the global, read at each call: bench/traced.py times the cut by wrapping it
-    count, cols = _path_columns(config.scheme, bits, config.scheme_config, None if every_row else _final_decile)
+    # _final_decile is the global, read at each call: bench/traced.py
+    # times the cut by wrapping it.  [1:] drops the scan, so only the
+    # columns are held while scoring.
+    count, cols = _scheme_scan(config.scheme, bits, config.scheme_config, None if every_row else _final_decile)[1:]
     errs, tvs = scorer.score_columns(cols)
     if config.keep_records and count:
         time = cols.time

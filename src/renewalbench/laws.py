@@ -30,12 +30,9 @@ __all__ = [
     "residual_mean",
     "residual_law",
     "stationary_zero_prob",
-    "stationary_state_law",
     "power_moment",
     "gamma_limit",
-    "markov_tail_bound_holds",
     "perturb",
-    "tv_l1",
     "law_info_text",
 ]
 
@@ -109,8 +106,9 @@ class RenewalLaw:
 
     @cached_property
     def stationary_cdf(self) -> np.ndarray:
-        """Read-only cumulative sum of stationary_state_law, built once
-        per law: the stationary start state's CDF."""
+        """Read-only CDF of the stationary start state, built once per
+        law: state ``i`` (the run holds ``i`` ones so far) has mass
+        ``tail(i) / (1 + mean)``, and the entries are their running sums."""
         cdf = np.cumsum(np.asarray(self.tails[:-1]) * (1.0 / (1.0 + self.mean)))
         cdf.setflags(write=False)
         return cdf
@@ -332,17 +330,6 @@ def stationary_zero_prob(law: RenewalLaw) -> float:
     return 1.0 / (1.0 + law.mean)
 
 
-def stationary_state_law(law: RenewalLaw) -> tuple[float, ...]:
-    """Stationary distribution of the run-age chain.
-
-    State ``i`` (the current run holds exactly ``i`` ones so far) has
-    mass ``tail(i) / (1 + mean)``; the masses sum to one because the
-    tails sum to ``1 + mean``.
-    """
-    scale = 1.0 / (1.0 + law.mean)
-    return tuple(law.tails[i] * scale for i in range(law.support))
-
-
 def power_moment(law: RenewalLaw, r: float) -> float:
     """``E[K^r]`` for run length K.  Finite for every r since support is."""
     return math.fsum(p * float(k) ** r for k, p in enumerate(law.probs) if p > 0.0)
@@ -358,25 +345,6 @@ def gamma_limit(alpha: float) -> float:
     if not alpha > 2.0:
         raise LawError(f"declared tail exponent must exceed 2, got {alpha!r}")
     return min(1.0 - 2.0 / alpha, 1.0 / 3.0)
-
-
-def markov_tail_bound_holds(law: RenewalLaw, age: int, horizon: int) -> bool:
-    """Check the Markov bound on the residual run outliving its mean.
-
-    For ``m = ceil(residual_mean(age) * log2(horizon))`` this tests
-    ``tail(age + m) / tail(age) <= 1 / log2(horizon)``.  The inequality
-    is how long conditioning windows are justified; it is a plain
-    Markov bound, so it holds for every law, but the helper keeps the
-    check executable in audits.
-    """
-    if horizon < 2:
-        raise LawError(f"horizon must be >= 2, got {horizon}")
-    lg = math.log2(horizon)
-    mu = residual_mean(law, age)
-    # Markov needs a positive threshold; mu can hit 0 at the truncated
-    # support's edge, where the residual is surely 0 and any m >= 1 works.
-    m = max(1, math.ceil(mu * lg))
-    return law.tail(age + m) / law.tail(age) <= 1.0 / lg + PROB_TOL
 
 
 def perturb(law: RenewalLaw, to_index: int, delta: float) -> RenewalLaw:
@@ -408,20 +376,6 @@ def perturb(law: RenewalLaw, to_index: int, delta: float) -> RenewalLaw:
         "delta": float(delta),
     }
     return _tabulate(tuple(probs), provenance)
-
-
-def tv_l1(a, b) -> float:
-    """Variation distance in L1 form: sum of |a_l - b_l|, range [0, 2].
-
-    Accepts plain mass sequences; shorter ones are zero-padded.  Both
-    inputs must be (sub)probability vectors.  No scorer calls it: it is
-    the plain L1 distance that the tests compare the scorer's tv with.
-    """
-    n = max(len(a), len(b))
-    return math.fsum(
-        abs((a[l] if l < len(a) else 0.0) - (b[l] if l < len(b) else 0.0))
-        for l in range(n)
-    )
 
 
 def law_info_text(law: RenewalLaw, ages: int = 10) -> str:

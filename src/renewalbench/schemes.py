@@ -19,7 +19,8 @@ in when they stop and which past occurrences they average:
 A tag and its parameter are decided in one place, _setting: it rejects
 an unknown tag, reads gamma (poly, log) or epsilon (eps) from the
 SchemeConfig, and warns where the scheme's guarantees do not hold.
-Every entry point, the reference ref_run included, starts there.
+Every entry point, the reference ref_run included, goes through it;
+the columnar ones reach it through _scheme_scan, which then scans.
 
 Every scheme reads its windows from one columnar scan of the whole
 path (prefix_scan): the run age of every position, its rank in its age
@@ -607,27 +608,22 @@ _BUILDERS = {"poly": _poly_columns, "log": _log_columns, "offline": _offline_col
 SCHEME_TAGS = tuple(_BUILDERS)
 
 
-def _scan_columns(tag: str, bits, config: SchemeConfig) -> tuple[PrefixScan, EventColumns]:
-    """Settles the scheme's parameter, then scans the path and builds
-    the scheme's columns."""
+def _scheme_scan(tag: str, bits, config: SchemeConfig, keep=None) -> tuple[PrefixScan, int, EventColumns]:
+    """Settles the scheme's parameter, then scans the path, or the block
+    of paths, and builds the scheme's columns.  Returns the scan, how
+    many estimates the scheme makes, and the columns of those keep
+    selects: keep takes the ascending scan rows of all of them and
+    returns a tail, whose columns alone are gathered (every row's
+    without keep)."""
     parameter = _setting(tag, config)
     scan = prefix_scan(bits)
-    return scan, _BUILDERS[tag](scan, parameter)[1]
-
-
-def _path_columns(tag: str, bits, config: SchemeConfig, keep=None) -> tuple[int, EventColumns]:
-    """How many estimates the scheme makes on one path, and the columns
-    of those keep selects: keep takes the ascending scan rows of all of
-    them and returns a tail, whose columns alone are gathered (every
-    row's without keep)."""
-    parameter = _setting(tag, config)
-    return _BUILDERS[tag](prefix_scan(_one_path(bits)), parameter, keep)
+    return (scan, *_BUILDERS[tag](scan, parameter, keep))
 
 
 def scheme_columns(tag: str, bits, config: SchemeConfig) -> EventColumns:
     """Columns of one scheme's estimates on a whole path, or on a block
     of equal-length paths, the rows of a 2-D array."""
-    return _scan_columns(tag, bits, config)[1]
+    return _scheme_scan(tag, bits, config)[2]
 
 
 # Rows whose histograms are counted together, and that are then turned
@@ -727,9 +723,7 @@ def iter_scheme(tag: str, bits, config: SchemeConfig = SchemeConfig()) -> Iterat
     An event's window starts at the first entry averaged, or at psi for
     eps, and ends at the firing, or at the last entry averaged for log.
     """
-    parameter = _setting(tag, config)
-    scan = prefix_scan(_one_path(bits))
-    cols = _BUILDERS[tag](scan, parameter)[1]
+    scan, _, cols = _scheme_scan(tag, _one_path(bits), config)
     histograms = _histograms(cols.residuals, cols.lo, cols.hi)
     if tag == "offline":
         return _offline_rows(int(scan.psi[0]), scan.ages, scan.rank, cols, histograms)
@@ -765,8 +759,8 @@ def _ref_histogram(residuals: np.ndarray) -> tuple[tuple[int, int], ...]:
 
 def ref_run(scheme: str, bits, config: SchemeConfig):
     """Slow per-position rescan twin of run_scheme, same output exactly."""
-    parameter = _setting(scheme, config)
     arr = _one_path(bits)
+    parameter = _setting(scheme, config)
     zeros = np.flatnonzero(arr == 0)
     out: list = []
     if zeros.size == 0:

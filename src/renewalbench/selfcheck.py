@@ -15,10 +15,10 @@ from typing import Callable
 import numpy as np
 
 from .adversary import mu_L_shift, stage0, tv_prefix_exact
-from .evaluation import CSV_COLUMNS, firing_density, score_events
+from .evaluation import CSV_COLUMNS, _Scorer
 from .laws import make_law, perturb, residual_mean, stationary_zero_prob
 from .paths import StartMode, sample_path
-from .schemes import SCHEME_TAGS, SchemeConfig, prefix_scan, ref_run, run_scheme
+from .schemes import SCHEME_TAGS, SchemeConfig, prefix_scan, ref_run, run_scheme, scheme_columns
 
 P2_BITS = [0, 1, 1] * 14 + [0]
 
@@ -45,10 +45,13 @@ def _check_scheme_traces() -> None:
     eps_events = run_scheme("eps", P2_BITS[:12], SchemeConfig(epsilon=0.5))
     _expect([e.time for e in eps_events] == [3, 4, 6, 7, 8, 9, 10, 11])
     _expect(eps_events[0].estimate == 2.0)
-    scored = score_events(make_law({"type": "explicit", "p": [0, 0, 1]}), eps_events)
-    _expect(all(r.abs_err == 0.0 and r.tv == 0.0 for r in scored))
+    # the scorer every evaluate run uses: on the deterministic law each
+    # eps estimate is exact, in mean and in distribution
+    cols = scheme_columns("eps", P2_BITS[:12], SchemeConfig(epsilon=0.5))
+    _expect(cols.time.tolist() == [3, 4, 6, 7, 8, 9, 10, 11], cols.time)
+    errs, tvs = _Scorer(make_law({"type": "explicit", "p": [0, 0, 1]})).score_columns(cols)
+    _expect(not errs.any() and not tvs.any(), (errs, tvs))
     _expect(len(CSV_COLUMNS) == 9)
-    _expect(firing_density((), 10) == 0.0)
 
 
 def _check_streaming_matches_reference() -> None:

@@ -1,0 +1,141 @@
+"""Reference implementations that the tests compare the package with.
+
+The package scores estimates one way, with the columnar scorer
+(evaluation._Scorer.score_columns).  score_events scores each event's
+histogram by a plain loop over its values, good_index_density recounts
+offline's good-index density from those scores, and firing_density
+counts stopping times; the columnar records and summaries must equal
+them bit for bit.  The law helpers restate closed forms the package
+computes another way: tv_l1 the L1 distance, stationary_state_law the
+masses whose cumulative sum is RenewalLaw.stationary_cdf, and
+markov_tail_bound_holds the Markov bound that conditioning windows
+rest on.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import takewhile
+from typing import Iterable
+
+from renewalbench.evaluation import ScoredRecord, _Scorer
+from renewalbench.laws import PROB_TOL, LawError, RenewalLaw, residual_mean
+from renewalbench.schemes import EstimateEvent, OfflineEstimate
+
+
+def tv(scorer: _Scorer, counts: tuple[tuple[int, int], ...], m: int, age: int) -> float:
+    """The L1 distance between the histogram `counts` of m residuals and
+    the law's residual law at `age`, with the scorer's float operations
+    in the scorer's order."""
+    # q is the quotient residual_law computes, as score_columns reads it
+    probs, tail = scorer.law.probs, scorer.law.tails[age]
+    size = len(probs) - age
+    acc = 0.0
+    seen = 0.0
+    for value, count in counts:
+        q = probs[age + value] / tail if value < size else 0.0
+        acc += abs(count / m - q)
+        seen += q
+    # mass of the true law at values the histogram never hit
+    return acc + max(0.0, scorer._residual_total(age) - seen)
+
+
+def score_events(
+    law: RenewalLaw,
+    events: Iterable[EstimateEvent | OfflineEstimate],
+    scheme: str = "",
+    replicate: int = 0,
+) -> list[ScoredRecord]:
+    """Per-event errors against the law; order-independent, pure.
+
+    Offline rows are accepted too; undefined ones are skipped (they
+    carry no estimate to score).
+    """
+    scorer = _Scorer(law)
+    out = []
+    for event in events:
+        if isinstance(event, OfflineEstimate):
+            if not event.defined:
+                continue
+            ordinal, time = event.position, event.position
+        else:
+            ordinal, time = event.ordinal, event.time
+        age = event.run_age
+        theta = scorer.theta(age)
+        estimate = event.estimate
+        out.append(
+            ScoredRecord(
+                replicate=replicate,
+                scheme=scheme,
+                ordinal=ordinal,
+                time=time,
+                run_age=age,
+                estimate=estimate,
+                theta=theta,
+                abs_err=abs(estimate - theta),
+                tv=tv(scorer, event.residual_counts, event.sample_count, age),
+            )
+        )
+    return out
+
+
+def firing_density(events, N: int) -> float:
+    """Stopping times up to N per unit of path, the Theorem 1 Eq. (1) probe."""
+    return sum(1 for e in events if e.time <= N) / N
+
+
+def good_index_density(
+    estimates: Iterable[OfflineEstimate],
+    law: RenewalLaw,
+    tolerance: float,
+    N: int,
+) -> float:
+    """Fraction of positions 0..N whose offline estimate exists and is
+    within tolerance in both mean and L1 distance.  Positions with no
+    row at all (before the first zero, or beyond the path) count as bad.
+    """
+    rows = takewhile(lambda row: row.position <= N, estimates)
+    records = score_events(law, rows)
+    return sum(r.abs_err <= tolerance and r.tv <= tolerance for r in records) / (N + 1)
+
+
+def tv_l1(a, b) -> float:
+    """Variation distance in L1 form: sum of |a_l - b_l|, range [0, 2].
+
+    Accepts plain mass sequences; shorter ones are zero-padded.  Both
+    inputs must be (sub)probability vectors.
+    """
+    n = max(len(a), len(b))
+    return math.fsum(
+        abs((a[l] if l < len(a) else 0.0) - (b[l] if l < len(b) else 0.0))
+        for l in range(n)
+    )
+
+
+def stationary_state_law(law: RenewalLaw) -> tuple[float, ...]:
+    """Stationary distribution of the run-age chain.
+
+    State ``i`` (the current run holds exactly ``i`` ones so far) has
+    mass ``tail(i) / (1 + mean)``; the masses sum to one because the
+    tails sum to ``1 + mean``.
+    """
+    scale = 1.0 / (1.0 + law.mean)
+    return tuple(law.tails[i] * scale for i in range(law.support))
+
+
+def markov_tail_bound_holds(law: RenewalLaw, age: int, horizon: int) -> bool:
+    """Check the Markov bound on the residual run outliving its mean.
+
+    For ``m = ceil(residual_mean(age) * log2(horizon))`` this tests
+    ``tail(age + m) / tail(age) <= 1 / log2(horizon)``.  The inequality
+    is how long conditioning windows are justified; it is a plain
+    Markov bound, so it holds for every law.
+    """
+    if horizon < 2:
+        raise LawError(f"horizon must be >= 2, got {horizon}")
+    lg = math.log2(horizon)
+    mu = residual_mean(law, age)
+    # Markov needs a positive threshold; mu can hit 0 at the truncated
+    # support's edge, where the residual is surely 0 and any m >= 1 works.
+    m = max(1, math.ceil(mu * lg))
+    return law.tail(age + m) / law.tail(age) <= 1.0 / lg + PROB_TOL

@@ -21,17 +21,8 @@ from renewalbench.adversary import (
     tv_prefix_exact,
     verify_stage,
 )
-from renewalbench.evaluation import (
-    ExperimentConfig,
-    run_experiment,
-    score_events,
-)
-from renewalbench.laws import (
-    make_law,
-    markov_tail_bound_holds,
-    residual_mean,
-    stationary_zero_prob,
-)
+from renewalbench.evaluation import ExperimentConfig, run_experiment
+from renewalbench.laws import make_law, residual_mean, stationary_zero_prob
 from renewalbench.paths import StartMode, sample_path
 from renewalbench.schemes import (
     SCHEME_TAGS,
@@ -40,6 +31,8 @@ from renewalbench.schemes import (
     ref_run,
     run_scheme,
 )
+
+from oracles import markov_tail_bound_holds, score_events
 
 GEOM = {"type": "geometric", "q": 0.5, "truncate": 60}
 ZIPF = {"type": "zipf", "s": 3.0, "truncate": 10_000}

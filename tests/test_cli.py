@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import renewalbench
-from renewalbench import adversary, cli, laws
+from renewalbench import adversary, cli, evaluation, laws, selfcheck
 from renewalbench.adversary import BudgetExhausted
 from renewalbench.cli import main
 from renewalbench.evaluation import CSV_COLUMNS, report_from_json
@@ -383,6 +383,20 @@ class TestSelftest:
         done = run_python("-O", "-c", script)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "optimize=1 failures=3"
+
+    def test_checks_the_scorer_that_runs(self, monkeypatch):
+        # every evaluate run scores with score_columns, so the selftest
+        # must fail when that scorer is off, even by a little
+        score = evaluation._Scorer.score_columns
+
+        def off(self, cols):
+            errs, tvs = score(self, cols)
+            return errs, tvs + 1e-3
+
+        monkeypatch.setattr(evaluation._Scorer, "score_columns", off)
+        lines = []
+        assert selfcheck.run_selftest(write=lines.append) == 1
+        assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == ["FAIL scheme hand traces"]
 
 
 EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"

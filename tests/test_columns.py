@@ -1,8 +1,8 @@
 """The columnar scan, its window counts and the scorer.
 
 run_experiment scores every scheme from the columns of one prefix scan;
-score_events and good_index_density score the events that run_scheme
-builds.  Both read their histograms from window_counts, which must equal
+the oracles score_events and good_index_density (tests/oracles.py)
+score the events that run_scheme builds.  Both read their histograms from window_counts, which must equal
 np.unique on every window, and both scores must give the same floats,
 bit for bit.  poly's window sizes must equal Python's ceil(t ** e).
 Hand paths pin each firing rule at its boundary against ref_run.
@@ -18,12 +18,7 @@ import numpy as np
 import pytest
 
 from renewalbench import evaluation, schemes
-from renewalbench.evaluation import (
-    ExperimentConfig,
-    good_index_density,
-    run_experiment,
-    score_events,
-)
+from renewalbench.evaluation import ExperimentConfig, run_experiment
 from renewalbench.laws import make_law, residual_law
 from renewalbench.paths import StartMode, sample_path, sample_paths
 from renewalbench.schemes import (
@@ -35,6 +30,8 @@ from renewalbench.schemes import (
     scheme_columns,
     window_counts,
 )
+
+from oracles import good_index_density, score_events
 
 LAWS = [
     {"type": "geometric", "q": 0.5, "truncate": 60},
@@ -126,7 +123,7 @@ def test_cut_columns_are_the_last_rows_of_the_full_columns(tag):
     counts = []
     for bits in _cut_paths():
         full = scheme_columns(tag, bits, config)
-        count, cut = schemes._path_columns(tag, bits, config, evaluation._final_decile)
+        count, cut = schemes._scheme_scan(tag, bits, config, evaluation._final_decile)[1:]
         n = full.time.size
         kept = math.ceil(n / 10)
         assert count == n

@@ -25,15 +25,14 @@ from renewalbench.laws import (
     law_from_json,
     law_info_text,
     make_law,
-    markov_tail_bound_holds,
     perturb,
     power_moment,
     residual_law,
     residual_mean,
-    stationary_state_law,
     stationary_zero_prob,
-    tv_l1,
 )
+
+from oracles import markov_tail_bound_holds, stationary_state_law, tv_l1
 
 
 def det2():

@@ -1,20 +1,25 @@
 """The package namespace: every public name resolves from its home module
-on first use, and `from renewalbench import *` binds the same names as
-when the package imported all five modules eagerly."""
+on first use, `from renewalbench import *` binds every public name, and
+each public name is read by a package module or named in the README."""
 
+import ast
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
 import renewalbench
 
-# the names the eager imports bound, by home module
+SOURCE = Path(renewalbench.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# the public names, by home module
 HOMES = {
     "laws": [
         "LawError", "RenewalLaw", "ResidualLaw", "gamma_limit", "law_from_json",
-        "law_info_text", "make_law", "markov_tail_bound_holds", "perturb",
-        "power_moment", "residual_law", "residual_mean", "stationary_state_law",
-        "stationary_zero_prob", "tv_l1",
+        "law_info_text", "make_law", "perturb", "power_moment", "residual_law",
+        "residual_mean", "stationary_zero_prob",
     ],
     "paths": [
         "Path", "PathError", "StartMode", "dump_path", "load_path",
@@ -26,8 +31,8 @@ HOMES = {
     ],
     "evaluation": [
         "CSV_COLUMNS", "AggregateStats", "EvalReport", "ExperimentConfig",
-        "ReplicateSummary", "ScoredRecord", "emit_report", "firing_density",
-        "good_index_density", "report_from_json", "run_experiment", "score_events",
+        "ReplicateSummary", "ScoredRecord", "emit_report", "report_from_json",
+        "run_experiment",
     ],
     "adversary": [
         "BudgetExhausted", "FoolingResult", "SearchBudgets", "StageAudit",
@@ -40,7 +45,7 @@ STAR = sorted([*HOMES, *(name for _, name in REEXPORTED)])
 
 
 def test_all_is_the_star_import_set():
-    assert len(REEXPORTED) == 53 and len(STAR) == 58
+    assert len(REEXPORTED) == 47 and len(STAR) == 52
     assert renewalbench.__all__ == STAR
     bound = {}
     exec("from renewalbench import *", bound)
@@ -67,3 +72,38 @@ def test_unknown_attribute_is_named():
     with pytest.raises(AttributeError, match="'no_such_name'"):
         renewalbench.no_such_name
     assert not hasattr(renewalbench, "no_such_name")
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Names a module reads: a name, an attribute, an import or an
+    imported module.  A top-level def or class does not count its own
+    name, nor does an assignment, so a name only defined, or only listed
+    as a string (as in __all__), is not referenced."""
+    names = set()
+    for statement in tree.body:
+        found = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                found.update((node.module or "").split("."))
+                found.update(alias.name for alias in node.names)
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            found.discard(statement.name)
+        names |= found
+    return names
+
+
+def test_every_public_name_is_used_or_documented():
+    # a public name that no package module reads and the README does not
+    # name is API only the tests call
+    used = set()
+    for path in SOURCE.glob("*.py"):
+        used |= _referenced_names(ast.parse(path.read_text()))
+    readme = README.read_text()
+    orphans = [
+        name for name in renewalbench.__all__ if name not in used and not re.search(rf"\b{re.escape(name)}\b", readme)
+    ]
+    assert orphans == []

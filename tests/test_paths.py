@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from renewalbench.laws import make_law, perturb, stationary_state_law, stationary_zero_prob
+from renewalbench.laws import make_law, perturb, stationary_zero_prob
 from renewalbench.paths import (
     Path,
     PathError,
@@ -23,6 +23,8 @@ from renewalbench.paths import (
     sample_path,
     sample_paths,
 )
+
+from oracles import stationary_state_law
 
 
 def det2():
