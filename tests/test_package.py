@@ -107,3 +107,30 @@ def test_every_public_name_is_used_or_documented():
         name for name in renewalbench.__all__ if name not in used and not re.search(rf"\b{re.escape(name)}\b", readme)
     ]
     assert orphans == []
+
+
+# the names that left the package for the test oracles, by former home
+MOVED = [
+    ("evaluation", "firing_density"), ("evaluation", "good_index_density"),
+    ("evaluation", "score_events"), ("laws", "markov_tail_bound_holds"),
+    ("laws", "stationary_state_law"), ("laws", "tv_l1"),
+]
+
+
+@pytest.mark.parametrize("module, name", MOVED, ids=lambda value: value)
+def test_moved_name_is_only_a_test_oracle(module, name):
+    import oracles
+
+    home = importlib.import_module(f"renewalbench.{module}")
+    assert name not in renewalbench.__all__
+    assert not hasattr(renewalbench, name)
+    assert not hasattr(home, name)
+    assert callable(getattr(oracles, name))
+
+
+def test_package_keeps_one_scorer():
+    # the scalar per-event tv left with score_events; score_columns scores every run
+    from renewalbench.evaluation import _Scorer
+
+    assert not hasattr(_Scorer, "tv")
+    assert callable(_Scorer.score_columns)
