@@ -105,53 +105,53 @@ class _Scorer:
         acc + max(0, total - seen), total being the fsum of the residual
         law's masses, adds the mass at values the window never holds.
 
-        tv runs value-major on window_counts: for each residual value in
-        ascending order, one vectorized step over the slice of rows that
-        can hold it adds that value's term where the window does, so each
-        row sees those float operations in that order.
+        Rows are sorted by class once, then scored _BLOCK at a time: a
+        block's columns are gathered, and its tv runs value-major on
+        window_counts.  For each residual value in ascending order, one
+        vectorized step over the slice of the block's rows that can hold
+        it adds that value's term where the window does, so each row sees
+        those float operations in that order, whatever the block size.
         """
         ages, m = cols.age, cols.m
         err = cols.sum / m
         err -= self.thetas(ages)
         np.abs(err, out=err)
-        acc = np.zeros(ages.size)
-        seen = np.zeros(ages.size)
+        tv = np.empty(ages.size)
         if not ages.size:
-            return err, acc
+            return err, tv
         residuals = cols.residuals
         # residual value l at age a has mass probs[a + l]; pad with zeros
         # for lengths past the support, which the law never produces
         probs = np.zeros(max(self.law.support, int(ages.max()) + int(residuals.max()) + 1))
         probs[: self.law.support] = self._probs
         tails = np.asarray(self.law.tails)
-        # Rows in class order, in blocks of _BLOCK.  acc and seen follow
-        # this order until the end.
+        count = window_counts(residuals)
         by_class = _stable_order(ages, np.intp)
-        # native, since each step below indexes by it
-        row_age = ages[by_class].astype(np.intp, copy=False)
-        row_m = m[by_class]
-        begins = cols.lo[by_class]
-        ends = cols.hi[by_class]
-        blocks = ((begins[start : start + _BLOCK], ends[start : start + _BLOCK]) for start in range(0, ages.size, _BLOCK))
-        for block, value, first, counts in window_counts(residuals, blocks):
-            start = block * _BLOCK + first
-            rows = slice(start, start + counts.size)
-            age = row_age[rows]
-            q = probs[age + value] / tails[age]
-            term = counts / row_m[rows]
-            term -= q
-            np.abs(term, out=term)
-            # rows whose window misses the value add nothing
-            hit = counts != 0
-            np.add(acc[rows], term, out=acc[rows], where=hit)
-            np.add(seen[rows], q, out=seen[rows], where=hit)
-        # mass of the true law at values the histogram never hit
-        missed = self._per_age(row_age, self._residual_total)
-        missed -= seen
-        np.maximum(missed, 0.0, out=missed)
-        missed += acc
-        acc[by_class] = missed  # back to row order
-        return err, acc
+        for start in range(0, ages.size, _BLOCK):
+            rows = by_class[start : start + _BLOCK]
+            # native, since each step below indexes by it
+            block_age = ages[rows].astype(np.intp, copy=False)
+            block_m = m[rows]
+            acc = np.zeros(rows.size)
+            seen = np.zeros(rows.size)
+            for value, first, counts in count(cols.lo[rows], cols.hi[rows]):
+                part = slice(first, first + counts.size)
+                age = block_age[part]
+                q = probs[age + value] / tails[age]
+                term = counts / block_m[part]
+                term -= q
+                np.abs(term, out=term)
+                # rows whose window misses the value add nothing
+                hit = counts != 0
+                np.add(acc[part], term, out=acc[part], where=hit)
+                np.add(seen[part], q, out=seen[part], where=hit)
+            # mass of the true law at values the histogram never hit
+            missed = self._per_age(block_age, self._residual_total)
+            missed -= seen
+            np.maximum(missed, 0.0, out=missed)
+            missed += acc
+            tv[rows] = missed
+        return err, tv
 
 
 class ScoredRecord(NamedTuple):
@@ -425,44 +425,38 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     )
 
 
-def _float_fields(values: np.ndarray) -> list[bytes]:
-    """The repr of each float, as bytes.  Where repr writes positional
-    digits (1e-4 <= |x| < 1e16) and at ±0.0, orjson's shortest
-    round-trip writer gives the same bytes, one C call per column;
+def _fields(values: np.ndarray) -> list[bytes]:
+    """The bytes csv.writer writes for each value: str of an int, repr
+    of a float.  orjson writes ints as %d does and, where repr writes
+    positional digits (1e-4 <= |x| < 1e16) and at ±0.0, floats with
+    repr's shortest round-trip digits, one C call per column;
     float.__repr__ writes the rest (exponent forms, nan, ±inf)."""
     import orjson  # only CSV export pays for the import
 
-    values = np.ascontiguousarray(values, dtype=np.float64)
+    values = np.ascontiguousarray(values)
     fields = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
-    size = np.abs(values)
-    for i in np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (values != 0)).tolist():
-        fields[i] = repr(float(values[i])).encode()
+    if values.dtype.kind == "f":
+        size = np.abs(values)
+        for i in np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (values != 0)).tolist():
+            fields[i] = repr(float(values[i])).encode()
     return fields
 
 
 def _csv_rows(block: RecordColumns) -> Iterator[bytes]:
     """The CSV bytes of a replicate's records, _CSV_BLOCK rows at a time.
 
-    One % operation per block gives the bytes csv.writer gives a row of
-    ints (%d) and float reprs (%s, from _float_fields): no field but the
-    prefix can need quoting, and the prefix goes through csv.writer
-    once, its % escaped.
+    No field but the prefix, csv.writer's replicate and scheme, can need
+    quoting: each row is that prefix and the record's fields, joined by
+    commas.
     """
     import csv  # like orjson, only CSV export pays for the import
 
     head = io.StringIO()
     csv.writer(head, lineterminator="").writerow((block.replicate, block.scheme))
-    line = head.getvalue().replace("%", "%%").encode() + b",%d,%d,%d,%s,%s,%s,%s\n"
+    prefix = head.getvalue().encode() + b","
     for start in range(0, block.time.size, _CSV_BLOCK):
-        part = slice(start, start + _CSV_BLOCK)
-        # theta has one value per age: format each distinct bit pattern
-        # once (so -0.0 and 0.0 stay apart) and index into the result
-        values, index = np.unique(block.theta[part].view(np.int64), return_inverse=True)
-        thetas = _float_fields(values.view(np.float64))
-        n, t, age = (a[part].tolist() for a in (block.ordinal, block.time, block.run_age))
-        h, err, tv = (_float_fields(a[part]) for a in (block.estimate, block.abs_err, block.tv))
-        rows = zip(n, t, age, h, map(thetas.__getitem__, index.tolist()), err, tv)
-        yield line * len(n) % tuple(chain.from_iterable(rows))
+        fields = [_fields(column[start : start + _CSV_BLOCK]) for column in block.arrays]
+        yield prefix + (b"\n" + prefix).join(map(b",".join, zip(*fields))) + b"\n"
 
 
 def emit_report(report: EvalReport, format: str = "json", out: BinaryIO | None = None) -> bytes | None:

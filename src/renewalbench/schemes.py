@@ -47,11 +47,15 @@ columns only for those rows once every firing is found: poly 46, log
 45 and eps 46 bytes per position on the 1M-bit path.
 
 Each estimate's histogram is counted from the same columns:
-window_counts walks the residual values in ascending order and counts
-each value over the contiguous slice of windows that can hold it.  The
-scorer sums those counts directly; the event adapters take rows a block
-at a time, count each distinct window of the block once, and turn the
-counts into the residual_counts tuples as the events are drawn.
+window_counts indexes the residuals by value once and returns a counter
+that takes one block of windows, grouped by class, per call.  It walks
+the residual values in ascending order and counts each value over the
+contiguous slice of the block's windows that can hold it.  Each caller
+loops over its own blocks.  The scorer gathers a block of rows in class
+order and sums its counts directly; the event adapters take rows a
+block at a time in row order, count each distinct window of the block
+once, and turn the counts into the residual_counts tuples as the events
+are drawn.
 
 Estimates are exact rationals (integer sums over integer counts)
 converted to float by a single division, so the emitted mean equals the
@@ -66,9 +70,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby, tee
-from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -383,15 +385,17 @@ def _cut(rows: np.ndarray, keep) -> tuple[int, np.ndarray]:
     return rows.size, rows if keep is None else keep(rows)
 
 
-def window_counts(residuals: np.ndarray, blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[tuple[int, int, int, np.ndarray]]:
-    """Value-major histograms of windows residuals[begins[i]:ends[i]].
+def window_counts(residuals: np.ndarray) -> Callable[[np.ndarray, np.ndarray], Iterator[tuple[int, int, np.ndarray]]]:
+    """A counter of value-major histograms of windows residuals[begins[i]:ends[i]].
 
-    The windows come in blocks of (begins, ends), each grouped by age
-    class.  For each block k in turn and each residual value in
-    ascending order, yields (k, value, first, counts): counts[j] is how
-    many times window first + j of the block holds the value, over the
-    slice of windows that can hold it.  Windows of the slice that miss
-    the value count 0.
+    The residuals are indexed by value once, here.  The counter,
+    count(begins, ends), takes one block of windows grouped by age class
+    and, for each residual value in ascending order, yields
+    (value, first, counts): counts[j] is how many times window first + j
+    of the block holds the value, over the slice of windows that can
+    hold it.  Windows of the slice that miss the value count 0.  The
+    counter's running count is shared by every call, so one block must
+    be read to the end before the next call.
 
     A window lies inside its age class, so the windows of a grouped
     block that can hold an entry in [first, last] are one slice: from
@@ -414,7 +418,8 @@ def window_counts(residuals: np.ndarray, blocks: Iterable[tuple[np.ndarray, np.n
     highest = by_value[bounds[values + 1] - 1]
     # running count of one value over the residuals a slice spans
     running = np.zeros(residuals.size + 1, dtype=np.int32)
-    for block, (begins, ends) in enumerate(blocks):
+
+    def count(begins: np.ndarray, ends: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
         # the furthest end up to each window, and the least start from it on
         reach = np.maximum.accumulate(ends).astype(index)
         latest = np.minimum.accumulate(begins[::-1])[::-1].astype(index)
@@ -437,7 +442,9 @@ def window_counts(residuals: np.ndarray, blocks: Iterable[tuple[np.ndarray, np.n
             else:
                 counts = entries.searchsorted(narrow_ends[first:last])
                 counts -= entries.searchsorted(narrow_begins[first:last])
-            yield block, value, first, counts
+            yield value, first, counts
+
+    return count
 
 
 @lru_cache(maxsize=4)
@@ -637,22 +644,20 @@ def _histograms(residuals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Iterat
 
     Rows are counted a block at a time.  A block's distinct windows are
     counted once, sorted, which groups them by class, and rows with the
-    same window share one tuple, held until its last row.
+    same window share one tuple.
     """
     size = residuals.size + 1
-    starts = range(0, lo.size, _HISTOGRAM_BLOCK)
-    keys = (lo[start : start + _HISTOGRAM_BLOCK] * size + hi[start : start + _HISTOGRAM_BLOCK] for start in starts)
-    blocks, counted = tee(np.unique(key, return_inverse=True) for key in keys)
-    hits = window_counts(residuals, ((unique // size, unique % size) for unique, _ in counted))
-    # windows are never empty, so every block has hits
-    for (_, found), (unique, inverse) in zip(groupby(hits, itemgetter(0)), blocks):
-        found = list(found)
+    count = window_counts(residuals)
+    for start in range(0, lo.size, _HISTOGRAM_BLOCK):
+        part = slice(start, start + _HISTOGRAM_BLOCK)
+        unique, inverse = np.unique(lo[part] * size + hi[part], return_inverse=True)
+        found = list(count(unique // size, unique % size))
         # the block's (window, value) counts as a table: its nonzero cells
         # in row-major order are each window's values, ascending
         table = np.zeros((unique.size, len(found)), dtype=np.int32)
-        for column, (_, _, first, counts) in enumerate(found):
+        for column, (_, first, counts) in enumerate(found):
             table[first : first + counts.size, column] = counts
-        values = np.array([value for _, value, _, _ in found])
+        values = np.array([value for value, _, _ in found])
         del found
         windows, columns = table.nonzero()
         counts = table[windows, columns].tolist()
@@ -662,16 +667,8 @@ def _histograms(residuals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Iterat
         np.count_nonzero(table, axis=1).cumsum(out=bounds[1:])
         bounds = bounds.tolist()
         del table, windows, columns
-        shared = [None] * unique.size
-        left = np.bincount(inverse).tolist()  # rows still to come per window
-        for window in inverse.tolist():
-            histogram = shared[window]
-            if histogram is None:
-                start, stop = bounds[window], bounds[window + 1]
-                histogram = tuple(zip(values[start:stop], counts[start:stop]))
-            left[window] -= 1
-            shared[window] = histogram if left[window] else None
-            yield histogram
+        histograms = [tuple(zip(values[a:b], counts[a:b])) for a, b in zip(bounds, bounds[1:])]
+        yield from map(histograms.__getitem__, inverse.tolist())
 
 
 def _events(cols: EventColumns, window_start: np.ndarray, window_end: np.ndarray, histograms) -> Iterator[EstimateEvent]:

@@ -154,6 +154,24 @@ def test_scores_do_not_depend_on_block_size(monkeypatch, scheme):
     assert [r.row() for r in run_experiment(config).records] == whole
 
 
+@pytest.mark.parametrize("tag", ["poly", "log", "eps", "offline"])
+def test_histograms_do_not_depend_on_block_size(monkeypatch, tag):
+    # Events count their histograms a block of rows at a time; with
+    # blocks of 7, log's rows that share a window cross block edges.
+    bits = sample_path(make_law({"type": "zipf", "s": 2.2, "truncate": 500}), 5999, StartMode.STATIONARY, seed=1).bits
+    config = SchemeConfig(gamma=0.3, epsilon=0.1)
+    whole = run_scheme(tag, bits, config)
+    assert len(whole) > 7
+    if tag == "log":
+        cols = scheme_columns(tag, bits, config)
+        edges = np.arange(7, cols.lo.size, 7)
+        assert np.any((cols.lo[edges] == cols.lo[edges - 1]) & (cols.hi[edges] == cols.hi[edges - 1]))
+    monkeypatch.setattr(schemes, "_HISTOGRAM_BLOCK", 7)
+    assert run_scheme(tag, bits, config) == whole
+    prefix = bits[:1500]
+    assert run_scheme(tag, prefix, config) == ref_run(tag, prefix, config)
+
+
 @pytest.mark.parametrize("spec", LAWS, ids=lambda spec: spec["type"])
 def test_residual_totals_equal_residual_law_sums(spec):
     law = make_law(spec)
@@ -293,7 +311,8 @@ class _CountingNumpy:
     ids=["geometric", "zipf"],
 )
 def test_window_counts_equal_unique_counts(monkeypatch, spec, length):
-    # Rows in class order, in blocks of 37, as the scorer passes them.
+    # Rows in class order, in blocks of 37, one counter call per block,
+    # as the scorer passes them.
     bits = sample_path(make_law(spec), length - 1, StartMode.STATIONARY, seed=0, stream=0).bits
     config = SchemeConfig(gamma=0.3, epsilon=0.1)
     counting = _CountingNumpy()
@@ -307,20 +326,22 @@ def test_window_counts_equal_unique_counts(monkeypatch, spec, length):
         blocks = [(begins[start : start + 37], ends[start : start + 37]) for start in range(0, order.size, 37)]
         assert len(blocks) > 2
         found: list[list] = [[] for _ in order]
-        previous = (-1, -1)
+        count = window_counts(residuals)
         calls = counting.cumsum_calls
-        for block, value, first, counts in window_counts(residuals, iter(blocks)):
-            assert (block, value) > previous  # blocks in turn, values ascending
-            previous = (block, value)
-            # a slice of the block's windows, misses counted 0
-            assert 0 <= first and first + counts.size <= len(blocks[block][0]) and counts.size
-            assert np.all(counts >= 0)
-            rows = counts.nonzero()[0]
-            for row, count in zip((rows + first).tolist(), counts[rows].tolist()):
-                found[block * 37 + row].append((value, count))
-            # a step that counts from the running count builds it first
-            bisected += counting.cumsum_calls == calls
-            calls = counting.cumsum_calls
+        for block, (block_begins, block_ends) in enumerate(blocks):
+            previous = -1
+            for value, first, counts in count(block_begins, block_ends):
+                assert value > previous  # values ascending
+                previous = value
+                # a slice of the block's windows, misses counted 0
+                assert 0 <= first and first + counts.size <= len(block_begins) and counts.size
+                assert np.all(counts >= 0)
+                rows = counts.nonzero()[0]
+                for row, number in zip((rows + first).tolist(), counts[rows].tolist()):
+                    found[block * 37 + row].append((value, number))
+                # a step that counts from the running count builds it first
+                bisected += counting.cumsum_calls == calls
+                calls = counting.cumsum_calls
         for row, (lo, hi) in enumerate(zip(begins.tolist(), ends.tolist())):
             values, counts = np.unique(residuals[lo:hi], return_counts=True)
             assert found[row] == list(zip(values.tolist(), counts.tolist())), (tag, row)

@@ -463,16 +463,21 @@ def _neighbours(x):
 
 
 class TestFloatFields:
-    """_float_fields against float.__repr__, which the CSV has always
+    """_fields against float.__repr__, which the CSV has always
     written: orjson's digits inside repr's positional range, repr's
-    own outside it."""
+    own outside it.  Ints are written as str writes them."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=60), st.sampled_from([np.int32, np.int64]))
+    def test_ints_equal_str(self, values, dtype):
+        assert evaluation._fields(np.array(values, dtype=dtype)) == [str(x).encode() for x in values]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(width=64), max_size=60))
     def test_equals_repr(self, values):
         array = np.array(values, dtype=np.float64)
         if array.size:
-            assert evaluation._float_fields(array) == _repr_fields(array)
+            assert evaluation._fields(array) == _repr_fields(array)
 
     @pytest.mark.parametrize(
         "values",
@@ -487,14 +492,14 @@ class TestFloatFields:
     )
     def test_fixed_values(self, values):
         array = np.array(values, dtype=np.float64)
-        assert evaluation._float_fields(array) == _repr_fields(array)
-        assert evaluation._float_fields(-array) == _repr_fields(-array)
+        assert evaluation._fields(array) == _repr_fields(array)
+        assert evaluation._fields(-array) == _repr_fields(-array)
 
     def test_non_contiguous_view(self):
         array = np.random.default_rng(3).standard_normal((40, 3)) * 10.0 ** np.arange(-6, 12, 6)
         view = array[::3, 1]
         assert not view.flags.c_contiguous
-        assert evaluation._float_fields(view) == _repr_fields(view)
+        assert evaluation._fields(view) == _repr_fields(view)
 
     def test_offline_report_with_small_errors(self):
         # seed 42 on 20k bits has abs_err rows below 1e-4 (exponent form)
@@ -641,19 +646,25 @@ class TestFinalDecileScoring:
 # tracemalloc peak of a 1M-bit JSON run_experiment, in bytes per bit.
 # Measured on geometric(0.5) paths, seeds 0-4 (numpy 2.4), with 4-byte
 # row columns: poly 46.0-46.8, eps 46.1-46.8, log 45.0-46.4 and offline,
-# which scores every row, 115.0-115.8 (73.7-74.5, 66.1, 68.4-71.5 and
-# 135.0 with 8-byte ones).  The bounds leave 9-11% over those figures.
-PEAK_BYTES_PER_BIT = {"poly": 52, "eps": 52, "log": 51, "offline": 127}
+# which scores every row, 78.8-78.9 (115.0-115.8 while the scorer held
+# class-ordered copies of every row column).  The bounds leave 9-14%
+# over those figures.
+PEAK_BYTES_PER_BIT = {"poly": 52, "eps": 52, "log": 51, "offline": 90}
+# The same with keep_records, which scores every row and keeps its
+# record columns: poly 82.4, eps 78.7 and offline 78.8-78.9 on the
+# same seeds (115.6, 112.0 and 115.0 on seed 0 with the class-ordered
+# copies).
+KEPT_PEAK_BYTES_PER_BIT = {"poly": 92, "eps": 92, "offline": 92}
 
 
-@pytest.mark.parametrize("scheme", sorted(PEAK_BYTES_PER_BIT))
-def test_json_run_memory_per_bit_is_bounded(scheme):
+def _peak_bytes_per_bit(scheme, keep_records):
     length = 1_000_000
     config = ExperimentConfig(
         law={"type": "geometric", "q": 0.5, "truncate": 60},
         scheme=scheme,
         scheme_config=SchemeConfig(gamma=0.3, epsilon=0.1),
         length=length,
+        keep_records=keep_records,
     )
     schemes._window_sizes.cache_clear()  # poly builds its table in the run
     tracemalloc.start()
@@ -663,7 +674,17 @@ def test_json_run_memory_per_bit_is_bounded(scheme):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak / length < PEAK_BYTES_PER_BIT[scheme]
+    return peak / length
+
+
+@pytest.mark.parametrize("scheme", sorted(PEAK_BYTES_PER_BIT))
+def test_json_run_memory_per_bit_is_bounded(scheme):
+    assert _peak_bytes_per_bit(scheme, False) < PEAK_BYTES_PER_BIT[scheme]
+
+
+@pytest.mark.parametrize("scheme", sorted(KEPT_PEAK_BYTES_PER_BIT))
+def test_kept_records_memory_per_bit_is_bounded(scheme):
+    assert _peak_bytes_per_bit(scheme, True) < KEPT_PEAK_BYTES_PER_BIT[scheme]
 
 
 class _Writes(io.BytesIO):
