@@ -20,7 +20,6 @@ as attributes of this module, so a name replaced here with `setattr`
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import sys
 from dataclasses import asdict, replace
@@ -29,19 +28,18 @@ from .laws import law_from_json, law_info_text
 from .paths import parse_start_mode, sample_path, dump_path
 from .schemes import SCHEME_TAGS, SchemeConfig
 
-# The names a handler loads on first use, by their home module.
-_HOMES = {
-    "evaluation": ("ExperimentConfig", "emit_report", "run_experiment"),
-    "adversary": ("BudgetExhausted", "advance_stage", "audit_json", "stage0", "verify_stage"),
-}
-_HOME = {name: module for module, names in _HOMES.items() for name in names}
+# The names a handler loads on first use (evaluation's, then the
+# adversary's), each through the package, which knows its home module.
+_LAZY = (
+    "ExperimentConfig", "emit_report", "run_experiment",
+    "BudgetExhausted", "advance_stage", "audit_json", "stage0", "verify_stage",
+)
 
 
 def __getattr__(name):
-    module = _HOME.get(name)
-    if module is None:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    value = getattr(sys.modules[__package__], name)
     globals()[name] = value
     return value
 

@@ -20,7 +20,7 @@ from typing import BinaryIO, Iterator, NamedTuple
 
 import numpy as np
 
-from .laws import RenewalLaw, _is_integer, _is_real, _plain, _plain_spec, make_law, residual_mean
+from .laws import RenewalLaw, _is_integer, _is_real, _plain, _plain_spec, make_law
 from .paths import StartMode, parse_start_mode, sample_path
 from .schemes import (
     SCHEME_TAGS,
@@ -68,15 +68,10 @@ class _Scorer:
 
     def __init__(self, law: RenewalLaw):
         self.law = law
-        self._theta: dict[int, float] = {}
         self._total: dict[int, float] = {}
         self._probs = np.asarray(law.probs)
-
-    def theta(self, age: int) -> float:
-        value = self._theta.get(age)
-        if value is None:
-            value = self._theta[age] = residual_mean(self.law, age)
-        return value
+        self._tails = np.asarray(law.tails)
+        self._overshoots = np.asarray(law.overshoots)
 
     def _residual_total(self, age: int) -> float:
         """The fsum of the residual law's masses at this age, from the
@@ -95,7 +90,10 @@ class _Scorer:
         return table[ages]
 
     def thetas(self, ages: np.ndarray) -> np.ndarray:
-        return self._per_age(ages, self.theta)
+        """residual_mean at each age, by the same division."""
+        theta = self._overshoots[ages]
+        theta /= self._tails[ages]
+        return theta
 
     def score_columns(self, cols: EventColumns) -> tuple[np.ndarray, np.ndarray]:
         """(abs_err, tv) of every row.  A row's tv is its histogram's L1
@@ -124,7 +122,6 @@ class _Scorer:
         # for lengths past the support, which the law never produces
         probs = np.zeros(max(self.law.support, int(ages.max()) + int(residuals.max()) + 1))
         probs[: self.law.support] = self._probs
-        tails = np.asarray(self.law.tails)
         count = window_counts(residuals)
         by_class = _stable_order(ages, np.intp)
         for start in range(0, ages.size, _BLOCK):
@@ -137,7 +134,7 @@ class _Scorer:
             for value, first, counts in count(cols.lo[rows], cols.hi[rows]):
                 part = slice(first, first + counts.size)
                 age = block_age[part]
-                q = probs[age + value] / tails[age]
+                q = probs[age + value] / self._tails[age]
                 term = counts / block_m[part]
                 term -= q
                 np.abs(term, out=term)

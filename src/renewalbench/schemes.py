@@ -52,10 +52,11 @@ that takes one block of windows, grouped by class, per call.  It walks
 the residual values in ascending order and counts each value over the
 contiguous slice of the block's windows that can hold it.  Each caller
 loops over its own blocks.  The scorer gathers a block of rows in class
-order and sums its counts directly; the event adapters take rows a
-block at a time in row order, count each distinct window of the block
-once, and turn the counts into the residual_counts tuples as the events
-are drawn.
+order and sums its counts directly.  iter_scheme walks the columns once,
+a block of rows at a time in row order: it counts each distinct window
+of the block once, turns the counts into the residual_counts tuples and
+makes the block's estimates (for offline, with the undefined positions
+between them) before it counts the next block.
 
 Estimates are exact rationals (integer sums over integer counts)
 converted to float by a single division, so the emitted mean equals the
@@ -634,81 +635,75 @@ def scheme_columns(tag: str, bits, config: SchemeConfig) -> EventColumns:
 
 
 # Rows whose histograms are counted together, and that are then turned
-# into events or offline rows together; bounds the counts held.
+# into estimates together; bounds the counts held.
 _HISTOGRAM_BLOCK = 1 << 10
 
 
-def _histograms(residuals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Iterator[tuple[tuple[int, int], ...]]:
-    """The residual_counts of each window residuals[lo[i]:hi[i]], in
-    row order, from window_counts.
+def _block_histograms(count, size: int, lo: np.ndarray, hi: np.ndarray) -> list[tuple[tuple[int, int], ...]]:
+    """The residual_counts of a block's windows residuals[lo[i]:hi[i]],
+    in row order, from window_counts' counter for size - 1 residuals.
+    The distinct windows are counted once, sorted, which groups them by
+    class, and rows with the same window share one tuple."""
+    unique, inverse = np.unique(lo * size + hi, return_inverse=True)
+    found = list(count(unique // size, unique % size))
+    # the block's (window, value) counts as a table: its nonzero cells
+    # in row-major order are each window's values, ascending
+    table = np.zeros((unique.size, len(found)), dtype=np.int32)
+    for column, (_, first, counts) in enumerate(found):
+        table[first : first + counts.size, column] = counts
+    values = np.array([value for value, _, _ in found])
+    del found
+    windows, columns = table.nonzero()
+    counts = table[windows, columns].tolist()
+    values = values[columns].tolist()
+    # window w's terms are bounds[w]:bounds[w + 1]
+    bounds = np.zeros(unique.size + 1, dtype=np.intp)
+    np.count_nonzero(table, axis=1).cumsum(out=bounds[1:])
+    bounds = bounds.tolist()
+    del table, windows, columns
+    histograms = [tuple(zip(values[a:b], counts[a:b])) for a, b in zip(bounds, bounds[1:])]
+    return [histograms[w] for w in inverse.tolist()]
 
-    Rows are counted a block at a time.  A block's distinct windows are
-    counted once, sorted, which groups them by class, and rows with the
-    same window share one tuple.
+
+def _estimates(cols: EventColumns, start=None, end=None, ages=None, psi: int = 0) -> Iterator[EstimateEvent | OfflineEstimate]:
+    """The estimates of iter_scheme, made a _HISTOGRAM_BLOCK of rows at
+    a time: an EstimateEvent per row, its window from the start and end
+    columns, or for offline, given the scan's ages from psi on, an
+    OfflineEstimate per position, undefined between the rows' times.
+
+    Only the columns the estimates read are kept, not the scan.  Each
+    estimate is the float64 quotient of the int64 columns.  It equals
+    Python's int / int while the sums stay below 2^53, which holds on
+    any path shorter than 2^32 bits (residuals are < 2^21).
     """
-    size = residuals.size + 1
-    count = window_counts(residuals)
-    for start in range(0, lo.size, _HISTOGRAM_BLOCK):
-        part = slice(start, start + _HISTOGRAM_BLOCK)
-        unique, inverse = np.unique(lo[part] * size + hi[part], return_inverse=True)
-        found = list(count(unique // size, unique % size))
-        # the block's (window, value) counts as a table: its nonzero cells
-        # in row-major order are each window's values, ascending
-        table = np.zeros((unique.size, len(found)), dtype=np.int32)
-        for column, (_, first, counts) in enumerate(found):
-            table[first : first + counts.size, column] = counts
-        values = np.array([value for value, _, _ in found])
-        del found
-        windows, columns = table.nonzero()
-        counts = table[windows, columns].tolist()
-        values = values[columns].tolist()
-        # window w's terms are bounds[w]:bounds[w + 1]
-        bounds = np.zeros(unique.size + 1, dtype=np.intp)
-        np.count_nonzero(table, axis=1).cumsum(out=bounds[1:])
-        bounds = bounds.tolist()
-        del table, windows, columns
-        histograms = [tuple(zip(values[a:b], counts[a:b])) for a, b in zip(bounds, bounds[1:])]
-        yield from map(histograms.__getitem__, inverse.tolist())
+    count = window_counts(cols.residuals)
+    rows, size = cols.time.size, cols.residuals.size + 1
+    position = psi  # offline's first position not yet yielded
 
+    def undefined(stop: int) -> Iterator[OfflineEstimate]:
+        taus = ages[position - psi : stop - psi].tolist()
+        return (OfflineEstimate(at, tau, 0, None, ()) for at, tau in enumerate(taus, position))
 
-def _events(cols: EventColumns, window_start: np.ndarray, window_end: np.ndarray, histograms) -> Iterator[EstimateEvent]:
-    # Histograms come from _histograms, counted a block of rows at a
-    # time; the scan is not kept, only the columns the events read.
-    # Each estimate is the float64 quotient of the int64 columns.  It
-    # equals Python's int / int while the sums stay below 2^53, which
-    # holds on any path shorter than 2^32 bits (residuals are < 2^21).
-    for block in range(0, cols.time.size, _HISTOGRAM_BLOCK):
+    for block in range(0, rows, _HISTOGRAM_BLOCK):
         part = slice(block, block + _HISTOGRAM_BLOCK)
-        yield from map(
-            EstimateEvent._make,
-            zip(
-                range(block + 1, cols.time.size + 1),
-                cols.time[part].tolist(),
-                cols.age[part].tolist(),
-                (cols.sum[part] / cols.m[part]).tolist(),
-                histograms,
-                cols.m[part].tolist(),
-                window_start[part].tolist(),
-                window_end[part].tolist(),
-            ),
-        )
-
-
-def _offline_rows(psi: int, ages: np.ndarray, rank: np.ndarray, cols: EventColumns, histograms) -> Iterator[OfflineEstimate]:
-    """One estimate per scan row; the rows of positive rank are the
-    defined ones, whose columns and histograms come in order."""
-    defined = 0
-    for block in range(0, ages.size, _HISTOGRAM_BLOCK):
-        part = slice(block, block + _HISTOGRAM_BLOCK)
-        counts = rank[part]
-        rows = slice(defined, defined + np.count_nonzero(counts))
-        defined = rows.stop
-        estimates = iter((cols.sum[rows] / cols.m[rows]).tolist())
-        for position, tau, count in zip(range(psi + block, psi + ages.size), ages[part].tolist(), counts.tolist()):
-            if count == 0:
-                yield OfflineEstimate(position, tau, 0, None, ())
-            else:
-                yield OfflineEstimate(position, tau, count, next(estimates), next(histograms))
+        histograms = _block_histograms(count, size, cols.lo[part], cols.hi[part])
+        time, age, m = cols.time[part].tolist(), cols.age[part].tolist(), cols.m[part].tolist()
+        estimate = (cols.sum[part] / cols.m[part]).tolist()
+        if ages is None:
+            yield from map(
+                EstimateEvent._make,
+                zip(range(block + 1, rows + 1), time, age, estimate, histograms, m, start[part].tolist(), end[part].tolist()),
+            )
+        else:
+            for row in zip(time, age, m, estimate, histograms):
+                if row[0] > position:
+                    yield from undefined(row[0])
+                yield OfflineEstimate._make(row)
+                position = row[0] + 1
+        # the next block's are made once this block's are let go
+        del histograms, time, age, m, estimate
+    if ages is not None:
+        yield from undefined(psi + ages.size)
 
 
 def iter_scheme(tag: str, bits, config: SchemeConfig = SchemeConfig()) -> Iterator[EstimateEvent | OfflineEstimate]:
@@ -721,12 +716,13 @@ def iter_scheme(tag: str, bits, config: SchemeConfig = SchemeConfig()) -> Iterat
     eps, and ends at the firing, or at the last entry averaged for log.
     """
     scan, _, cols = _scheme_scan(tag, _one_path(bits), config)
-    histograms = _histograms(cols.residuals, cols.lo, cols.hi)
     if tag == "offline":
-        return _offline_rows(int(scan.psi[0]), scan.ages, scan.rank, cols, histograms)
-    start = np.full(cols.time.size, scan.psi[0]) if tag == "eps" else scan.time[scan.order[cols.lo]]
+        return _estimates(cols, ages=scan.ages, psi=int(scan.psi[0]))
+    # the windows are read off the scan here, which the estimates then
+    # let go; eps's all start at psi, a view of it rather than a column
+    start = np.broadcast_to(scan.psi, cols.time.shape) if tag == "eps" else scan.time[scan.order[cols.lo]]
     end = scan.time[scan.order[cols.hi - 1]] if tag == "log" else cols.time
-    return _events(cols, start, end, histograms)
+    return _estimates(cols, start, end)
 
 
 def run_scheme(tag: str, bits, config: SchemeConfig = SchemeConfig()) -> list[EstimateEvent | OfflineEstimate]:

@@ -2,14 +2,15 @@
 
 The package scores estimates one way, with the columnar scorer
 (evaluation._Scorer.score_columns).  score_events scores each event's
-histogram by a plain loop over its values, good_index_density recounts
-offline's good-index density from those scores, and firing_density
-counts stopping times; the columnar records and summaries must equal
-them bit for bit.  The law helpers restate closed forms the package
-computes another way: tv_l1 the L1 distance, stationary_state_law the
-masses whose cumulative sum is RenewalLaw.stationary_cdf, and
-markov_tail_bound_holds the Markov bound that conditioning windows
-rest on.
+histogram by a plain loop over its values, against the law's own
+residual_mean and residual_law and with nothing of the scorer's;
+good_index_density recounts offline's good-index density from those
+scores, and firing_density counts stopping times.  The columnar
+records and summaries must equal them bit for bit.  The law helpers
+restate closed forms the package computes another way: tv_l1 the L1
+distance, stationary_state_law the masses whose cumulative sum is
+RenewalLaw.stationary_cdf, and markov_tail_bound_holds the Markov
+bound that conditioning windows rest on.
 """
 
 from __future__ import annotations
@@ -18,17 +19,17 @@ import math
 from itertools import takewhile
 from typing import Iterable
 
-from renewalbench.evaluation import ScoredRecord, _Scorer
-from renewalbench.laws import PROB_TOL, LawError, RenewalLaw, residual_mean
+from renewalbench.evaluation import ScoredRecord
+from renewalbench.laws import PROB_TOL, LawError, RenewalLaw, residual_law, residual_mean
 from renewalbench.schemes import EstimateEvent, OfflineEstimate
 
 
-def tv(scorer: _Scorer, counts: tuple[tuple[int, int], ...], m: int, age: int) -> float:
+def tv(law: RenewalLaw, counts: tuple[tuple[int, int], ...], m: int, age: int, total: float) -> float:
     """The L1 distance between the histogram `counts` of m residuals and
-    the law's residual law at `age`, with the scorer's float operations
-    in the scorer's order."""
+    the law's residual law at `age`, whose masses sum to `total`, with
+    the scorer's float operations in the scorer's order."""
     # q is the quotient residual_law computes, as score_columns reads it
-    probs, tail = scorer.law.probs, scorer.law.tails[age]
+    probs, tail = law.probs, law.tails[age]
     size = len(probs) - age
     acc = 0.0
     seen = 0.0
@@ -37,7 +38,7 @@ def tv(scorer: _Scorer, counts: tuple[tuple[int, int], ...], m: int, age: int) -
         acc += abs(count / m - q)
         seen += q
     # mass of the true law at values the histogram never hit
-    return acc + max(0.0, scorer._residual_total(age) - seen)
+    return acc + max(0.0, total - seen)
 
 
 def score_events(
@@ -51,8 +52,8 @@ def score_events(
     Offline rows are accepted too; undefined ones are skipped (they
     carry no estimate to score).
     """
-    scorer = _Scorer(law)
     out = []
+    totals = {}  # by age: the fsum of the residual law's masses
     for event in events:
         if isinstance(event, OfflineEstimate):
             if not event.defined:
@@ -61,7 +62,9 @@ def score_events(
         else:
             ordinal, time = event.ordinal, event.time
         age = event.run_age
-        theta = scorer.theta(age)
+        theta = residual_mean(law, age)
+        if age not in totals:
+            totals[age] = math.fsum(residual_law(law, age).probs)
         estimate = event.estimate
         out.append(
             ScoredRecord(
@@ -73,7 +76,7 @@ def score_events(
                 estimate=estimate,
                 theta=theta,
                 abs_err=abs(estimate - theta),
-                tv=tv(scorer, event.residual_counts, event.sample_count, age),
+                tv=tv(law, event.residual_counts, event.sample_count, age, totals[age]),
             )
         )
     return out

@@ -19,7 +19,7 @@ import pytest
 
 from renewalbench import evaluation, schemes
 from renewalbench.evaluation import ExperimentConfig, run_experiment
-from renewalbench.laws import make_law, residual_law
+from renewalbench.laws import make_law, residual_law, residual_mean
 from renewalbench.paths import StartMode, sample_path, sample_paths
 from renewalbench.schemes import (
     SchemeConfig,
@@ -179,6 +179,16 @@ def test_residual_totals_equal_residual_law_sums(spec):
     for age in {*range(0, law.support, max(1, law.support // 100)), law.support - 1}:
         if law.tails[age] > 0.0:
             assert scorer._residual_total(age) == math.fsum(residual_law(law, age).probs)
+
+
+@pytest.mark.parametrize("spec", LAWS, ids=lambda spec: spec["type"])
+def test_thetas_equal_residual_means(spec):
+    # the oracle scores with residual_mean; the scorer divides the law's
+    # tables at every age of a row, which must give the same bits
+    law = make_law(spec)
+    ages = np.flatnonzero(np.array(law.tails) > 0.0)
+    expected = np.array([residual_mean(law, age) for age in ages.tolist()])
+    assert evaluation._Scorer(law).thetas(ages).tobytes() == expected.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

@@ -20,7 +20,6 @@ from renewalbench.evaluation import (
     EvalReport,
     RecordColumns,
     ExperimentConfig,
-    _Scorer,
     emit_report,
     report_from_json,
     run_experiment,
@@ -91,7 +90,7 @@ class TestScoreEvents:
             for v, c in counts:
                 dense[v] = c / m
             expected = tv_l1(dense, truth)
-            got = tv(_Scorer(GEOM), counts, m, age)
+            got = tv(GEOM, counts, m, age, math.fsum(truth))
             assert abs(got - expected) < 1e-12
 
     def test_order_independence(self):
@@ -542,7 +541,8 @@ def test_quantiles_equal_numpy(values):
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=1, max_size=80))
 def test_quantiles_equal_numpy_on_any_sample(values):
     array = np.array(values, dtype=np.float64)
-    expected = [float(np.quantile(array, q)) for q in (0.5, 0.9)]
+    with np.errstate(over="ignore", invalid="ignore"):  # numpy's _lerp near +-1.8e308
+        expected = [float(np.quantile(array, q)) for q in (0.5, 0.9)]
     assert np.array(evaluation._quantiles(array, 0.5, 0.9)).tobytes() == np.array(expected).tobytes()
 
 
@@ -651,10 +651,10 @@ class TestFinalDecileScoring:
 # over those figures.
 PEAK_BYTES_PER_BIT = {"poly": 52, "eps": 52, "log": 51, "offline": 90}
 # The same with keep_records, which scores every row and keeps its
-# record columns: poly 82.4, eps 78.7 and offline 78.8-78.9 on the
-# same seeds (115.6, 112.0 and 115.0 on seed 0 with the class-ordered
-# copies).
-KEPT_PEAK_BYTES_PER_BIT = {"poly": 92, "eps": 92, "offline": 92}
+# record columns: poly 82.4, eps 78.7, offline 78.8-78.9 on the same
+# seeds and log 86.8 on seed 0 (115.6, 112.0, 115.0 and 119.2 on seed 0
+# with the class-ordered copies).
+KEPT_PEAK_BYTES_PER_BIT = {"poly": 92, "eps": 92, "log": 92, "offline": 92}
 
 
 def _peak_bytes_per_bit(scheme, keep_records):

@@ -5,17 +5,22 @@ before the streaming code existed; they are the oracle, the code is
 under test.
 """
 
+import collections
+import gc
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from renewalbench import schemes
 from renewalbench.laws import make_law
 from renewalbench.paths import StartMode, sample_path
 from renewalbench.schemes import (
     EstimateEvent,
     SchemeConfig,
+    iter_scheme,
     run_scheme,
 )
 
@@ -294,3 +299,31 @@ def test_fuzz_event_structure(bits, gamma, epsilon):
         assert [r.position for r in rows] == list(range(zeros[0], len(bits)))
     else:
         assert rows == []
+
+
+# tracemalloc peak of draining iter_scheme on a 20k-bit stationary path
+# (seed 3), in bytes per bit: poly 157.6, log 80.6 and offline 185.0 on
+# geometric(0.5), eps 235.7 on zipf(3, 1e4) (Python 3.11, numpy 2.4).
+# The walk holds the columns and one block's estimates; while it held
+# two blocks' at a time the peaks were 201.3, 80.6, 237.2 and 333.9.
+# The bounds leave 5% over the figures.
+WALK_PEAK_BYTES_PER_BIT = {"poly": 166, "log": 85, "offline": 195, "eps": 248}
+
+
+@pytest.mark.parametrize("tag", sorted(WALK_PEAK_BYTES_PER_BIT))
+def test_estimate_walk_memory_per_bit_is_bounded(tag):
+    spec = {"type": "zipf", "s": 3, "truncate": 10_000} if tag == "eps" else {"type": "geometric", "q": 0.5, "truncate": 60}
+    bits = sample_path(make_law(spec), 20_000, StartMode.STATIONARY, seed=3).bits
+    schemes._window_sizes.cache_clear()  # poly builds its table in the call
+    # A full collection empties the interpreter's free lists, which would
+    # otherwise hand the walk a varying share of its tuples and floats
+    # untraced: on a path this short that moves the peak by a quarter.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        collections.deque(iter_scheme(tag, bits, SchemeConfig(gamma=0.3, epsilon=0.1)), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / bits.size < WALK_PEAK_BYTES_PER_BIT[tag]
