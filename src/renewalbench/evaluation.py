@@ -91,9 +91,10 @@ class _Scorer:
 
     def thetas(self, ages: np.ndarray) -> np.ndarray:
         """residual_mean at each age, by the same division."""
-        theta = self._overshoots[ages]
-        theta /= self._tails[ages]
-        return theta
+        # divided up to the largest age, then gathered: each age's
+        # quotient is the same, and only one row-sized column is made
+        top = int(ages.max(initial=-1)) + 1
+        return (self._overshoots[:top] / self._tails[:top])[ages]
 
     def score_columns(self, cols: EventColumns) -> tuple[np.ndarray, np.ndarray]:
         """(abs_err, tv) of every row.  A row's tv is its histogram's L1

@@ -39,12 +39,14 @@ positions (a longer path is a block of its own).  Every row-sized
 column takes 4 bytes but the prefix sums, which take 8, so the scan
 holds 28 bytes per position (about 35 in a block of several paths,
 which keeps each row's class too).  Building a scheme's columns for
-every row peaks at 56-86 bytes per position (tracemalloc, geometric
-paths, one 1M-bit path and a block of 1000 65-bit paths: poly 56-78,
-log 78-86, eps 74-77, offline 76-78), so a full block takes about
+every row peaks at 54-86 bytes per position (tracemalloc, geometric
+paths, one 1M-bit path and a block of 1000 65-bit paths: poly 54-78,
+log 77-86, eps 74-77, offline 76-77), so a full block takes about
 5 MB.  A JSON report reads only each path's final decile, and builds
-columns only for those rows once every firing is found: poly 46, log
-45 and eps 46 bytes per position on the 1M-bit path.
+columns only for those rows once every firing is found, with no index
+of every firing: poly 38, log 45 and eps 46 bytes per position on the
+1M-bit path.  poly's window sizes on one path are a view of a cached
+table, so its firing stage allocates only one-byte masks per row.
 
 Each estimate's histogram is counted from the same columns:
 window_counts indexes the residuals by value once and returns a counter
@@ -380,10 +382,32 @@ def _columns(scan: PrefixScan, rows: np.ndarray, age: np.ndarray, lo: np.ndarray
     return EventColumns(scan.residuals, rows.searchsorted(scan.first), scan.time[rows], age, lo, hi, m, total)
 
 
-def _cut(rows: np.ndarray, keep) -> tuple[int, np.ndarray]:
-    """How many rows fired, and the firing rows whose columns are built:
-    the tail that keep returns from all of them, or all without keep."""
-    return rows.size, rows if keep is None else keep(rows)
+# Entries handled per step where a step bounds a temporary: of
+# _window_sizes' build, and of _cut's search for a tail.
+_SLICE = 1 << 13
+
+
+def _cut(fires: np.ndarray, keep) -> tuple[int, np.ndarray]:
+    """How many rows fired, fires being nonzero at those, and the firing
+    rows whose columns are built: all of them without keep.  With keep,
+    the tail that keep returns from range(count), the firings' indices
+    among themselves; its rows are found by searching fires from the
+    end, _SLICE rows at a time, so no index of every firing is held."""
+    if keep is None:
+        rows = fires.nonzero()[0]
+        return rows.size, rows
+    count = int(np.count_nonzero(fires))
+    need = len(keep(range(count)))
+    parts, found, end = [np.zeros(0, dtype=np.intp)], 0, fires.size
+    while found < need:
+        begin = max(end - _SLICE, 0)
+        part = fires[begin:end].nonzero()[0]
+        part += begin
+        parts.append(part)
+        found += part.size
+        end = begin
+    rows = np.concatenate(parts[::-1])
+    return count, rows[rows.size - need :]
 
 
 def window_counts(residuals: np.ndarray) -> Callable[[np.ndarray, np.ndarray], Iterator[tuple[int, int, np.ndarray]]]:
@@ -456,21 +480,24 @@ def _window_sizes(n: int, exponent: float) -> np.ndarray:
     numpy's power may differ from Python's in the last place.  That
     moves the ceiling only where t ** exponent lies next to an integer,
     so exactly those entries are recomputed with Python's pow.  It is
-    built in place, with one temporary of its size besides it.
+    built _SLICE entries at a time, so its temporaries are of a slice's
+    size, not the table's.
     """
-    power = np.arange(n, dtype=np.float64)
-    np.power(power, exponent, out=power)
-    # within 1e-9 relative of an integer; the tolerance dwarfs the last
-    # place, so scaling the gap rather than the power changes nothing
-    gap = np.rint(power)
-    gap -= power
-    np.abs(gap, out=gap)
-    gap *= 1e9
-    near = np.flatnonzero(gap <= power)
-    del gap
-    sizes = np.ceil(power, out=power).astype(_index_dtype(n))
-    for t in near.tolist():
-        sizes[t] = math.ceil(t**exponent)
+    sizes = np.empty(n, dtype=_index_dtype(n))
+    for begin in range(0, n, _SLICE):
+        power = np.arange(begin, min(begin + _SLICE, n), dtype=np.float64)
+        np.power(power, exponent, out=power)
+        # within 1e-9 relative of an integer; the tolerance dwarfs the
+        # last place, so scaling the gap rather than the power changes
+        # nothing
+        gap = np.rint(power)
+        gap -= power
+        np.abs(gap, out=gap)
+        gap *= 1e9
+        near = np.flatnonzero(gap <= power)
+        sizes[begin : begin + power.size] = np.ceil(power, out=power)
+        for t in (near + begin).tolist():
+            sizes[t] = math.ceil(t**exponent)
     sizes.setflags(write=False)
     return sizes
 
@@ -479,10 +506,15 @@ def _poly_columns(scan: PrefixScan, gamma: float, keep=None) -> tuple[int, Event
     """poly fires at t > psi when its age class holds at least
     t^(1-gamma) completed occurrences.  The rank is an integer, so that
     means rank >= m = ceil(t^(1-gamma)); it then averages the last m."""
-    sizes = _window_sizes(scan.length, 1.0 - gamma)[scan.time]
-    # m is at least 1 for t > 0, and so at psi = 0, whose rank is 0
-    np.maximum(sizes, 1, out=sizes)
-    count, rows = _cut((scan.rank >= sizes).nonzero()[0], keep)
+    table = _window_sizes(scan.length, 1.0 - gamma)
+    # a one-path scan's rows are its positions psi..length-1, whose
+    # sizes are a view of the table; a block's are gathered
+    sizes = table[int(scan.psi[0]) :] if scan.psi.size == 1 else table[scan.time]
+    # psi's row has rank 0 and never fires, though its m is 0 at psi = 0
+    fires = scan.rank >= sizes
+    fires &= scan.rank > 0
+    count, rows = _cut(fires, keep)
+    del fires
     m = sizes[rows]
     del sizes
     age = scan.ages[rows]
@@ -564,7 +596,7 @@ def _log_columns(scan: PrefixScan, gamma: float, keep=None) -> tuple[int, EventC
     cell += bit_length[1:][time[rows]]
     cell -= 1
     del bit_length
-    fired, kept = _cut((count >= m)[cell].nonzero()[0], keep)
+    fired, kept = _cut((count >= m)[cell], keep)
     rows = rows[kept]
     cell = cell[kept]
     return fired, _columns(scan, rows, ages[rows], lo[cell], m[cell])
@@ -595,7 +627,7 @@ def _eps_columns(scan: PrefixScan, epsilon: float, keep=None) -> tuple[int, Even
     fires = below <= scan.time * (1.0 - 0.5 * epsilon)
     del below
     fires &= rank > 0
-    count, rows = _cut(fires.nonzero()[0], keep)
+    count, rows = _cut(fires, keep)
     del fires
     age = ages[rows]
     return count, _columns(scan, rows, age, scan.starts[scan.classes[rows]], rank[rows])
@@ -604,7 +636,7 @@ def _eps_columns(scan: PrefixScan, epsilon: float, keep=None) -> tuple[int, Even
 def _offline_columns(scan: PrefixScan, _parameter: None = None, keep=None) -> tuple[int, EventColumns]:
     """offline averages the whole completed class; rank 0 is undefined
     and has no row."""
-    count, rows = _cut(scan.rank.nonzero()[0], keep)
+    count, rows = _cut(scan.rank, keep)
     age = scan.ages[rows]
     return count, _columns(scan, rows, age, scan.starts[scan.classes[rows]], scan.rank[rows])
 
@@ -620,9 +652,9 @@ def _scheme_scan(tag: str, bits, config: SchemeConfig, keep=None) -> tuple[Prefi
     """Settles the scheme's parameter, then scans the path, or the block
     of paths, and builds the scheme's columns.  Returns the scan, how
     many estimates the scheme makes, and the columns of those keep
-    selects: keep takes the ascending scan rows of all of them and
-    returns a tail, whose columns alone are gathered (every row's
-    without keep)."""
+    selects: keep takes range(count), the estimates in time order, and
+    returns a tail of it, whose columns alone are gathered (every
+    row's without keep)."""
     parameter = _setting(tag, config)
     scan = prefix_scan(bits)
     return (scan, *_BUILDERS[tag](scan, parameter, keep))

@@ -3,9 +3,10 @@
 The package scores estimates one way, with the columnar scorer
 (evaluation._Scorer.score_columns).  score_events scores each event's
 histogram by a plain loop over its values, against the law's own
-residual_mean and residual_law and with nothing of the scorer's;
-good_index_density recounts offline's good-index density from those
-scores, and firing_density counts stopping times.  The columnar
+residual_mean and residual_law's masses, by plain Python division, and
+with nothing of the scorer's; good_index_density recounts offline's
+good-index density from those scores, and firing_density counts
+stopping times.  The columnar
 records and summaries must equal them bit for bit.  The law helpers
 restate closed forms the package computes another way: tv_l1 the L1
 distance, stationary_state_law the masses whose cumulative sum is
@@ -20,7 +21,7 @@ from itertools import takewhile
 from typing import Iterable
 
 from renewalbench.evaluation import ScoredRecord
-from renewalbench.laws import PROB_TOL, LawError, RenewalLaw, residual_law, residual_mean
+from renewalbench.laws import PROB_TOL, LawError, RenewalLaw, residual_mean
 from renewalbench.schemes import EstimateEvent, OfflineEstimate
 
 
@@ -64,7 +65,9 @@ def score_events(
         age = event.run_age
         theta = residual_mean(law, age)
         if age not in totals:
-            totals[age] = math.fsum(residual_law(law, age).probs)
+            # residual_law's masses, by the same plain division
+            tail = law.tail(age)
+            totals[age] = math.fsum(p / tail for p in law.probs[age:])
         estimate = event.estimate
         out.append(
             ScoredRecord(

@@ -230,9 +230,39 @@ def test_log_warns_through_run_experiment():
 @pytest.mark.parametrize("gamma", [0.05, 0.1, 0.2, 0.25, 0.3, 1 / 3, 0.45, 0.5, 0.6, 0.75, 0.9])
 def test_window_sizes_equal_python_ceil(gamma):
     exponent = 1.0 - gamma
-    sizes = _window_sizes(50_000, exponent)
+    # the table is built a slice at a time; its end is not a slice's
+    n = 6 * schemes._SLICE + 123
+    sizes = _window_sizes(n, exponent)
     assert not sizes.flags.writeable
-    assert sizes.tolist() == [math.ceil(t**exponent) for t in range(50_000)]
+    assert sizes.tolist() == [math.ceil(t**exponent) for t in range(n)]
+
+
+def _masks():
+    """Firing masks for _cut: empty, none firing, fewer than ten
+    firings, firings only near the start, and dense and sparse masks
+    several search steps long."""
+    step = schemes._SLICE
+    rng = np.random.default_rng(11)
+    yield np.zeros(0, dtype=bool)
+    yield np.zeros(3 * step, dtype=bool)
+    few = np.zeros(2 * step + 5, dtype=bool)
+    few[[0, 17, step + 1, 2 * step + 4]] = True
+    yield few
+    start = np.zeros(4 * step + 9, dtype=bool)
+    start[:40:3] = True
+    yield start
+    for density in (0.95, 0.3, 0.001):
+        yield rng.random(5 * step + 17) < density
+
+
+@pytest.mark.parametrize("mask", list(_masks()), ids=["empty", "none", "few", "start", "dense", "half", "sparse"])
+def test_cut_finds_the_tail_keep_returns(mask):
+    rows = mask.nonzero()[0]
+    count, cut = schemes._cut(mask, evaluation._final_decile)
+    assert count == rows.size
+    assert cut.tolist() == evaluation._final_decile(rows).tolist()
+    count, every = schemes._cut(mask, None)
+    assert count == rows.size and every.tolist() == rows.tolist()
 
 
 def _rank_at(t, rank):

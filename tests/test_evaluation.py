@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -603,7 +604,7 @@ class TestFinalDecileScoring:
         final, cut = evaluation._final_decile, []
 
         def spy(values):
-            cut.append(values.size)
+            cut.append(len(values))
             return final(values)
 
         monkeypatch.setattr(evaluation, "_final_decile", spy)
@@ -645,18 +646,16 @@ class TestFinalDecileScoring:
 
 # tracemalloc peak of a 1M-bit JSON run_experiment, in bytes per bit.
 # Measured on geometric(0.5) paths, seeds 0-4 (numpy 2.4), with 4-byte
-# row columns: poly 46.0-46.8, eps 46.1-46.8, log 45.0-46.4 and offline,
-# which scores every row, 78.8-78.9 (115.0-115.8 while the scorer held
-# class-ordered copies of every row column).  The bounds leave 9-14%
-# over those figures.
-PEAK_BYTES_PER_BIT = {"poly": 52, "eps": 52, "log": 51, "offline": 90}
+# row columns: poly 37.7-38.5 (46.0-46.8 while its firing stage built
+# the window-size table whole and gathered it and every firing row's
+# index), eps 46.1, log 45.0 and offline, which scores every row,
+# 78.8-79.0.  The bounds leave 9-14% over those figures.
+PEAK_BYTES_PER_BIT = {"poly": 42, "eps": 52, "log": 51, "offline": 90}
 # The same with keep_records, which scores every row and keeps its
-# record columns: poly 82.4, eps 78.7, offline 78.8-78.9 on the same
-# seeds and log 86.8 on seed 0 (115.6, 112.0, 115.0 and 119.2 on seed 0
-# with the class-ordered copies).
+# record columns: poly 82.4, eps 78.7, log 81.5-86.9 and offline
+# 78.8-79.0 on the same seeds (90.1-90.2, 86.4-86.5, 82.1-89.9 and 81.1
+# while the thetas were gathered through two row-sized quotients).
 KEPT_PEAK_BYTES_PER_BIT = {"poly": 92, "eps": 92, "log": 92, "offline": 92}
-
-
 def _peak_bytes_per_bit(scheme, keep_records):
     length = 1_000_000
     config = ExperimentConfig(
@@ -667,6 +666,8 @@ def _peak_bytes_per_bit(scheme, keep_records):
         keep_records=keep_records,
     )
     schemes._window_sizes.cache_clear()  # poly builds its table in the run
+    # a full collection empties the free lists, whose reuse is not traced
+    gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
