@@ -45,7 +45,6 @@ _HOMES = {
         "OfflineEstimate",
         "SchemeConfig",
         "iter_scheme",
-        "ref_run",
         "run_scheme",
     ),
     "evaluation": (

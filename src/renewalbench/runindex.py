@@ -4,8 +4,8 @@ Only bench/traced.py uses it: its runindex.feed layer times this feed,
 bit by bit, as a per-bit baseline.  No scheme, CLI path or other module
 reads it; the schemes take every age, class and residual from one
 columnar scan of the whole path (schemes.prefix_scan), checked against
-the oracle schemes.ref_run.  The module goes with that layer (ROADMAP
-item 2).
+the test oracle ref_run (tests/oracles.py).  The module goes with that
+layer (ROADMAP item 6).
 
 Feeding one bit at a time maintains, in O(1) amortized work per bit
 (plus O(log) for the optional age counts):

@@ -19,8 +19,9 @@ in when they stop and which past occurrences they average:
 A tag and its parameter are decided in one place, _setting: it rejects
 an unknown tag, reads gamma (poly, log) or epsilon (eps) from the
 SchemeConfig, and warns where the scheme's guarantees do not hold.
-Every entry point, the reference ref_run included, goes through it;
-the columnar ones reach it through _scheme_scan, which then scans.
+Every entry point goes through it, and so does the test oracle ref_run
+(tests/oracles.py); the columnar ones reach it through _scheme_scan,
+which then scans.
 
 Every scheme reads its windows from one columnar scan of the whole
 path (prefix_scan): the run age of every position, its rank in its age
@@ -90,7 +91,6 @@ __all__ = [
     "scheme_columns",
     "iter_scheme",
     "run_scheme",
-    "ref_run",
 ]
 
 # Most positions a caller puts in one block of paths.  A block of
@@ -179,8 +179,9 @@ def _as_path(bits) -> np.ndarray:
 
 
 def _one_path(bits) -> np.ndarray:
-    """_as_path for iter_scheme and ref_run, which take one path: a
-    block of paths goes to prefix_scan or scheme_columns."""
+    """_as_path for iter_scheme, and for the test oracle ref_run, which
+    take one path: a block of paths goes to prefix_scan or
+    scheme_columns."""
     arr = _as_path(bits)
     if arr.ndim != 1:
         raise ValueError(f"expected one path of bits, got an array of shape {arr.shape}")
@@ -760,85 +761,3 @@ def iter_scheme(tag: str, bits, config: SchemeConfig = SchemeConfig()) -> Iterat
 def run_scheme(tag: str, bits, config: SchemeConfig = SchemeConfig()) -> list[EstimateEvent | OfflineEstimate]:
     """The estimates of iter_scheme as a list."""
     return list(iter_scheme(tag, bits, config))
-
-
-# --- quadratic reference ---------------------------------------------------
-#
-# ref_run re-derives every firing with numpy primitives and no scan
-# column.  It builds two arrays once per path: age[i], the distance from
-# i back to the last zero at or before it, and next_zero[i], the first
-# zero after i.  At position t it reads only indices <= t: age[i]
-# depends on bits <= i alone, and next_zero is read only at positions
-# of completed runs, i < last <= t, where the next zero is at most
-# last.  Everything else (the age class, the window, the stopping rule)
-# is rescanned from those arrays at every t, so agreement with the
-# columnar pass cross-validates both.  Division is the same exact
-# int/int everywhere, which is what makes "byte identical" a meaningful
-# claim for the floats.
-
-
-def _ref_histogram(residuals: np.ndarray) -> tuple[tuple[int, int], ...]:
-    values, counts = np.unique(residuals, return_counts=True)
-    return tuple(zip(values.tolist(), counts.tolist()))
-
-
-def ref_run(scheme: str, bits, config: SchemeConfig):
-    """Slow per-position rescan twin of run_scheme, same output exactly."""
-    arr = _one_path(bits)
-    parameter = _setting(scheme, config)
-    zeros = np.flatnonzero(arr == 0)
-    out: list = []
-    if zeros.size == 0:
-        return out
-    psi = int(zeros[0])
-    positions = np.arange(arr.size)
-    following = np.searchsorted(zeros, positions, "right")
-    age = positions - zeros[np.maximum(following - 1, 0)]  # read from psi on
-    next_zero = zeros[np.minimum(following, zeros.size - 1)]  # read below last
-    ordinal = 0
-    for t in range(psi if scheme == "offline" else psi + 1, arr.size):
-        tau = int(age[t])
-        last = t - tau
-        at_age = psi + np.flatnonzero(age[psi:last] == tau)
-        count = at_age.size
-        if scheme == "offline":
-            residuals = next_zero[at_age] - at_age - 1
-            estimate = int(residuals.sum()) / count if count else None
-            out.append(OfflineEstimate(t, tau, count, estimate, _ref_histogram(residuals)))
-            continue
-        if scheme == "poly":
-            threshold = t ** (1.0 - parameter)
-            if count < threshold:
-                continue
-            used = at_age[count - math.ceil(threshold) :]
-            start, end = used[0], t
-        elif scheme == "log":
-            # the age must recur strictly below log2(t): 2^i < t
-            low_stop = (t - 1).bit_length() - 1
-            if not np.any(age[psi + 1 : low_stop + 1] == tau):
-                continue
-            scale = t.bit_length() - 1
-            needed = math.ceil(2.0 ** (scale * (1.0 - parameter)))
-            used = at_age[(at_age > scale) & (at_age < (1 << scale))][:needed]
-            if used.size < needed:
-                continue
-            start, end = used[0], used[-1]
-        else:  # eps
-            if int((age[psi : t + 1] < tau).sum()) > t * (1.0 - 0.5 * parameter) or count == 0:
-                continue
-            used, start, end = at_age, psi, t
-        residuals = next_zero[used] - used - 1
-        ordinal += 1
-        out.append(
-            EstimateEvent(
-                ordinal=ordinal,
-                time=t,
-                run_age=tau,
-                estimate=int(residuals.sum()) / used.size,
-                residual_counts=_ref_histogram(residuals),
-                sample_count=used.size,
-                window_start=int(start),
-                window_end=int(end),
-            )
-        )
-    return out

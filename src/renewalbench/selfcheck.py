@@ -1,13 +1,15 @@
 """Fast in-process health checks behind the `selftest` subcommand.
 
-Each check re-derives a handful of known answers or re-runs a streaming
-component against its quadratic reference; together they cover every
-module's core contract in a few seconds.  They are not a substitute for
-the test suite, just a deployable smoke screen.
+Each check re-derives a handful of known answers or compares the
+estimates with digests recorded from the test oracle ref_run
+(tests/oracles.py), which a plain install does not ship; together they
+cover every module's core contract in a few seconds.  They are not a
+substitute for the test suite, just a deployable smoke screen.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 import warnings
 from typing import Callable
@@ -18,7 +20,7 @@ from .adversary import mu_L_shift, stage0, tv_prefix_exact
 from .evaluation import CSV_COLUMNS, _Scorer
 from .laws import make_law, perturb, residual_mean, stationary_zero_prob
 from .paths import StartMode, sample_path
-from .schemes import SCHEME_TAGS, SchemeConfig, prefix_scan, ref_run, run_scheme, scheme_columns
+from .schemes import SCHEME_TAGS, SchemeConfig, prefix_scan, run_scheme, scheme_columns
 
 P2_BITS = [0, 1, 1] * 14 + [0]
 
@@ -54,25 +56,41 @@ def _check_scheme_traces() -> None:
     _expect(len(CSV_COLUMNS) == 9)
 
 
-def _check_streaming_matches_reference() -> None:
+# _streaming_digests(ref_run), recorded from the test oracle;
+# tests/test_reference.py re-derives them from it
+STREAMING_DIGESTS = {
+    "poly": "949840731d8a424b85b6b0bb036264736c0eac20ec602e71e1e68f0df72fd36e",
+    "log": "55fa6d76b15370b080fef4c7feb507ba1096d778504ebf60e224b070e55c98a9",
+    "offline": "a8983e1c910eb5026716e067cba8a68aee8164ab09a8cd7574e11194542d743d",
+    "eps": "9f9c514e0dec1d9c76ff131572c8b934535334c3b917bf70d2cf3ebce0790781",
+}
+
+
+def _streaming_digests(run) -> dict[str, str]:
+    """Per tag, the sha256 of repr(run(tag, bits, config)) over six cases
+    in order: three seeded 301-bit paths, two configs each."""
     specs = [
         {"type": "geometric", "q": 0.5, "truncate": 60},
         {"type": "explicit", "p": [0.2, 0.5, 0.0, 0.3]},
         {"type": "zipf", "s": 3.0, "truncate": 50},
     ]
     configs = [SchemeConfig(gamma=0.3, epsilon=0.4), SchemeConfig(gamma=0.45, epsilon=0.15)]
+    hashes = {tag: hashlib.sha256() for tag in SCHEME_TAGS}
     with warnings.catch_warnings():
         # gamma=0.45 sits outside the log scheme's guarantee zone on
-        # purpose; the equality check is the point here
+        # purpose; the estimates are the point here
         warnings.simplefilter("ignore")
         for i, spec in enumerate(specs):
-            law = make_law(spec)
-            bits = sample_path(law, 300, StartMode.STATIONARY, seed=17 + i).bits
+            bits = sample_path(make_law(spec), 300, StartMode.STATIONARY, seed=17 + i).bits
             for config in configs:
                 for tag in SCHEME_TAGS:
-                    fast = run_scheme(tag, bits, config)
-                    slow = ref_run(tag, bits, config)
-                    _expect(fast == slow, f"{tag} diverged from reference on {spec}")
+                    hashes[tag].update(repr(run(tag, bits, config)).encode())
+    return {tag: h.hexdigest() for tag, h in hashes.items()}
+
+
+def _check_streaming_digests() -> None:
+    moved = [tag for tag, digest in _streaming_digests(run_scheme).items() if digest != STREAMING_DIGESTS[tag]]
+    _expect(not moved, f"estimates of {', '.join(moved)} differ from the oracle's digests")
 
 
 def _check_prefix_scan_bookkeeping() -> None:
@@ -119,7 +137,7 @@ def _check_adversary_closed_forms() -> None:
 CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (
     ("law closed forms", _check_law_closed_forms),
     ("scheme hand traces", _check_scheme_traces),
-    ("streaming vs reference", _check_streaming_matches_reference),
+    ("streaming vs oracle digests", _check_streaming_digests),
     ("prefix scan bookkeeping", _check_prefix_scan_bookkeeping),
     ("sharp mean bound", _check_sharp_mean_bound),
     ("adversary closed forms", _check_adversary_closed_forms),

@@ -1,5 +1,14 @@
 """Reference implementations that the tests compare the package with.
 
+The package makes estimates one way, with the columnar engine
+(schemes.prefix_scan and the firing rules on its columns).  ref_run
+re-derives every estimate position by position, by a quadratic rescan
+of each path's run ages and next zeros, and must equal run_scheme
+event by event; it reads a tag, its parameter and the path through
+schemes._setting and schemes._one_path, so the two refuse and warn
+alike.  selfcheck pins the sha256 of its estimates on the selftest's
+cases, so an install without the tests still checks the engine.
+
 The package scores estimates one way, with the columnar scorer
 (evaluation._Scorer.score_columns).  score_events scores each event's
 histogram by a plain loop over its values, against the law's own
@@ -20,9 +29,11 @@ import math
 from itertools import takewhile
 from typing import Iterable
 
+import numpy as np
+
 from renewalbench.evaluation import ScoredRecord
 from renewalbench.laws import PROB_TOL, LawError, RenewalLaw, residual_mean
-from renewalbench.schemes import EstimateEvent, OfflineEstimate
+from renewalbench.schemes import EstimateEvent, OfflineEstimate, SchemeConfig, _one_path, _setting
 
 
 def tv(law: RenewalLaw, counts: tuple[tuple[int, int], ...], m: int, age: int, total: float) -> float:
@@ -145,3 +156,85 @@ def markov_tail_bound_holds(law: RenewalLaw, age: int, horizon: int) -> bool:
     # support's edge, where the residual is surely 0 and any m >= 1 works.
     m = max(1, math.ceil(mu * lg))
     return law.tail(age + m) / law.tail(age) <= 1.0 / lg + PROB_TOL
+
+
+# --- quadratic reference ---------------------------------------------------
+#
+# ref_run re-derives every firing with numpy primitives and no scan
+# column.  It builds two arrays once per path: age[i], the distance from
+# i back to the last zero at or before it, and next_zero[i], the first
+# zero after i.  At position t it reads only indices <= t: age[i]
+# depends on bits <= i alone, and next_zero is read only at positions
+# of completed runs, i < last <= t, where the next zero is at most
+# last.  Everything else (the age class, the window, the stopping rule)
+# is rescanned from those arrays at every t, so agreement with the
+# columnar pass cross-validates both.  Division is the same exact
+# int/int everywhere, which is what makes "byte identical" a meaningful
+# claim for the floats.
+
+
+def _ref_histogram(residuals: np.ndarray) -> tuple[tuple[int, int], ...]:
+    values, counts = np.unique(residuals, return_counts=True)
+    return tuple(zip(values.tolist(), counts.tolist()))
+
+
+def ref_run(scheme: str, bits, config: SchemeConfig):
+    """Slow per-position rescan twin of run_scheme, same output exactly."""
+    arr = _one_path(bits)
+    parameter = _setting(scheme, config)
+    zeros = np.flatnonzero(arr == 0)
+    out: list = []
+    if zeros.size == 0:
+        return out
+    psi = int(zeros[0])
+    positions = np.arange(arr.size)
+    following = np.searchsorted(zeros, positions, "right")
+    age = positions - zeros[np.maximum(following - 1, 0)]  # read from psi on
+    next_zero = zeros[np.minimum(following, zeros.size - 1)]  # read below last
+    ordinal = 0
+    for t in range(psi if scheme == "offline" else psi + 1, arr.size):
+        tau = int(age[t])
+        last = t - tau
+        at_age = psi + np.flatnonzero(age[psi:last] == tau)
+        count = at_age.size
+        if scheme == "offline":
+            residuals = next_zero[at_age] - at_age - 1
+            estimate = int(residuals.sum()) / count if count else None
+            out.append(OfflineEstimate(t, tau, count, estimate, _ref_histogram(residuals)))
+            continue
+        if scheme == "poly":
+            threshold = t ** (1.0 - parameter)
+            if count < threshold:
+                continue
+            used = at_age[count - math.ceil(threshold) :]
+            start, end = used[0], t
+        elif scheme == "log":
+            # the age must recur strictly below log2(t): 2^i < t
+            low_stop = (t - 1).bit_length() - 1
+            if not np.any(age[psi + 1 : low_stop + 1] == tau):
+                continue
+            scale = t.bit_length() - 1
+            needed = math.ceil(2.0 ** (scale * (1.0 - parameter)))
+            used = at_age[(at_age > scale) & (at_age < (1 << scale))][:needed]
+            if used.size < needed:
+                continue
+            start, end = used[0], used[-1]
+        else:  # eps
+            if int((age[psi : t + 1] < tau).sum()) > t * (1.0 - 0.5 * parameter) or count == 0:
+                continue
+            used, start, end = at_age, psi, t
+        residuals = next_zero[used] - used - 1
+        ordinal += 1
+        out.append(
+            EstimateEvent(
+                ordinal=ordinal,
+                time=t,
+                run_age=tau,
+                estimate=int(residuals.sum()) / used.size,
+                residual_counts=_ref_histogram(residuals),
+                sample_count=used.size,
+                window_start=int(start),
+                window_end=int(end),
+            )
+        )
+    return out

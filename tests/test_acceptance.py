@@ -28,11 +28,10 @@ from renewalbench.schemes import (
     SCHEME_TAGS,
     SchemeConfig,
     iter_scheme,
-    ref_run,
     run_scheme,
 )
 
-from oracles import markov_tail_bound_holds, score_events
+from oracles import markov_tail_bound_holds, ref_run, score_events
 
 GEOM = {"type": "geometric", "q": 0.5, "truncate": 60}
 ZIPF = {"type": "zipf", "s": 3.0, "truncate": 10_000}

@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from renewalbench.adversary import BudgetExhausted
 from renewalbench.cli import main
 from renewalbench.evaluation import CSV_COLUMNS, report_from_json
 from renewalbench.paths import load_path
+from renewalbench.schemes import SCHEME_TAGS
 
 P2_LAW = '{"type":"explicit","p":[0,0,1]}'
 GEOM_LAW = '{"type":"geometric","q":0.5,"truncate":60}'
@@ -397,6 +399,27 @@ class TestSelftest:
         lines = []
         assert selfcheck.run_selftest(write=lines.append) == 1
         assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == ["FAIL scheme hand traces"]
+
+    @pytest.mark.parametrize("tag", SCHEME_TAGS)
+    def test_checks_the_estimates_that_run(self, monkeypatch, tag):
+        # the digests stand in for the oracle on an install without the
+        # tests, so one ulp off in one tag's last estimate must fail
+        # them, and name that tag
+        run = selfcheck.run_scheme
+
+        def off(which, bits, config):
+            events = run(which, bits, config)
+            if which == tag and events:
+                last = events[-1]
+                events[-1] = last._replace(estimate=math.nextafter(last.estimate, -math.inf))
+            return events
+
+        monkeypatch.setattr(selfcheck, "run_scheme", off)
+        lines = []
+        assert selfcheck.run_selftest(write=lines.append) == 1
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert [line.split(":")[0] for line in failed] == ["FAIL streaming vs oracle digests"]
+        assert f"estimates of {tag} differ" in failed[0]
 
 
 EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"

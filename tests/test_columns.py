@@ -5,7 +5,8 @@ the oracles score_events and good_index_density (tests/oracles.py)
 score the events that run_scheme builds.  Both read their histograms from window_counts, which must equal
 np.unique on every window, and both scores must give the same floats,
 bit for bit.  poly's window sizes must equal Python's ceil(t ** e).
-Hand paths pin each firing rule at its boundary against ref_run.
+Hand paths pin each firing rule at its boundary against the oracle
+ref_run.
 Row columns take 4 bytes.  Paths whose sums pass 2^31 pin every
 scheme's columns, and eps's on a long geometric path, to those of the
 all-int64 scan.
@@ -25,13 +26,12 @@ from renewalbench.schemes import (
     SchemeConfig,
     _window_sizes,
     prefix_scan,
-    ref_run,
     run_scheme,
     scheme_columns,
     window_counts,
 )
 
-from oracles import good_index_density, score_events
+from oracles import good_index_density, ref_run, score_events
 
 LAWS = [
     {"type": "geometric", "q": 0.5, "truncate": 60},

@@ -1,5 +1,6 @@
-"""Streaming passes against the per-position quadratic reference, and
-the reference against its own prefixes.
+"""Streaming passes against the per-position quadratic reference
+(oracles.ref_run), the reference against its own prefixes, and the
+selftest's digests against the reference.
 
 Equality here is exact object equality: same firing times, same
 ordinals, same histograms, same floats.
@@ -12,11 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from renewalbench import selfcheck
 from renewalbench.adversary import fooling_probability
 from renewalbench.evaluation import ExperimentConfig, run_experiment
 from renewalbench.laws import make_law
 from renewalbench.paths import StartMode, sample_path
-from renewalbench.schemes import SCHEME_TAGS, OfflineEstimate, SchemeConfig, iter_scheme, ref_run, run_scheme, scheme_columns
+from renewalbench.schemes import SCHEME_TAGS, OfflineEstimate, SchemeConfig, iter_scheme, run_scheme, scheme_columns
+
+import oracles
+from oracles import ref_run
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -87,6 +92,22 @@ def test_fuzz_parity(bits, gamma, epsilon):
         assert run_scheme(tag, bits, config) == ref_run(tag, bits, config)
 
 
+def test_selftest_digests_are_the_oracles():
+    # selftest checks run_scheme against these pins where no oracle is
+    # installed, so they must be the oracle's, and the engine must agree
+    # with it case by case
+    cases = []
+
+    def both(tag, bits, config):
+        events = ref_run(tag, bits, config)
+        assert repr(run_scheme(tag, bits, config)) == repr(events), (tag, config)
+        cases.append(tag)
+        return events
+
+    assert selfcheck._streaming_digests(both) == selfcheck.STREAMING_DIGESTS
+    assert sorted(cases) == sorted(SCHEME_TAGS * 6)
+
+
 def _cut(rows, t):
     """The rows of a full-path run that a prefix ending at t may report."""
     return [row for row in rows if (row.position if isinstance(row, OfflineEstimate) else row.time) <= t]
@@ -118,7 +139,9 @@ BLOCKS = (np.zeros((2, 12), dtype=int), [[0, 1], [1, 0]])
 class TestOneEntryPath:
     """The engine and the reference decide a tag, its parameter and the
     path's shape in the same place, so they refuse and warn alike, and
-    iter_scheme does so when it is called, not when it is iterated."""
+    iter_scheme does so when it is called, not when it is iterated.
+    Warnings point at the first frame outside the package, so those the
+    reference raises point into tests/oracles.py, not at its caller."""
 
     @pytest.mark.parametrize(
         "tag, config, inputs",
@@ -176,7 +199,6 @@ class TestOneEntryPath:
             "iter_scheme": lambda: iter_scheme(tag, bits, config),
             "run_scheme": lambda: run_scheme(tag, bits, config),
             "scheme_columns": lambda: scheme_columns(tag, bits, config),
-            "ref_run": lambda: ref_run(tag, bits, config),
             "run_experiment": lambda: run_experiment(ExperimentConfig(geometric, tag, config, length=200)),
             "fooling_probability": lambda: fooling_probability(make_law(geometric), tag, config, (1, 30), 1.0, 100, 0),
         }
@@ -185,6 +207,10 @@ class TestOneEntryPath:
                 warnings.simplefilter("always")
                 call()
             assert [(w.filename, w.lineno) for w in caught] == [(__file__, call.__code__.co_firstlineno)], name
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ref_run(tag, bits, config)
+        assert [w.filename for w in caught] == [oracles.__file__]
 
     @pytest.mark.parametrize("tag", SCHEME_TAGS)
     def test_generator_reads_as_its_list(self, tag):
