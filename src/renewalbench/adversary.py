@@ -180,6 +180,13 @@ def _close_trailing_runs(strings: np.ndarray, table: np.ndarray) -> np.ndarray:
     return strings
 
 
+def _padded(table: np.ndarray, size: int) -> np.ndarray:
+    """The first size entries of a law's table, zero past its end."""
+    out = np.zeros(size)
+    out[: table.size] = table[:size]
+    return out
+
+
 def tv_prefix_exact(law_a: RenewalLaw, law_b: RenewalLaw, N: int) -> float:
     """Exact L1 distance between the two path measures on strings
     x_0..x_N with x_0 = 0, over all 2^N continuations.
@@ -195,8 +202,9 @@ def tv_prefix_exact(law_a: RenewalLaw, law_b: RenewalLaw, N: int) -> float:
     if not 0 <= N <= _EXACT_CAP:
         raise ValueError(f"N must lie in 0..{_EXACT_CAP}, where exact enumeration is capped, got {N}")
     c = min(N, _CHUNK_BITS)
-    mass = [np.array([law.prob(i) for i in range(N + 1)]) for law in (law_a, law_b)]
-    trail = [np.array([1.0] + [law.tail(r) for r in range(1, N + 2)]) for law in (law_a, law_b)]
+    mass = [_padded(law.probs, N + 1) for law in (law_a, law_b)]
+    # a trailing run of r ones has mass tail(r); the empty one has mass 1
+    trail = [np.concatenate(([1.0], _padded(law.tails[1:], N + 1))) for law in (law_a, law_b)]
     heads = [np.ones(1 << c), np.ones(1 << c)]
     for head, table in zip(heads, mass):
         for width in 1 << np.arange(c):
@@ -426,7 +434,7 @@ def advance_stage(
         # the first candidate whose tail is small enough, or 0: tails
         # only shrink, so nothing further is realizable
         start = stage.markers[-1] + 1
-        tails = np.asarray(law.tails[start:MAX_SUPPORT])
+        tails = law.tails[start:MAX_SUPPORT]
         stops = ((tails <= 0.0) | (3.0 * tails < small)).nonzero()[0]
         marker = start + int(stops[0]) if stops.size and tails[stops[0]] > 0.0 else None
         if marker is None:

@@ -69,9 +69,6 @@ class _Scorer:
     def __init__(self, law: RenewalLaw):
         self.law = law
         self._total: dict[int, float] = {}
-        self._probs = np.asarray(law.probs)
-        self._tails = np.asarray(law.tails)
-        self._overshoots = np.asarray(law.overshoots)
 
     def _residual_total(self, age: int) -> float:
         """The fsum of the residual law's masses at this age, from the
@@ -79,7 +76,7 @@ class _Scorer:
         long support the tuples of many ages would dominate memory."""
         total = self._total.get(age)
         if total is None:
-            masses = self._probs[age:] / self.law.tails[age]
+            masses = self.law.probs[age:] / self.law.tails[age]
             total = self._total[age] = math.fsum(masses.tolist())
         return total
 
@@ -94,7 +91,7 @@ class _Scorer:
         # divided up to the largest age, then gathered: each age's
         # quotient is the same, and only one row-sized column is made
         top = int(ages.max(initial=-1)) + 1
-        return (self._overshoots[:top] / self._tails[:top])[ages]
+        return (self.law.overshoots[:top] / self.law.tails[:top])[ages]
 
     def score_columns(self, cols: EventColumns) -> tuple[np.ndarray, np.ndarray]:
         """(abs_err, tv) of every row.  A row's tv is its histogram's L1
@@ -122,7 +119,7 @@ class _Scorer:
         # residual value l at age a has mass probs[a + l]; pad with zeros
         # for lengths past the support, which the law never produces
         probs = np.zeros(max(self.law.support, int(ages.max()) + int(residuals.max()) + 1))
-        probs[: self.law.support] = self._probs
+        probs[: self.law.support] = self.law.probs
         count = window_counts(residuals)
         by_class = _stable_order(ages, np.intp)
         for start in range(0, ages.size, _BLOCK):
@@ -135,7 +132,7 @@ class _Scorer:
             for value, first, counts in count(cols.lo[rows], cols.hi[rows]):
                 part = slice(first, first + counts.size)
                 age = block_age[part]
-                q = probs[age + value] / self._tails[age]
+                q = probs[age + value] / self.law.tails[age]
                 term = counts / block_m[part]
                 term -= q
                 np.abs(term, out=term)

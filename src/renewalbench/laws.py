@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral, Real
 
@@ -42,8 +42,8 @@ PROB_TOL = 1e-12
 # Tolerance for order-sensitive accumulations (normalization checks,
 # moment identities over long supports).
 SUM_TOL = 1e-9
-# Hard cap on support size.  Laws are stored densely; 2^21 doubles is
-# about 17 MB for the three per-law tables combined.
+# Hard cap on support size.  Laws are stored densely: at 2^21 entries
+# the three per-law float64 tables take about 50 MB combined.
 MAX_SUPPORT = 1 << 21
 
 
@@ -51,12 +51,14 @@ class LawError(ValueError):
     """Invalid law specification or query outside the law's support."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RenewalLaw:
-    """A run-length distribution with precomputed tail sums.
+    """A run-length distribution with precomputed tail sums, equal to
+    a law with equal ``probs``, ``tails`` and ``mean``.
 
     Attributes:
-        probs: mass at each run length, index 0 upward.
+        probs: mass at each run length, index 0 upward.  It and the
+            two tables below are read-only float64 arrays.
         tails: ``tails[L]`` is the mass at lengths >= L; length is
             ``len(probs) + 1`` with ``tails[-1] == 0.0``.
         mean: expected run length.
@@ -67,40 +69,43 @@ class RenewalLaw:
             built, carried into path sidecars and reports.
     """
 
-    probs: tuple[float, ...]
-    tails: tuple[float, ...]
+    probs: np.ndarray
+    tails: np.ndarray
     mean: float
-    overshoots: tuple[float, ...] = field(compare=False)
-    provenance: dict = field(compare=False)
+    overshoots: np.ndarray
+    provenance: dict
+
+    def __eq__(self, other):
+        if not isinstance(other, RenewalLaw):
+            return NotImplemented
+        return self.mean == other.mean and np.array_equal(self.probs, other.probs) and np.array_equal(self.tails, other.tails)
+
+    __hash__ = None
 
     @property
     def support(self) -> int:
         return len(self.probs)
 
     def prob(self, k: int) -> float:
-        if 0 <= k < len(self.probs):
-            return self.probs[k]
-        return 0.0
+        return float(self.probs[k]) if 0 <= k < self.probs.size else 0.0
 
     def tail(self, L: int) -> float:
         if L < 0:
             return 1.0
         if L < len(self.tails):
-            return self.tails[L]
+            return float(self.tails[L])
         return 0.0
 
     def overshoot(self, L: int) -> float:
         if L < 0:
             raise LawError(f"overshoot index must be >= 0, got {L}")
-        if L < len(self.overshoots):
-            return self.overshoots[L]
-        return 0.0
+        return float(self.overshoots[L]) if L < self.overshoots.size else 0.0
 
     @cached_property
     def length_cdf(self) -> np.ndarray:
         """Read-only ``P(K <= k) = 1 - tails[k + 1]``, built once per law;
         the final entry is exactly 1."""
-        cdf = 1.0 - np.asarray(self.tails[1:])
+        cdf = 1.0 - self.tails[1:]
         cdf.setflags(write=False)
         return cdf
 
@@ -109,7 +114,7 @@ class RenewalLaw:
         """Read-only CDF of the stationary start state, built once per
         law: state ``i`` (the run holds ``i`` ones so far) has mass
         ``tail(i) / (1 + mean)``, and the entries are their running sums."""
-        cdf = np.cumsum(np.asarray(self.tails[:-1]) * (1.0 / (1.0 + self.mean)))
+        cdf = np.cumsum(self.tails[:-1] * (1.0 / (1.0 + self.mean)))
         cdf.setflags(write=False)
         return cdf
 
@@ -144,30 +149,24 @@ def _build(masses: np.ndarray, provenance: dict) -> RenewalLaw:
     if abs(total - 1.0) > SUM_TOL:
         raise LawError(f"masses sum to {total!r}, expected 1 within {SUM_TOL}")
     # IEEE division rounds each quotient exactly as a Python loop would
-    masses = masses / total
-    return _tabulate(tuple(masses.tolist()), provenance, masses)
+    return _tabulate(masses / total, provenance)
 
 
-def _tabulate(probs: tuple[float, ...], provenance: dict, masses: np.ndarray | None = None) -> RenewalLaw:
-    """The law with masses ``probs`` as given, and its derived tables;
-    ``masses``, where the caller has it, holds the same masses as a
-    float64 array."""
+def _tabulate(probs: np.ndarray, provenance: dict) -> RenewalLaw:
+    """The law with the float64 masses ``probs`` as given, which it
+    keeps read-only, and its derived tables."""
     # Backward accumulation keeps the tails exactly monotone and makes
     # tails[L] - tails[L+1] == probs[L] hold to full precision.  cumsum
     # adds one term at a time, from the leading 0.0, as a loop would.
-    tails = np.zeros(len(probs) + 1)
-    tails[1:] = (probs if masses is None else masses)[::-1]
+    tails = np.zeros(probs.size + 1)
+    tails[1:] = probs[::-1]
     tails = tails.cumsum()[::-1]
     overshoots = np.zeros_like(tails)
     overshoots[1:] = tails[:0:-1]
-    overshoots = overshoots.cumsum()[::-1].tolist()
-    return RenewalLaw(
-        probs=probs,
-        tails=tuple(tails.tolist()),
-        mean=overshoots[0],
-        overshoots=tuple(overshoots),
-        provenance=provenance,
-    )
+    overshoots = overshoots.cumsum()[::-1]
+    for table in (probs, tails, overshoots):
+        table.setflags(write=False)
+    return RenewalLaw(probs, tails, float(overshoots[0]), overshoots, provenance)
 
 
 # The last few laws make_law built, each under the JSON text of its
@@ -321,7 +320,7 @@ def residual_law(law: RenewalLaw, age: int) -> ResidualLaw:
     T = law.tail(age)
     if T <= 0.0:
         raise LawError(f"run age {age} has zero mass under the law")
-    probs = tuple(law.prob(age + l) / T for l in range(law.support - age))
+    probs = tuple((law.probs[age:] / T).tolist())
     return ResidualLaw(offset=age, probs=probs, mean=law.overshoot(age) / T)
 
 
@@ -332,7 +331,7 @@ def stationary_zero_prob(law: RenewalLaw) -> float:
 
 def power_moment(law: RenewalLaw, r: float) -> float:
     """``E[K^r]`` for run length K.  Finite for every r since support is."""
-    return math.fsum(p * float(k) ** r for k, p in enumerate(law.probs) if p > 0.0)
+    return math.fsum(p * float(k) ** r for k, p in enumerate(law.probs.tolist()) if p > 0.0)
 
 
 def gamma_limit(alpha: float) -> float:
@@ -364,8 +363,7 @@ def perturb(law: RenewalLaw, to_index: int, delta: float) -> RenewalLaw:
         raise LawError(
             f"delta must lie in (0, {law.prob(0)!r}), got {delta!r}"
         )
-    n = max(law.support, to_index + 1)
-    probs = [0.0] * n
+    probs = np.zeros(max(law.support, to_index + 1))
     probs[: law.support] = law.probs
     probs[0] -= delta
     probs[to_index] += delta
@@ -375,7 +373,7 @@ def perturb(law: RenewalLaw, to_index: int, delta: float) -> RenewalLaw:
         "to_index": int(to_index),
         "delta": float(delta),
     }
-    return _tabulate(tuple(probs), provenance)
+    return _tabulate(probs, provenance)
 
 
 def law_info_text(law: RenewalLaw, ages: int = 10) -> str:

@@ -384,7 +384,8 @@ def _columns(scan: PrefixScan, rows: np.ndarray, age: np.ndarray, lo: np.ndarray
 
 
 # Entries handled per step where a step bounds a temporary: of
-# _window_sizes' build, and of _cut's search for a tail.
+# _window_sizes' build, of eps's firing test and of _cut's search for
+# a tail.
 _SLICE = 1 << 13
 
 
@@ -612,26 +613,39 @@ def _eps_columns(scan: PrefixScan, epsilon: float, keep=None) -> tuple[int, Even
     tau.  At each of those ages the completed ones number the rank of
     the open run's position, so the count is tau + rank[t - tau .. t - 1].
     """
-    ages, rank = scan.ages, scan.rank
+    count, rows = _cut(_eps_fires(scan, 1.0 - 0.5 * epsilon), keep)
+    age = scan.ages[rows]
+    return count, _columns(scan, rows, age, scan.starts[scan.classes[rows]], scan.rank[rows])
+
+
+def _eps_fires(scan: PrefixScan, share: float) -> np.ndarray:
+    """The rows where eps fires: at most time * share positions have an
+    age below the row's, and the rank is positive.  Built _SLICE rows at
+    a time, so its temporaries are of a slice's size; the running sum
+    and maximum below carry from one slice to the next."""
+    fires = np.empty(scan.rank.size, dtype=bool)
     # rank summed over t - tau .. t - 1: its prefix sum before t, less
     # that before the run's zero, the last row of age 0 up to t (the
     # sums never fall, so a running maximum carries it along the run);
     # the sums can pass 2^31
-    below = rank.cumsum(dtype=np.int64)
-    below -= rank
-    at_zero = np.where(ages == 0, below, 0)
-    np.maximum.accumulate(at_zero, out=at_zero)
-    below -= at_zero
-    del at_zero
-    below += ages
-    # psi's own row has rank 0, so t > psi holds for every row fired
-    fires = below <= scan.time * (1.0 - 0.5 * epsilon)
-    del below
-    fires &= rank > 0
-    count, rows = _cut(fires, keep)
-    del fires
-    age = ages[rows]
-    return count, _columns(scan, rows, age, scan.starts[scan.classes[rows]], rank[rows])
+    total = at_zero = 0
+    for begin in range(0, fires.size, _SLICE):
+        part = slice(begin, begin + _SLICE)
+        rank, ages, fired = scan.rank[part], scan.ages[part], fires[part]
+        below = rank.cumsum(dtype=np.int64)
+        below += total
+        total = below[-1]
+        below -= rank
+        zero = np.where(ages == 0, below, 0)
+        zero[0] = max(zero[0], at_zero)
+        np.maximum.accumulate(zero, out=zero)
+        at_zero = zero[-1]
+        below -= zero
+        below += ages
+        # psi's own row has rank 0, so t > psi holds for every row fired
+        np.less_equal(below, scan.time[part] * share, out=fired)
+        fired &= rank > 0
+    return fires
 
 
 def _offline_columns(scan: PrefixScan, _parameter: None = None, keep=None) -> tuple[int, EventColumns]:

@@ -237,6 +237,25 @@ def test_window_sizes_equal_python_ceil(gamma):
     assert sizes.tolist() == [math.ceil(t**exponent) for t in range(n)]
 
 
+@pytest.mark.parametrize("spec", [LAWS[0], LAWS[2]], ids=["geometric", "zipf"])
+@pytest.mark.parametrize("epsilon", [0.1, 0.9])
+def test_eps_fires_equal_the_whole_row_test(spec, epsilon):
+    # the firing test runs a slice at a time, carrying the rank sum and
+    # the running maximum at zero rows; built whole it reads as below
+    law = make_law(spec)
+    n = 3 * schemes._SLICE + 123
+    path = sample_path(law, n, StartMode.STATIONARY, seed=5).bits
+    for bits in (path, sample_paths(law, n // 2, StartMode.STATIONARY, 6, range(3))):
+        scan = prefix_scan(bits)
+        below = scan.rank.cumsum(dtype=np.int64) - scan.rank
+        below -= np.maximum.accumulate(np.where(scan.ages == 0, below, 0))
+        below += scan.ages
+        whole = (below <= scan.time * (1.0 - 0.5 * epsilon)) & (scan.rank > 0)
+        fires = schemes._eps_fires(scan, 1.0 - 0.5 * epsilon)
+        assert fires.dtype == bool and fires.tolist() == whole.tolist()
+        assert 0 < np.count_nonzero(fires) < fires.size
+
+
 def _masks():
     """Firing masks for _cut: empty, none firing, fewer than ten
     firings, firings only near the start, and dense and sparse masks

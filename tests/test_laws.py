@@ -5,9 +5,12 @@ small laws by hand, the truncated geometric via exact Fraction
 arithmetic, identities via hypothesis over random explicit laws.
 """
 
+import gc
+import hashlib
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +38,10 @@ from renewalbench.laws import (
 from oracles import markov_tail_bound_holds, stationary_state_law, tv_l1
 
 
+def _read_only_float64(*tables):
+    return all(table.dtype == np.float64 and not table.flags.writeable for table in tables)
+
+
 def det2():
     return make_law({"type": "explicit", "p": [0.0, 0.0, 1.0]})
 
@@ -46,8 +53,8 @@ def geom_half(K=60):
 class TestHandDerivedLaws:
     def test_deterministic_run_of_two(self):
         law = det2()
-        assert law.probs == (0.0, 0.0, 1.0)
-        assert law.tails == (1.0, 1.0, 1.0, 0.0)
+        assert law.probs.tolist() == [0.0, 0.0, 1.0]
+        assert law.tails.tolist() == [1.0, 1.0, 1.0, 0.0]
         assert law.mean == 2.0
         assert stationary_zero_prob(law) == pytest.approx(1.0 / 3.0, abs=PROB_TOL)
         # residual means: 2 ones remain at age 0, 1 at age 1, 0 at age 2
@@ -266,7 +273,7 @@ class TestValidation:
         assert as_int.provenance == {"type": "zipf", "s": 3.0, "truncate": 40}
         assert as_int == make_law({"type": "zipf", "s": 3.0, "truncate": 40})
         thirds = make_law({"type": "explicit", "p": [Fraction(1, 3)] * 3})
-        assert thirds.probs == (1 / 3, 1 / 3, 1 / 3)
+        assert thirds.probs.tolist() == [1 / 3, 1 / 3, 1 / 3]
         assert make_law({"type": "geometric", "q": np.float64(0.5), "truncate": 9}).support == 9
 
     def test_numpy_scalars_build_in_double_precision(self):
@@ -277,7 +284,7 @@ class TestValidation:
         ):
             law = make_law(numpy_spec)
             assert law == make_law(spec) and law.provenance == spec
-            assert {type(p) for p in law.probs} == {float}
+            assert _read_only_float64(law.probs)
 
     def test_json_roundtrip_and_malformed(self):
         law = law_from_json(json.dumps({"type": "explicit", "p": [0, 0, 1]}))
@@ -447,7 +454,7 @@ def test_tables_of_a_long_perturbed_law_equal_the_backward_loops():
     assert [x.hex() for x in law.tails] == [x.hex() for x in tails]
     assert [x.hex() for x in law.overshoots] == [x.hex() for x in overshoots]
     assert law.mean.hex() == overshoots[0].hex()
-    assert all(type(x) is float for x in law.tails + law.overshoots)
+    assert _read_only_float64(law.probs, law.tails, law.overshoots)
 
 
 class TestBuiltLawsAreShared:
@@ -482,7 +489,7 @@ class TestBuiltLawsAreShared:
 
     def test_specs_that_are_not_json_still_build(self):
         law = make_law({"type": "explicit", "p": [Fraction(1, 2), Fraction(1, 2)]})
-        assert law.probs == (0.5, 0.5)
+        assert law.probs.tolist() == [0.5, 0.5]
         with pytest.raises(LawError):
             make_law({"type": "explicit", "p": [float("nan"), 1.0]})
         with pytest.raises(LawError):
@@ -527,7 +534,7 @@ def test_tables_equal_the_python_loop_build(spec):
     assert [x.hex() for x in law.probs] == [x.hex() for x in probs]
     assert [x.hex() for x in law.tails] == [x.hex() for x in tails]
     assert [x.hex() for x in law.overshoots] == [x.hex() for x in overshoots]
-    assert all(type(x) is float for x in law.probs)
+    assert _read_only_float64(law.probs)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-300], ids=repr)
@@ -543,5 +550,80 @@ def test_invalid_mass_is_named_by_its_first_index(bad, k):
 
 def test_negative_zero_mass_is_valid():
     law = laws._make_law({"type": "explicit", "p": [0.5, -0.0, 0.5]})
-    assert law.probs == (0.5, 0.0, 0.5)
+    assert law.probs.tolist() == [0.5, 0.0, 0.5]
     assert math.copysign(1.0, law.probs[1]) == -1.0
+
+
+# Scalar outputs recorded while a law's tables were tuples of Python
+# floats: repr of mean, reprs of residual_mean at ages 0-9, repr of
+# power_moment(law, 2.5), repr of stationary_zero_prob and the sha256 of
+# law_info_text.  Arrays must leave every one as it was.
+SCALARS = {
+    "geometric": (
+        "1.0",
+        ["1.0", "0.9999999999999999", "0.9999999999999998", "0.9999999999999996", "0.9999999999999992",
+         "0.9999999999999984", "0.9999999999999969", "0.9999999999999941", "0.9999999999999885", "0.9999999999999774"],
+        "5.995609792144069",
+        "0.5",
+        "c858cb17771e81a3a156e22695ddf9690dde7a8dfdcfee66cadad2b83f28828f",
+    ),
+    "zipf": (
+        "0.36834959673347745",
+        ["0.36834959673347745", "1.1913489602178449", "2.123928957375732", "3.0895538558849025", "4.068424682600711",
+         "5.05364414963432", "6.042257863339951", "7.032805982892482", "8.024488905298908", "9.01683347014767"],
+        "161.52469839484218",
+        "0.7308073919027701",
+        "abb14de8d8ea7608e1851019962a57252b362725d25683c917cb95c3b0b237d0",
+    ),
+    "perturbed": (
+        "410.60999999977247",
+        ["410.60999999977247", "804.1176470583774", "1576.3076923068172", "3034.8518518501664", "5650.103448272724",
+         "9929.484848479333", "15983.048780478926", "22992.15789472407", "29449.62921346679", "34260.66013069992"],
+        "3395677035.642743",
+        "0.0024294842205013307",
+        "00752baf042be1c8fa584f54bb4b0d53ff095a1039ef1e094ab1195fc7a5d198",
+    ),
+}
+
+
+def _scalar_law(name):
+    if name == "zipf":
+        return make_law({"type": "zipf", "s": 3, "truncate": 10_000})
+    return perturb(geom_half(), 40_961, 0.01) if name == "perturbed" else geom_half()
+
+
+@pytest.mark.parametrize("name", sorted(SCALARS))
+def test_scalar_outputs_keep_their_recorded_values(name):
+    law = _scalar_law(name)
+    mean, residuals, moment, zero, info = SCALARS[name]
+    assert repr(law.mean) == mean
+    assert [repr(residual_mean(law, age)) for age in range(10)] == residuals
+    assert repr(power_moment(law, 2.5)) == moment
+    assert repr(stationary_zero_prob(law)) == zero
+    assert hashlib.sha256(law_info_text(law).encode()).hexdigest() == info
+    assert all(type(x) is float for x in (law.mean, law.prob(0), law.tail(1), law.overshoot(2)))
+
+
+def test_laws_compare_by_value_and_do_not_hash():
+    spec = {"type": "zipf", "s": 3.0, "truncate": 500}
+    law, fresh = make_law(spec), laws._make_law(spec)
+    assert law is not fresh and law == fresh
+    assert law != perturb(law, 3, 0.01) and law != make_law({"type": "zipf", "s": 3.0, "truncate": 499})
+    assert law != law.probs.tolist()
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(law)
+
+
+def test_a_long_law_retains_three_doubles_per_entry():
+    # perturb, unlike make_law, builds no list of Python powers, so the
+    # 2^21-entry law is quick to make; as tuples it retained 72 B/entry
+    base = geom_half()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        law = perturb(base, MAX_SUPPORT - 1, 0.01)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert law.support == MAX_SUPPORT
+    assert retained <= 25 * law.support
