@@ -61,7 +61,6 @@ _HOMES = {
     "adversary": (
         "BudgetExhausted",
         "FoolingResult",
-        "SearchBudgets",
         "StageAudit",
         "StageState",
         "advance_stage",

@@ -50,7 +50,6 @@ from .schemes import _BLOCK_BITS, EstimateEvent, SchemeConfig, _scheme_scan, pre
 __all__ = [
     "StageAudit",
     "StageState",
-    "SearchBudgets",
     "BudgetExhausted",
     "FoolingResult",
     "stage0",
@@ -144,9 +143,9 @@ class StageState:
         return self.markers[2 * (i - 1)], self.markers[2 * i - 1]
 
 
-def stage0(truncate: int = 60) -> StageState:
+def stage0() -> StageState:
     """Halving run-length law, the construction's starting point."""
-    law = make_law({"type": "geometric", "q": 0.5, "truncate": truncate})
+    law = make_law({"type": "geometric", "q": 0.5, "truncate": 60})
     return StageState(stage=0, markers=(0,), law_history=(law,))
 
 
@@ -373,16 +372,12 @@ def fooling_probability(
     )
 
 
-@dataclass(frozen=True)
-class SearchBudgets:
-    horizon_start: int = 64
-    horizon_max: int = 1 << 15
-    delta_halvings: int = 60
-    max_stage: int = 3
-
-
+_HORIZON_START = 64  # first window horizon tried, then doubled
+_HORIZON_MAX = 1 << 15  # last window horizon tried
 _FOOLING_REPS = 1500  # paths per horizon tried
 _DELTA_START_FRACTION = 0.2  # of p_0, then halved
+_DELTA_HALVINGS = 60  # deltas tried per stage
+_MAX_STAGE = 3  # stages advance_stage builds
 
 
 class BudgetExhausted(RuntimeError):
@@ -416,12 +411,11 @@ def advance_stage(
     stage: StageState,
     runner: str | SchemeRunner,
     config: SchemeConfig,
-    budgets: SearchBudgets = SearchBudgets(),
     seed: int = 0,
 ) -> StageState:
     j = stage.stage
-    if j >= budgets.max_stage:
-        raise ValueError(f"stage cap is {budgets.max_stage}, state is at {j}")
+    if j >= _MAX_STAGE:
+        raise ValueError(f"stage cap is {_MAX_STAGE}, state is at {j}")
     law = stage.law
     next_stage = j + 1
     small, tv_threshold = _stage_bounds(next_stage)
@@ -450,9 +444,9 @@ def advance_stage(
     # fooled at the marker age before the horizon
     horizon = None
     best = None
-    n = budgets.horizon_start
+    n = _HORIZON_START
     trial = 0
-    while n <= budgets.horizon_max:
+    while n <= _HORIZON_MAX:
         if n > marker:
             result = fooling_probability(
                 law, runner, config, (marker, n), target_mu, _FOOLING_REPS, seed=seed + 1_000_003 * trial
@@ -474,7 +468,7 @@ def advance_stage(
         raise BudgetExhausted(
             "horizon",
             f"fooling never reached {fool_threshold:.6f} by horizon "
-            f"{budgets.horizon_max} (stage {next_stage}; {detail})",
+            f"{_HORIZON_MAX} (stage {next_stage}; {detail})",
         )
 
     # 3) perturbation: shift more than 2 of conditional mean at the
@@ -485,7 +479,7 @@ def advance_stage(
     exact_n = _closeness_length(horizon)
     delta = _DELTA_START_FRACTION * p0
     chosen = None
-    for _ in range(budgets.delta_halvings):
+    for _ in range(_DELTA_HALVINGS):
         if marker == 0:
             k = math.floor(2.0 / delta) + 1
         else:
@@ -511,7 +505,7 @@ def advance_stage(
     if chosen is None:
         raise BudgetExhausted(
             "perturbation",
-            f"no (k, delta) after {budgets.delta_halvings} halvings kept the "
+            f"no (k, delta) after {_DELTA_HALVINGS} halvings kept the "
             f"exact prefix TV at N={exact_n} under {tv_threshold:g} "
             f"(stage {next_stage})",
         )

@@ -184,7 +184,7 @@ def _cmd_adversary(args) -> int:
         gamma = 0.3
     if args.scheme == "eps" and epsilon is None:
         epsilon = 0.1
-    config = SchemeConfig(gamma=gamma, epsilon=epsilon, declared_alpha=args.alpha)
+    config = SchemeConfig(gamma=gamma, epsilon=epsilon)
     reps = args.replicates if args.replicates is not None else 2000
     if reps < 100:  # verify_stage's floor, checked before the stage-1 search
         raise ValueError(f"need at least 100 reps, got {reps}")
@@ -271,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=list(_ADVERSARY_RUNNERS), default="poly")
     p.add_argument("--gamma", type=float, help="defaults to 0.3 for poly/log")
     p.add_argument("--epsilon", type=float, help="defaults to 0.1 for eps")
-    p.add_argument("--alpha", type=float)
     p.add_argument("--seed", type=int, default=0, help="stage-search seed")
     p.add_argument("--replicates", type=int, help="verification reps (default 2000)")
     p.add_argument("--out", help="write the audit JSON here instead of stdout")

@@ -286,18 +286,19 @@ def _quantiles(values: np.ndarray, *qs: float) -> list[float]:
     a + (b-a)*t, or b - (b-a)*(1-t) when t >= 0.5, as numpy's _lerp
     takes it."""
     last = values.size - 1
-    spots = []
+    result = []
     for q in qs:
         index = q * last
         # as numpy's _get_indexes: at the last index both neighbours are
         # the last value, and the floor counts as -1 (so t = index + 1)
-        below = math.floor(index) if index < last else -1
-        spots.append((index, below, below + 1 if below >= 0 else -1))
-    ordered = np.partition(values, sorted({last, *(k for _, i, j in spots for k in (i, j))}))
-    if math.isnan(ordered[last]):  # nan sorts last, and is every quantile
-        return [float(ordered[last])] * len(qs)
-    result = []
-    for index, i, j in spots:
+        i = math.floor(index) if index < last else -1
+        j = i + 1 if i >= 0 else -1
+        # numpy partitions a copy at these, 0 and -1 for each q, which
+        # decides where 0.0 and -0.0 land among equal values
+        ordered = np.partition(values, [0, i, j, -1])
+        if math.isnan(ordered[last]):  # nan sorts last, and is every quantile
+            result.append(float(ordered[last]))
+            continue
         a, b = float(ordered[i]), float(ordered[j])
         t = index - i
         result.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)

@@ -272,8 +272,8 @@ def _make_law(spec: dict) -> RenewalLaw:
         provenance = {"type": "geometric", "q": float(q), "truncate": int(K)}
     else:
         s = spec.get("s")
-        if not _is_real(s) or not s > 0.0:
-            raise LawError(f"zipf law needs s > 0, got {s!r}")
+        if not _is_real(s) or not 0.0 < s < math.inf:
+            raise LawError(f"zipf law needs a finite s > 0, got {s!r}")
         _check_truncate(K)
         raw = [(k + 1.0) ** -s for k in range(K)]
         provenance = {"type": "zipf", "s": float(s), "truncate": int(K)}
@@ -376,8 +376,8 @@ def perturb(law: RenewalLaw, to_index: int, delta: float) -> RenewalLaw:
     return _tabulate(probs, provenance)
 
 
-def law_info_text(law: RenewalLaw, ages: int = 10) -> str:
-    """Human-readable summary used by the command-line `law-info`."""
+def law_info_text(law: RenewalLaw) -> str:
+    """The `law-info` summary, with tail mass and residual mean at ages 0-9."""
     lines = [
         f"support size : {law.support}",
         f"mean run     : {law.mean!r}",
@@ -385,7 +385,7 @@ def law_info_text(law: RenewalLaw, ages: int = 10) -> str:
         f"provenance   : {json.dumps(law.provenance, sort_keys=True)}",
         "age  tail mass       residual mean",
     ]
-    for L in range(min(ages, law.support)):
+    for L in range(min(10, law.support)):
         T = law.tail(L)
         if T <= 0.0:
             lines.append(f"{L:>3}  {T:<14.6g}  (unreachable)")

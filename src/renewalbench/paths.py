@@ -30,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .laws import RenewalLaw
+from .laws import RenewalLaw, _is_integer
 
 __all__ = [
     "PathError",
@@ -215,6 +215,12 @@ def _json_object(value) -> dict:
     return value
 
 
+def _json_int(value) -> int:
+    if not _is_integer(value):
+        raise TypeError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
 def load_path(file: str | FsPath) -> Path:
     """Read a path dump written by :func:`dump_path`; a malformed one
     raises PathError naming its file."""
@@ -232,7 +238,7 @@ def load_path(file: str | FsPath) -> Path:
         raise PathError(f"missing path sidecar {sidecar_file}") from exc
     except (TypeError, ValueError) as exc:  # not UTF-8, not JSON, or not an object
         raise PathError(f"{sidecar_file}: malformed sidecar: {exc}") from exc
-    for name, parse in (("seed", int), ("stream", int), ("mode", parse_start_mode), ("law", _json_object)):
+    for name, parse in (("seed", _json_int), ("stream", _json_int), ("mode", parse_start_mode), ("law", _json_object)):
         if name not in values:
             raise PathError(f"{sidecar_file}: sidecar has no {name!r} field")
         try:

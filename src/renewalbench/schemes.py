@@ -115,8 +115,8 @@ class SchemeConfig:
     def __post_init__(self):
         for name in ("gamma", "epsilon", "declared_alpha"):
             value = getattr(self, name)
-            if value is not None and not _is_real(value):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if value is not None and not (_is_real(value) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
             object.__setattr__(self, name, _plain(value))
         if self.gamma is not None and not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")

@@ -15,7 +15,6 @@ import pytest
 
 from renewalbench.adversary import (
     BudgetExhausted,
-    SearchBudgets,
     advance_stage,
     stage0,
     tv_prefix_exact,
@@ -261,9 +260,8 @@ def test_criterion_8_adversarial_stage_demonstration():
     started = time.perf_counter()
     config = SchemeConfig(gamma=0.3)
     base = stage0()
-    budgets = SearchBudgets(max_stage=2)
 
-    state = advance_stage(base, "poly", config, budgets=budgets, seed=0)
+    state = advance_stage(base, "poly", config, seed=0)
     audit = state.audits[0]
     assert state.markers == (0, 64)
 
@@ -291,6 +289,6 @@ def test_criterion_8_adversarial_stage_demonstration():
     # left every tail beyond the window at exactly delta, and 3*delta
     # exceeds the next stage's tail cap
     with pytest.raises(BudgetExhausted) as info:
-        advance_stage(state, "poly", config, budgets=budgets, seed=1)
+        advance_stage(state, "poly", config, seed=1)
     assert info.value.constraint == "marker"
     assert time.perf_counter() - started < 1200.0

@@ -17,7 +17,6 @@ from renewalbench import adversary
 from renewalbench.adversary import (
     BudgetExhausted,
     FoolingResult,
-    SearchBudgets,
     StageState,
     _wilson,
     advance_stage,
@@ -57,10 +56,11 @@ class TestStage0:
         assert abs(law.mean - 1.0) < 1e-9
         assert abs(stationary_zero_prob(law) - 0.5) < 1e-9
 
-    def test_truncation_is_configurable(self):
-        law = stage0(truncate=10).law
-        assert law.prob(9) > 0.0
-        assert law.prob(10) == 0.0
+    def test_support_is_sixty(self):
+        law = stage0().law
+        assert law.support == 60
+        assert law.prob(59) > 0.0
+        assert law.prob(60) == 0.0
 
 
 class TestMeanShift:
@@ -103,7 +103,7 @@ class TestTailMeanShift:
             mu_L_shift(stage0().law, 10, 0.01, 9)
 
     def test_zero_tail_rejected(self):
-        law = stage0(truncate=10).law
+        law = make_law({"type": "geometric", "q": 0.5, "truncate": 10})
         with pytest.raises(LawError, match="zero tail"):
             mu_L_shift(law, 11, 0.01, 20)
 
@@ -514,22 +514,23 @@ class TestAdvanceStage:
             advance_stage(state, "poly", CFG, seed=1)
         assert info.value.constraint == "marker"
 
-    def test_horizon_budget_can_exhaust(self):
-        budgets = SearchBudgets(horizon_start=64, horizon_max=32)
+    def test_horizon_budget_can_exhaust(self, monkeypatch):
+        monkeypatch.setattr(adversary, "_HORIZON_MAX", 32)  # below the first horizon, 64
         with pytest.raises(BudgetExhausted) as info:
-            advance_stage(stage0(), "poly", CFG, budgets=budgets, seed=0)
+            advance_stage(stage0(), "poly", CFG, seed=0)
         assert info.value.constraint == "horizon"
 
-    def test_perturbation_budget_can_exhaust(self):
-        budgets = SearchBudgets(delta_halvings=0)
+    def test_perturbation_budget_can_exhaust(self, monkeypatch):
+        monkeypatch.setattr(adversary, "_DELTA_HALVINGS", 0)
         with pytest.raises(BudgetExhausted) as info:
-            advance_stage(stage0(), "poly", CFG, budgets=budgets, seed=0)
+            advance_stage(stage0(), "poly", CFG, seed=0)
         assert info.value.constraint == "perturbation"
 
-    def test_stage_cap(self):
+    def test_stage_cap(self, monkeypatch):
         state = advance_stage(stage0(), "poly", CFG, seed=0)
+        monkeypatch.setattr(adversary, "_MAX_STAGE", 1)
         with pytest.raises(ValueError, match="cap"):
-            advance_stage(state, "poly", CFG, budgets=SearchBudgets(max_stage=1))
+            advance_stage(state, "poly", CFG)
 
 
 class TestStageStateInvariants:

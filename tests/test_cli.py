@@ -76,6 +76,35 @@ class TestUsageErrors:
         assert run_cli(capsys, "--help")[0] == 0
 
 
+class TestNonFiniteInput:
+    # NaN and Infinity are not JSON, so no input may put one into a payload or echo
+    ZIPF_OVERFLOW = '{"type":"zipf","s":1e999,"truncate":5}'
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["law-info", "--law", ZIPF_OVERFLOW],
+            ["simulate", "--law", ZIPF_OVERFLOW, "--length", "10", "--out", "never-written.path"],
+            ["evaluate", "--law", ZIPF_OVERFLOW, "--scheme", "offline", "--length", "40"],
+        ],
+        ids=["law-info", "simulate", "evaluate"],
+    )
+    def test_infinite_zipf_exponent_exits_2(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: zipf law needs a finite s > 0, got inf\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    def test_non_finite_alpha_exits_2(self, capsys, alpha):
+        code, out, err = run_cli(
+            capsys, "evaluate", "--law", GEOM_LAW, "--scheme", "offline", "--length", "40", f"--alpha={alpha}",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: declared_alpha must be a finite real number"), err
+
+
 class TestSimulate:
     def test_dump_round_trip(self, capsys, tmp_path):
         out = tmp_path / "path.npz"
@@ -358,6 +387,12 @@ class TestAdversary:
     def test_offline_scheme_rejected(self, capsys):
         code, _, err = run_cli(capsys, "adversary", "--scheme", "offline")
         assert code == 1  # argparse choices catch it as usage
+
+    def test_alpha_is_not_a_flag(self, capsys):
+        # a declared alpha only turns on evaluate's poly warning
+        code, out, err = run_cli(capsys, "adversary", "--alpha", "3")
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --alpha 3" in err
 
     def test_tiny_replicates_is_validation_error(self, capsys):
         code, _, err = run_cli(capsys, "adversary", "--replicates", "5")

@@ -519,6 +519,9 @@ class TestFloatFields:
         [math.inf],
         [3.0, -1.0],
         [-0.0, -0.0, -0.0],
+        # numpy's median is -0.0: its own partition indices put both
+        # -0.0 in the middle, and a partition without index 0 did not
+        [0.0, 0.0, 0.0, -0.0, -0.0, 0.0, 0.0, 0.0],
         [1.0, 1.0, 1.0, 2.0, 2.0, 0.0, 0.0],
         [0.5] * 11,
         [1.0, math.nan, 2.0],
@@ -527,7 +530,7 @@ class TestFloatFields:
         list(np.random.default_rng(1).integers(0, 4, 37) / 3.0),
         list(np.random.default_rng(2).exponential(size=10) * 1e300),
     ],
-    ids=["n1", "n1-neg-zero", "n1-inf", "n2", "neg-zeros", "ties", "all-equal", "nan", "nan-not-a-neighbour", "n1001", "ties-37", "huge"],
+    ids=["n1", "n1-neg-zero", "n1-inf", "n2", "neg-zeros", "mixed-zeros", "ties", "all-equal", "nan", "nan-not-a-neighbour", "n1001", "ties-37", "huge"],
 )
 def test_quantiles_equal_numpy(values):
     array = np.array(values, dtype=np.float64)

@@ -255,6 +255,8 @@ class TestValidation:
             ({"type": "explicit", "p": [1.0], "truncate": 1}, "'truncate'"),
             ({"type": "zipf", "s": 2.0, "truncate": 5, "q": 0.5}, "'q'"),
             ({"type": "zipf", "s": True, "truncate": 5}, "got True"),
+            ({"type": "zipf", "s": math.inf, "truncate": 5}, "finite s > 0, got inf"),
+            ({"type": "zipf", "s": math.nan, "truncate": 5}, "finite s > 0, got nan"),
             ({"type": "geometric", "q": 0.5, "truncate": True}, "got True"),
             ({"type": "zipf", "s": 2.0, "truncate": 5.0}, "got 5.0"),
             ({"type": "geometric", "q": "0.5", "truncate": 5}, "got '0.5'"),

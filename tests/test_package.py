@@ -35,7 +35,7 @@ HOMES = {
         "run_experiment",
     ],
     "adversary": [
-        "BudgetExhausted", "FoolingResult", "SearchBudgets", "StageAudit",
+        "BudgetExhausted", "FoolingResult", "StageAudit",
         "StageState", "advance_stage", "audit_json", "fooling_probability",
         "mu_L_shift", "stage0", "tv_prefix_exact", "verify_stage",
     ],
@@ -45,7 +45,7 @@ STAR = sorted([*HOMES, *(name for _, name in REEXPORTED)])
 
 
 def test_all_is_the_star_import_set():
-    assert len(REEXPORTED) == 46 and len(STAR) == 51
+    assert len(REEXPORTED) == 45 and len(STAR) == 50
     assert renewalbench.__all__ == STAR
     bound = {}
     exec("from renewalbench import *", bound)
@@ -127,6 +127,20 @@ def test_moved_name_is_only_a_test_oracle(module, name):
     assert not hasattr(renewalbench, name)
     assert not hasattr(home, name)
     assert callable(getattr(oracles, name))
+
+
+def test_search_budgets_are_adversary_constants():
+    # the construction's search settings are fixed, so no caller passes them
+    import inspect
+
+    from renewalbench import adversary
+
+    assert "SearchBudgets" not in renewalbench.__all__
+    assert not hasattr(renewalbench, "SearchBudgets")
+    assert not hasattr(adversary, "SearchBudgets")
+    assert list(inspect.signature(adversary.advance_stage).parameters) == ["stage", "runner", "config", "seed"]
+    assert (adversary._HORIZON_START, adversary._HORIZON_MAX) == (64, 1 << 15)
+    assert (adversary._DELTA_HALVINGS, adversary._MAX_STAGE) == (60, 3)
 
 
 def test_package_keeps_one_scorer():

@@ -307,6 +307,17 @@ class TestDumpLoad:
             load_path(file)
         assert named in str(caught.value)
 
+    @pytest.mark.parametrize("value", [3.7, 3.0, True, "12", None])
+    @pytest.mark.parametrize("field", ["seed", "stream"])
+    def test_sidecar_counts_must_be_json_integers(self, tmp_path, field, value):
+        file = tmp_path / "bad.path"
+        file.write_bytes(b"0110\n")
+        sidecar = {"seed": 0, "stream": 0, "mode": "renewal", "law": {}, field: value}
+        (tmp_path / "bad.path.json").write_text(json.dumps(sidecar))
+        with pytest.raises(PathError, match="bad.path.json") as caught:
+            load_path(file)
+        assert f"field {field!r}: expected a JSON integer, got {value!r}" in str(caught.value)
+
     def test_missing_sidecar(self, tmp_path):
         file = tmp_path / "lone.path"
         file.write_text("0101\n")

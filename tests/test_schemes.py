@@ -220,6 +220,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SchemeConfig(epsilon=bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["gamma", "epsilon", "declared_alpha"])
+    def test_non_finite_is_named(self, field, bad):
+        # json.dumps would echo it as NaN or Infinity, which strict JSON rejects
+        with pytest.raises(ValueError, match=f"{field} must be a finite real number"):
+            SchemeConfig(**{field: bad})
+
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
             run_scheme("quadratic", [0, 1, 0], G05)
