@@ -129,7 +129,7 @@ class _Scorer:
             block_m = m[rows]
             acc = np.zeros(rows.size)
             seen = np.zeros(rows.size)
-            for value, first, counts in count(cols.lo[rows], cols.hi[rows]):
+            for value, first, counts in count(cols.lo[rows], block_m):
                 part = slice(first, first + counts.size)
                 age = block_age[part]
                 q = probs[age + value] / self.law.tails[age]
@@ -276,6 +276,15 @@ class AggregateStats:
         median_tv, p90_tv = _quantiles(tv_arr, 0.5, 0.9)
         return AggregateStats(median_abs_err, p90_abs_err, median_tv, p90_tv, int(err_arr.size))
 
+    def to_json_dict(self) -> dict:
+        """The fields, an empty sample's NaN quantiles as null: NaN is not JSON."""
+        return {name: None if math.isnan(value) else value for name, value in asdict(self).items()}
+
+    @staticmethod
+    def from_json_dict(data: dict) -> "AggregateStats":
+        """The stats of a JSON object, null read back as NaN."""
+        return AggregateStats(**{name: math.nan if value is None else value for name, value in data.items()})
+
 
 def _quantiles(values: np.ndarray, *qs: float) -> list[float]:
     """float(np.quantile(values, q)) for each q, bit for bit, by numpy's
@@ -333,8 +342,11 @@ class EvalReport:
         # not asdict: it would deep-copy the record columns
         return {
             "config": self.config.to_json_dict(),
-            "replicate_summaries": list(map(asdict, self.replicate_summaries)),
-            "pooled": asdict(self.pooled),
+            "replicate_summaries": [
+                {**asdict(summary), "final_decile": summary.final_decile.to_json_dict()}
+                for summary in self.replicate_summaries
+            ],
+            "pooled": self.pooled.to_json_dict(),
             "records": [list(row) for block in self.columns for row in block.rows()],
         }
 
@@ -466,7 +478,7 @@ def emit_report(report: EvalReport, format: str = "json", out: BinaryIO | None =
         emit_report(report, format, buffer)
         return buffer.getvalue()
     if format == "json":
-        out.write(json.dumps(report.to_json_dict(), indent=2, sort_keys=True).encode())
+        out.write(json.dumps(report.to_json_dict(), indent=2, sort_keys=True, allow_nan=False).encode())
         return None
     out.write((",".join(CSV_COLUMNS) + "\n").encode())
     for block in report.columns:
@@ -483,13 +495,13 @@ def report_from_json(payload: bytes | str) -> EvalReport:
             ReplicateSummary(
                 **{
                     **summary,
-                    "final_decile": AggregateStats(**summary["final_decile"]),
+                    "final_decile": AggregateStats.from_json_dict(summary["final_decile"]),
                     "good_index_density": tuple(map(tuple, summary["good_index_density"])),
                 }
             )
             for summary in data["replicate_summaries"]
         ),
-        pooled=AggregateStats(**data["pooled"]),
+        pooled=AggregateStats.from_json_dict(data["pooled"]),
         columns=tuple(
             RecordColumns.from_rows(list(rows)) for _, rows in groupby(data["records"], key=itemgetter(0, 1))
         ),

@@ -40,12 +40,12 @@ positions (a longer path is a block of its own).  Every row-sized
 column takes 4 bytes but the prefix sums, which take 8, so the scan
 holds 28 bytes per position (about 35 in a block of several paths,
 which keeps each row's class too).  Building a scheme's columns for
-every row peaks at 54-86 bytes per position (tracemalloc, geometric
-paths, one 1M-bit path and a block of 1000 65-bit paths: poly 54-78,
-log 77-86, eps 74-77, offline 76-77), so a full block takes about
+every row peaks at 49-75 bytes per position (tracemalloc, geometric
+paths, one 1M-bit path and a block of 1000 65-bit paths: poly 49-67,
+log 74-75, eps 63-66, offline 64-66), so a full block takes about
 5 MB.  A JSON report reads only each path's final decile, and builds
 columns only for those rows once every firing is found, with no index
-of every firing: poly 38, log 45 and eps 46 bytes per position on the
+of every firing: poly 37, log 45 and eps 33 bytes per position on the
 1M-bit path.  poly's window sizes on one path are a view of a cached
 table, so its firing stage allocates only one-byte masks per row.
 
@@ -360,9 +360,8 @@ class EventColumns(NamedTuple):
     """Estimates of one scheme on a path or a block, one row per estimate.
 
     Path p of the block has rows ``first[p]:first[p + 1]``, in time
-    order.  Row i averaged ``residuals[lo[i]:hi[i]]``, the class-ordered
-    residuals of the scan: ``m[i]`` values whose exact total is
-    ``sum[i]``.
+    order.  Row i averaged the ``m[i]`` class-ordered residuals of the
+    scan from ``lo[i]`` on, whose exact total is ``sum[i]``.
     """
 
     residuals: np.ndarray
@@ -370,17 +369,15 @@ class EventColumns(NamedTuple):
     time: np.ndarray
     age: np.ndarray
     lo: np.ndarray
-    hi: np.ndarray
     m: np.ndarray
     sum: np.ndarray
 
 
-def _columns(scan: PrefixScan, rows: np.ndarray, age: np.ndarray, lo: np.ndarray, m: np.ndarray) -> EventColumns:
+def _columns(scan: PrefixScan, rows: np.ndarray, lo: np.ndarray, m: np.ndarray) -> EventColumns:
     """Ascending scan rows whose window is the m class-order entries from lo on."""
-    hi = lo + m
-    total = scan.prefix[hi]
+    total = scan.prefix[lo + m]
     total -= scan.prefix[lo]
-    return EventColumns(scan.residuals, rows.searchsorted(scan.first), scan.time[rows], age, lo, hi, m, total)
+    return EventColumns(scan.residuals, rows.searchsorted(scan.first), scan.time[rows], scan.ages[rows], lo, m, total)
 
 
 # Entries handled per step where a step bounds a temporary: of
@@ -413,10 +410,10 @@ def _cut(fires: np.ndarray, keep) -> tuple[int, np.ndarray]:
 
 
 def window_counts(residuals: np.ndarray) -> Callable[[np.ndarray, np.ndarray], Iterator[tuple[int, int, np.ndarray]]]:
-    """A counter of value-major histograms of windows residuals[begins[i]:ends[i]].
+    """A counter of value-major histograms of windows, the m[i] residuals from begins[i] on.
 
     The residuals are indexed by value once, here.  The counter,
-    count(begins, ends), takes one block of windows grouped by age class
+    count(begins, m), takes one block of windows grouped by age class
     and, for each residual value in ascending order, yields
     (value, first, counts): counts[j] is how many times window first + j
     of the block holds the value, over the slice of windows that can
@@ -446,7 +443,8 @@ def window_counts(residuals: np.ndarray) -> Callable[[np.ndarray, np.ndarray], I
     # running count of one value over the residuals a slice spans
     running = np.zeros(residuals.size + 1, dtype=np.int32)
 
-    def count(begins: np.ndarray, ends: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+    def count(begins: np.ndarray, m: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+        ends = begins + m
         # the furthest end up to each window, and the least start from it on
         reach = np.maximum.accumulate(ends).astype(index)
         latest = np.minimum.accumulate(begins[::-1])[::-1].astype(index)
@@ -519,11 +517,10 @@ def _poly_columns(scan: PrefixScan, gamma: float, keep=None) -> tuple[int, Event
     del fires
     m = sizes[rows]
     del sizes
-    age = scan.ages[rows]
     lo = scan.starts[scan.classes[rows]]
     lo += scan.rank[rows]
     lo -= m
-    return count, _columns(scan, rows, age, lo, m)
+    return count, _columns(scan, rows, lo, m)
 
 
 # 2^s for every scale s a position can have
@@ -551,7 +548,7 @@ def _log_columns(scan: PrefixScan, gamma: float, keep=None) -> tuple[int, EventC
     length, width, time, ages, classes = scan.length, scan.width, scan.time, scan.ages, scan.classes
     order, starts = scan.order, scan.starts
     if not ages.size:
-        return 0, _columns(scan, ages, ages, ages, ages)
+        return 0, _columns(scan, ages, ages, ages)
     # a row that passes the recurrence test below has age <= first <
     # bit_length(length), and so has its scale bit_length(t) - 1: a grid
     # of (path, age, scale) cells with age and scale below
@@ -601,7 +598,14 @@ def _log_columns(scan: PrefixScan, gamma: float, keep=None) -> tuple[int, EventC
     fired, kept = _cut((count >= m)[cell], keep)
     rows = rows[kept]
     cell = cell[kept]
-    return fired, _columns(scan, rows, ages[rows], lo[cell], m[cell])
+    return fired, _columns(scan, rows, lo[cell], m[cell])
+
+
+def _class_columns(scan: PrefixScan, fires: np.ndarray, keep) -> tuple[int, EventColumns]:
+    """Columns of the rows fires marks, each averaging its whole completed class."""
+    count, rows = _cut(fires, keep)
+    del fires
+    return count, _columns(scan, rows, scan.starts[scan.classes[rows]], scan.rank[rows])
 
 
 def _eps_columns(scan: PrefixScan, epsilon: float, keep=None) -> tuple[int, EventColumns]:
@@ -613,9 +617,7 @@ def _eps_columns(scan: PrefixScan, epsilon: float, keep=None) -> tuple[int, Even
     tau.  At each of those ages the completed ones number the rank of
     the open run's position, so the count is tau + rank[t - tau .. t - 1].
     """
-    count, rows = _cut(_eps_fires(scan, 1.0 - 0.5 * epsilon), keep)
-    age = scan.ages[rows]
-    return count, _columns(scan, rows, age, scan.starts[scan.classes[rows]], scan.rank[rows])
+    return _class_columns(scan, _eps_fires(scan, 1.0 - 0.5 * epsilon), keep)
 
 
 def _eps_fires(scan: PrefixScan, share: float) -> np.ndarray:
@@ -651,9 +653,7 @@ def _eps_fires(scan: PrefixScan, share: float) -> np.ndarray:
 def _offline_columns(scan: PrefixScan, _parameter: None = None, keep=None) -> tuple[int, EventColumns]:
     """offline averages the whole completed class; rank 0 is undefined
     and has no row."""
-    count, rows = _cut(scan.rank, keep)
-    age = scan.ages[rows]
-    return count, _columns(scan, rows, age, scan.starts[scan.classes[rows]], scan.rank[rows])
+    return _class_columns(scan, scan.rank, keep)
 
 
 # Each scheme's columns from the scan, the parameter _setting returns
@@ -686,12 +686,12 @@ def scheme_columns(tag: str, bits, config: SchemeConfig) -> EventColumns:
 _HISTOGRAM_BLOCK = 1 << 10
 
 
-def _block_histograms(count, size: int, lo: np.ndarray, hi: np.ndarray) -> list[tuple[tuple[int, int], ...]]:
-    """The residual_counts of a block's windows residuals[lo[i]:hi[i]],
-    in row order, from window_counts' counter for size - 1 residuals.
-    The distinct windows are counted once, sorted, which groups them by
-    class, and rows with the same window share one tuple."""
-    unique, inverse = np.unique(lo * size + hi, return_inverse=True)
+def _block_histograms(count, size: int, lo: np.ndarray, m: np.ndarray) -> list[tuple[tuple[int, int], ...]]:
+    """The residual_counts of a block's windows, the m[i] residuals from
+    lo[i] on, in row order, from window_counts' counter for size - 1
+    residuals.  Distinct windows are counted once, sorted, which groups
+    them by class; rows with the same window share one tuple."""
+    unique, inverse = np.unique(lo * size + m, return_inverse=True)
     found = list(count(unique // size, unique % size))
     # the block's (window, value) counts as a table: its nonzero cells
     # in row-major order are each window's values, ascending
@@ -733,7 +733,7 @@ def _estimates(cols: EventColumns, start=None, end=None, ages=None, psi: int = 0
 
     for block in range(0, rows, _HISTOGRAM_BLOCK):
         part = slice(block, block + _HISTOGRAM_BLOCK)
-        histograms = _block_histograms(count, size, cols.lo[part], cols.hi[part])
+        histograms = _block_histograms(count, size, cols.lo[part], cols.m[part])
         time, age, m = cols.time[part].tolist(), cols.age[part].tolist(), cols.m[part].tolist()
         estimate = (cols.sum[part] / cols.m[part]).tolist()
         if ages is None:
@@ -768,7 +768,7 @@ def iter_scheme(tag: str, bits, config: SchemeConfig = SchemeConfig()) -> Iterat
     # the windows are read off the scan here, which the estimates then
     # let go; eps's all start at psi, a view of it rather than a column
     start = np.broadcast_to(scan.psi, cols.time.shape) if tag == "eps" else scan.time[scan.order[cols.lo]]
-    end = scan.time[scan.order[cols.hi - 1]] if tag == "log" else cols.time
+    end = scan.time[scan.order[cols.lo + cols.m - 1]] if tag == "log" else cols.time
     return _estimates(cols, start, end)
 
 

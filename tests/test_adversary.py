@@ -28,6 +28,7 @@ from renewalbench.adversary import (
     verify_stage,
 )
 from renewalbench.laws import (
+    MAX_SUPPORT,
     LawError,
     make_law,
     perturb,
@@ -513,6 +514,29 @@ class TestAdvanceStage:
         with pytest.raises(BudgetExhausted) as info:
             advance_stage(state, "poly", CFG, seed=1)
         assert info.value.constraint == "marker"
+
+    def test_later_stage_searches_k_and_delta_at_a_marker(self, monkeypatch):
+        # A stage-1 law whose first perturbation moved 1e-5 to 200,001
+        # leaves every tail past the window at 1e-5, so age 65 is a
+        # realizable marker for stage 2 (3e-5 < 100^-2).  Its k comes
+        # from the marker's formula, and delta halves until k*delta is
+        # below 100^-2 and the prefix distance below 1000^-2.
+        passing = FoolingResult(1.0, 0.99, 1.0, 1500, 1500, 1500, True)
+        monkeypatch.setattr(adversary, "fooling_probability", lambda *args, **kwargs: passing)
+        base = stage0().law
+        law = perturb(base, 200_001, 1e-5)
+        first = advance_stage(stage0(), "poly", CFG).audits[0]
+        first = dataclasses.replace(first, delta=1e-5, k=200_001, mean_after=law.mean)
+        state = StageState(stage=1, markers=(0, 64), law_history=(base, law), audits=(first,))
+        advanced = advance_stage(state, "poly", CFG)
+        audit = advanced.audits[-1]
+        assert advanced.markers == (0, 64, 65, 128)
+        assert (audit.marker, audit.horizon, audit.k) == (65, 128, 253_692)
+        assert audit.delta == 0.2 * law.prob(0) * 0.5**28
+        assert mu_L_shift(law, 65, audit.delta, audit.k) > 2.0
+        assert audit.k * audit.delta < 1e-4
+        assert audit.tv_value <= audit.tv_threshold == 1e-6
+        assert audit.k < MAX_SUPPORT
 
     def test_horizon_budget_can_exhaust(self, monkeypatch):
         monkeypatch.setattr(adversary, "_HORIZON_MAX", 32)  # below the first horizon, 64

@@ -49,6 +49,21 @@ class TestLawInfo:
         assert any(line.split()[-1] == "1" for line in lines)  # residual mean at age 1
         assert out.startswith("# config ") or err.startswith("# config ")
 
+    def test_unreachable_ages_are_named(self, capsys):
+        # every run is empty, so no position has age 1 or 2
+        code, out, _ = run_cli(capsys, "law-info", "--law", '{"type":"explicit","p":[1,0,0]}')
+        assert code == 0
+        assert out == (
+            "support size : 3\n"
+            "mean run     : 0.0\n"
+            "zero freq    : 1.0\n"
+            'provenance   : {"p": [1.0, 0.0, 0.0], "type": "explicit"}\n'
+            "age  tail mass       residual mean\n"
+            "  0  1               0\n"
+            "  1  0               (unreachable)\n"
+            "  2  0               (unreachable)\n"
+        )
+
     def test_law_from_file(self, capsys, tmp_path):
         law_file = tmp_path / "law.json"
         law_file.write_text(P2_LAW)

@@ -97,9 +97,32 @@ def test_block_columns_equal_per_path_columns(spec, mode):
                 rows = slice(cols.first[path], cols.first[path + 1])
                 for name in ("time", "age", "m", "sum"):
                     assert np.array_equal(getattr(cols, name)[rows], getattr(one, name)), (tag, name)
-                windows = zip(cols.lo[rows].tolist(), cols.hi[rows].tolist(), one.lo.tolist(), one.hi.tolist())
-                for lo, hi, one_lo, one_hi in windows:
-                    assert np.array_equal(cols.residuals[lo:hi], one.residuals[one_lo:one_hi])
+                windows = zip(cols.lo[rows].tolist(), one.lo.tolist(), one.m.tolist())
+                for lo, one_lo, m in windows:
+                    assert np.array_equal(cols.residuals[lo : lo + m], one.residuals[one_lo : one_lo + m])
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("spec", LAWS, ids=lambda spec: spec["type"])
+@pytest.mark.parametrize("epsilon", [0.05, 0.3, 0.9])
+def test_eps_columns_are_offline_columns_where_eps_fires(spec, epsilon):
+    # eps and offline both average the row's whole completed class and
+    # differ only in where they fire, eps at some of offline's rows
+    law = make_law(spec)
+    config = SchemeConfig(epsilon=epsilon)
+    path = sample_path(law, 2999, StartMode.STATIONARY, seed=4).bits
+    for bits in (path, sample_paths(law, 64, StartMode.AT_RENEWAL, 4, range(40))):
+        eps, offline = scheme_columns("eps", bits, config), scheme_columns("offline", bits, config)
+        keys = []
+        for cols in (eps, offline):
+            path_of_row = np.arange(cols.first.size - 1).repeat(np.diff(cols.first))
+            keys.append(path_of_row * bits.shape[-1] + cols.time)
+        fired = np.isin(keys[1], keys[0])
+        assert 0 < np.count_nonzero(fired) == eps.time.size <= offline.time.size
+        assert np.array_equal(eps.first, np.concatenate(([0], fired.cumsum()))[offline.first])
+        assert np.array_equal(eps.residuals, offline.residuals)
+        for name in ("time", "age", "lo", "m", "sum"):
+            assert np.array_equal(getattr(eps, name), getattr(offline, name)[fired]), name
 
 
 def _cut_paths():
@@ -129,7 +152,7 @@ def test_cut_columns_are_the_last_rows_of_the_full_columns(tag):
         assert count == n
         assert cut.first.tolist() == [0, kept]
         assert cut.residuals.tobytes() == full.residuals.tobytes()
-        for name in ("time", "age", "lo", "hi", "m", "sum"):
+        for name in ("time", "age", "lo", "m", "sum"):
             assert getattr(cut, name).tobytes() == getattr(full, name)[n - kept :].tobytes(), name
         counts.append(n)
     assert counts[-2:] == [0, 0]
@@ -165,7 +188,8 @@ def test_histograms_do_not_depend_on_block_size(monkeypatch, tag):
     if tag == "log":
         cols = scheme_columns(tag, bits, config)
         edges = np.arange(7, cols.lo.size, 7)
-        assert np.any((cols.lo[edges] == cols.lo[edges - 1]) & (cols.hi[edges] == cols.hi[edges - 1]))
+        hi = cols.lo + cols.m
+        assert np.any((cols.lo[edges] == cols.lo[edges - 1]) & (hi[edges] == hi[edges - 1]))
     monkeypatch.setattr(schemes, "_HISTOGRAM_BLOCK", 7)
     assert run_scheme(tag, bits, config) == whole
     prefix = bits[:1500]
@@ -381,15 +405,15 @@ def test_window_counts_equal_unique_counts(monkeypatch, spec, length):
         cols = scheme_columns(tag, bits, config)
         residuals = cols.residuals
         order = np.argsort(cols.age, kind="stable")
-        begins, ends = cols.lo[order], cols.hi[order]
-        blocks = [(begins[start : start + 37], ends[start : start + 37]) for start in range(0, order.size, 37)]
+        begins, sizes = cols.lo[order], cols.m[order]
+        blocks = [(begins[start : start + 37], sizes[start : start + 37]) for start in range(0, order.size, 37)]
         assert len(blocks) > 2
         found: list[list] = [[] for _ in order]
         count = window_counts(residuals)
         calls = counting.cumsum_calls
-        for block, (block_begins, block_ends) in enumerate(blocks):
+        for block, (block_begins, block_sizes) in enumerate(blocks):
             previous = -1
-            for value, first, counts in count(block_begins, block_ends):
+            for value, first, counts in count(block_begins, block_sizes):
                 assert value > previous  # values ascending
                 previous = value
                 # a slice of the block's windows, misses counted 0
@@ -401,8 +425,8 @@ def test_window_counts_equal_unique_counts(monkeypatch, spec, length):
                 # a step that counts from the running count builds it first
                 bisected += counting.cumsum_calls == calls
                 calls = counting.cumsum_calls
-        for row, (lo, hi) in enumerate(zip(begins.tolist(), ends.tolist())):
-            values, counts = np.unique(residuals[lo:hi], return_counts=True)
+        for row, (lo, m) in enumerate(zip(begins.tolist(), sizes.tolist())):
+            values, counts = np.unique(residuals[lo : lo + m], return_counts=True)
             assert found[row] == list(zip(values.tolist(), counts.tolist())), (tag, row)
     if spec["type"] == "zipf":
         assert int(prefix_scan(bits).residuals.max()) >= 100  # runs in the hundreds
@@ -420,8 +444,9 @@ def _overflow_path():
 
 def _digests(cols) -> str:
     """The first 16 hex digits of the sha256 of each pinned column as
-    int64 bytes, whatever type the column has."""
-    columns = (cols.time, cols.age, cols.lo, cols.hi, cols.m, cols.sum)
+    int64 bytes, whatever type the column has; the fourth is each
+    window's end, lo + m."""
+    columns = (cols.time, cols.age, cols.lo, cols.lo + cols.m, cols.m, cols.sum)
     return " ".join(hashlib.sha256(np.asarray(c, dtype=np.int64).tobytes()).hexdigest()[:16] for c in columns)
 
 

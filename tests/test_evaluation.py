@@ -287,11 +287,28 @@ class TestEmitReport:
 
     def test_empty_final_deciles_reemit_their_bytes(self):
         # no run ends within 5 bits, so nothing fires and every quantile
-        # is NaN: the clone cannot equal the report, but its bytes can
+        # is NaN, which JSON cannot hold: each is written as null and
+        # read back as NaN, so the clone cannot equal the report, but
+        # its bytes can
         report = run_experiment(p2_config(law={"type": "explicit", "p": [0.0] * 12 + [1.0]}, length=5))
         payload = emit_report(report, "json")
-        assert payload.count(b"NaN") == 8
-        assert emit_report(report_from_json(payload), "json") == payload
+        assert b"NaN" not in payload
+        empty = {"median_abs_err": None, "p90_abs_err": None, "median_tv": None, "p90_tv": None, "sample_count": 0}
+        data = json.loads(payload)
+        assert data["pooled"] == data["replicate_summaries"][0]["final_decile"] == empty
+        clone = report_from_json(payload)
+        assert math.isnan(clone.pooled.median_tv) and math.isnan(clone.replicate_summaries[0].final_decile.p90_abs_err)
+        assert emit_report(clone, "json") == payload
+
+    def test_json_refuses_a_non_finite_value(self):
+        # a NaN anywhere but an empty sample's quantiles, or an infinity,
+        # is a fault, not a value a strict JSON reader could take
+        report = run_experiment(p2_config(keep_records=True))
+        for value in (math.nan, math.inf):
+            summary = dataclasses.replace(report.replicate_summaries[0], firing_density=value)
+            broken = dataclasses.replace(report, replicate_summaries=(summary,))
+            with pytest.raises(ValueError, match="JSON compliant"):
+                emit_report(broken, "json")
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
@@ -595,7 +612,7 @@ class TestFinalDecileScoring:
         fired, tail = schemes._scheme_scan(scheme, bits, config, evaluation._final_decile)[1:]
         count = math.ceil(errs.size / 10)
         assert fired == errs.size
-        assert tail.time.size == tail.age.size == tail.lo.size == tail.hi.size == tail.m.size == tail.sum.size == count
+        assert tail.time.size == tail.age.size == tail.lo.size == tail.m.size == tail.sum.size == count
         assert tail.first.tolist() == [0, count]
         tail_errs, tail_tvs = scorer.score_columns(tail)
         assert tail_errs.tobytes() == errs[errs.size - count :].tobytes()
@@ -649,17 +666,18 @@ class TestFinalDecileScoring:
 
 # tracemalloc peak of a 1M-bit JSON run_experiment, in bytes per bit.
 # Measured on geometric(0.5) paths, seeds 0-4 (numpy 2.4), with 4-byte
-# row columns: poly 37.7-38.5 (46.0-46.8 while its firing stage built
-# the window-size table whole and gathered it and every firing row's
-# index), eps 33.7 (46.1 while its firing test held row-sized int64 and
-# float64 columns), log 45.0 and offline, which scores every row,
-# 78.8-79.0.  The bounds leave 9-14% over those figures.
-PEAK_BYTES_PER_BIT = {"poly": 42, "eps": 37, "log": 51, "offline": 90}
+# row columns and each window held as (lo, m): poly 36.5-37.3 (46.0-46.8
+# while its firing stage built the window-size table whole and gathered
+# it and every firing row's index), eps 32.5 (46.1 while its firing test
+# held row-sized int64 and float64 columns), log 45.0 and offline, which
+# scores every row, 70.8-71.0 (78.8-79.0 while the columns also held
+# each window's end).  The bounds leave 9-15% over those figures.
+PEAK_BYTES_PER_BIT = {"poly": 42, "eps": 37, "log": 51, "offline": 78}
 # The same with keep_records, which scores every row and keeps its
-# record columns: poly 82.4, eps 78.7, log 81.5-86.9 and offline
-# 78.8-79.0 on the same seeds (90.1-90.2, 86.4-86.5, 82.1-89.9 and 81.1
-# while the thetas were gathered through two row-sized quotients).
-KEPT_PEAK_BYTES_PER_BIT = {"poly": 92, "eps": 92, "log": 92, "offline": 92}
+# record columns: poly 74.7, eps 70.9-71.0, log 71.1-75.4 and offline
+# 70.8-71.0 on the same seeds (82.4, 78.7, 81.5-86.9 and 78.8-79.0 while
+# the columns also held each window's end).
+KEPT_PEAK_BYTES_PER_BIT = {"poly": 84, "eps": 84, "log": 84, "offline": 84}
 def _peak_bytes_per_bit(scheme, keep_records):
     length = 1_000_000
     config = ExperimentConfig(
