@@ -160,9 +160,6 @@ class ScoredRecord(NamedTuple):
     abs_err: float
     tv: float
 
-    def row(self) -> tuple:
-        return tuple(self)
-
 
 @dataclass(frozen=True, eq=False)
 class RecordColumns:

@@ -174,8 +174,18 @@ class OfflineEstimate(NamedTuple):
 def _as_path(bits) -> np.ndarray:
     """The one input rule of every entry point: an ndarray is read as it
     is, and any other sequence or iterable of bits, a generator
-    included, is read once into one."""
-    return bits if isinstance(bits, np.ndarray) else np.array(list(bits))
+    included, is read once into one.  Its entries must be the numbers 0
+    and 1: a str path or a 2 is refused, not scanned as a run of ones."""
+    arr = bits if isinstance(bits, np.ndarray) else np.array(list(bits))
+    kind = arr.dtype.kind
+    if kind not in "buif":
+        raise ValueError(f"bits must be the numbers 0 and 1, got an array of dtype {arr.dtype}")
+    # bool and unsigned input, the sampler's uint8 among it, needs only max()
+    if not arr.size or (arr.max() <= 1 if kind in "bu" else ((arr == 0) | (arr == 1)).all()):
+        return arr
+    at = np.unravel_index(np.argmax((arr != 0) & (arr != 1)), arr.shape)
+    position = int(at[0]) if arr.ndim == 1 else tuple(map(int, at))
+    raise ValueError(f"bits must be 0 or 1, but position {position} holds {arr[at].item()!r}")
 
 
 def _one_path(bits) -> np.ndarray:

@@ -329,6 +329,11 @@ class TestFoolingProbability:
         with pytest.raises(ValueError, match="window"):
             fooling_probability(law, silent_runner, CFG, (64, 64), 3.0, 200, seed=1)
 
+    def test_wilson_needs_a_trial(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="need at least one trial"):
+                _wilson(0, n)
+
 
 def reaches_marker(bits, age, bound):
     """Whether a position in (age, bound) has run age `age`."""
@@ -499,6 +504,36 @@ class TestAdvanceStage:
         # twelve candidates, eleven rejected by the 14-bit screen alone
         assert lengths == [14] * 12 + [20]
 
+    def test_float_edge_guard_steps_k_past_a_shift_of_exactly_two(self, monkeypatch):
+        # a shift that rounds to 2.0 at the formula's k is not more than
+        # 2: k steps up by one, here at every delta the search tries
+        plain = advance_stage(stage0(), "poly", CFG, seed=0).audits[0]
+        shift, tried = adversary.mu_L_shift, []
+
+        def at_the_edge(law, age, delta, k):
+            first = delta not in {d for d, _ in tried}
+            tried.append((delta, k))
+            return 2.0 if first else shift(law, age, delta, k)
+
+        monkeypatch.setattr(adversary, "mu_L_shift", at_the_edge)
+        audit = advance_stage(stage0(), "poly", CFG, seed=0).audits[0]
+        assert tried[:4] == [(0.1, 21), (0.1, 22), (0.05, 41), (0.05, 42)]
+        assert (audit.delta, audit.k, audit.tv_value) == (plain.delta, plain.k + 1, plain.tv_value)
+
+    def test_a_candidate_past_the_screen_can_still_fail_the_exact_distance(self, monkeypatch):
+        # the first candidate reads close on the 14-bit screen and far at
+        # N = 20, so delta halves and the search goes on as it would
+        plain = advance_stage(stage0(), "poly", CFG, seed=0).audits[0]
+        exact, lengths = adversary.tv_prefix_exact, []
+
+        def screened_then_far(a, b, N):
+            lengths.append(N)
+            return [0.0, 1.0][len(lengths) - 1] if len(lengths) <= 2 else exact(a, b, N)
+
+        monkeypatch.setattr(adversary, "tv_prefix_exact", screened_then_far)
+        assert advance_stage(stage0(), "poly", CFG, seed=0).audits[0] == plain
+        assert lengths == [14, 20] + [14] * 11 + [20]
+
     def test_deterministic_given_seed(self):
         a = advance_stage(stage0(), "poly", CFG, seed=3)
         b = advance_stage(stage0(), "poly", CFG, seed=3)
@@ -567,6 +602,20 @@ class TestStageStateInvariants:
         law = stage0().law
         with pytest.raises(ValueError, match="one law per stage"):
             StageState(stage=1, markers=(0, 64), law_history=(law,), audits=())
+
+    def test_stage_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="stage must be >= 0"):
+            StageState(stage=-1, markers=(0,), law_history=())
+
+    def test_one_audit_per_advance(self, stage_one):
+        with pytest.raises(ValueError, match="audits must hold one entry per advance"):
+            StageState(stage=1, markers=stage_one.markers, law_history=stage_one.law_history)
+
+    def test_delta_stays_under_a_quarter_of_p0(self, stage_one):
+        audit = stage_one.audits[0]
+        over = dataclasses.replace(audit, delta=0.25 * audit.p0_before)
+        with pytest.raises(ValueError, match="stage 1 delta .* breaks the quarter-of-p0 bound"):
+            dataclasses.replace(stage_one, audits=(over,))
 
     def test_window_accessor(self):
         state = advance_stage(stage0(), "poly", CFG, seed=0)

@@ -74,7 +74,7 @@ def test_columnar_records_equal_per_event_scores(spec, mode, scheme):
                 for tolerance in TOLERANCES
             )
     assert expected
-    assert [r.row() for r in report.records] == [r.row() for r in expected]
+    assert [tuple(r) for r in report.records] == [tuple(r) for r in expected]
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -171,10 +171,10 @@ def test_scores_do_not_depend_on_block_size(monkeypatch, scheme):
         base_seed=1,
         keep_records=True,
     )
-    whole = [r.row() for r in run_experiment(config).records]
+    whole = [tuple(r) for r in run_experiment(config).records]
     monkeypatch.setattr(evaluation, "_BLOCK", 7)
     assert whole
-    assert [r.row() for r in run_experiment(config).records] == whole
+    assert [tuple(r) for r in run_experiment(config).records] == whole
 
 
 @pytest.mark.parametrize("tag", ["poly", "log", "eps", "offline"])

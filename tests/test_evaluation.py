@@ -98,7 +98,7 @@ class TestScoreEvents:
         events = run_scheme("eps", p2_bits(40), SchemeConfig(epsilon=0.5))
         forward = score_events(P2_LAW, events)
         backward = score_events(P2_LAW, list(reversed(events)))
-        assert sorted(r.row() for r in forward) == sorted(r.row() for r in backward)
+        assert sorted(tuple(r) for r in forward) == sorted(tuple(r) for r in backward)
 
 
 class TestDensities:
@@ -160,7 +160,7 @@ class TestRunExperiment:
         assert first == second
         by_rep = {}
         for record in first.records:
-            by_rep.setdefault(record.replicate, []).append(record.row()[2:])
+            by_rep.setdefault(record.replicate, []).append(record[2:])
         assert by_rep[0] != by_rep[1]  # distinct streams, distinct paths
 
     def test_numpy_integers_run_as_python_ints(self):
@@ -363,14 +363,14 @@ def writer_csv(report):
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for record in report.records:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in record.row()])
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in record])
     return buffer.getvalue().encode()
 
 
 def record_json(report):
     """The JSON report as it was built from ScoredRecord rows."""
     data = report.to_json_dict()
-    data["records"] = [list(r.row()) for r in report.records]
+    data["records"] = [list(r) for r in report.records]
     return json.dumps(data, indent=2, sort_keys=True).encode()
 
 
@@ -453,12 +453,17 @@ class TestColumnarEmit:
         for column in range(5, 9):
             assert {f[column] for f in fields} == {repr(x) for x in floats}
 
+    def test_columns_compare_only_with_columns(self):
+        block = run_experiment(p2_config(length=30)).columns[0]
+        assert block == dataclasses.replace(block) and block != object()
+        assert block.__eq__(object()) is NotImplemented
+
     def test_records_are_tuples(self):
         report = run_experiment(p2_config(replicates=2))
         record = report.records[0]
         replicate, scheme, *_ = record
         assert (replicate, scheme) == (0, "poly")
-        assert record == tuple(record) == record.row()
+        assert record == tuple(record)
         assert report.records == tuple(
             tuple(row) for block in report.columns for row in block.rows()
         )

@@ -294,6 +294,29 @@ class TestValidation:
         with pytest.raises(LawError):
             law_from_json("{not json")
 
+    def test_explicit_masses_must_be_a_list(self):
+        with pytest.raises(LawError, match="explicit law needs a 'p' list of masses"):
+            make_law({"type": "explicit", "p": 0.5})
+
+    def test_support_past_the_cap_is_named(self):
+        # the cap is checked before the masses are read: no spec is
+        # needed that builds MAX_SUPPORT + 1 masses first
+        with pytest.raises(LawError, match=f"support size {MAX_SUPPORT + 1} exceeds the {MAX_SUPPORT} cap"):
+            laws._build(np.zeros(MAX_SUPPORT + 1), {})
+
+    def test_negative_ages_are_named(self):
+        law = det2()
+        assert law.tail(-1) == 1.0  # every run holds at least no ones
+        with pytest.raises(LawError, match="overshoot index must be >= 0, got -1"):
+            law.overshoot(-1)
+        for function in (residual_mean, residual_law):
+            with pytest.raises(LawError, match="run age must be >= 0, got -1"):
+                function(law, -1)
+
+    def test_an_age_no_run_reaches_has_no_residual_law(self):
+        with pytest.raises(LawError, match="run age 3 has zero mass under the law"):
+            residual_law(det2(), 3)
+
     def test_info_text_mentions_key_fields(self):
         text = law_info_text(det2())
         assert "support size : 3" in text

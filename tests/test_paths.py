@@ -318,6 +318,13 @@ class TestDumpLoad:
             load_path(file)
         assert f"field {field!r}: expected a JSON integer, got {value!r}" in str(caught.value)
 
+    @pytest.mark.parametrize("line", [b"", b" \n"], ids=["empty", "blank"])
+    def test_empty_dump_is_named(self, tmp_path, line):
+        file = tmp_path / "empty.path"
+        file.write_bytes(line)
+        with pytest.raises(PathError, match="empty.path: empty path dump"):
+            load_path(file)
+
     def test_missing_sidecar(self, tmp_path):
         file = tmp_path / "lone.path"
         file.write_text("0101\n")
@@ -326,6 +333,10 @@ class TestDumpLoad:
 
 
 class TestStartModeParsing:
+    def test_sampler_takes_only_a_start_mode(self):
+        with pytest.raises(PathError, match="unsupported start mode 'stationary'"):
+            sample_paths(det2(), 10, "stationary", 0, range(2))
+
     def test_names(self):
         assert parse_start_mode("renewal") is StartMode.AT_RENEWAL
         assert parse_start_mode("stationary") is StartMode.STATIONARY

@@ -8,8 +8,10 @@ under test.
 import collections
 import gc
 import math
+import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -238,6 +240,38 @@ class TestConfigValidation:
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
             run_scheme("quadratic", [0, 1, 0], G05)
+
+
+# Text, a 2, a half or a negative number is not a bit: each is refused
+# with its first position named, not read as no zeros or as a one.
+NOT_BITS = {
+    "str-list": (["0", "1", "1", "0", "1"], "got an array of dtype <U1"),
+    "str": ("01101", "got an array of dtype <U1"),
+    "bytes": (b"01101", "position 0 holds 48"),
+    "two": ([0, 2, 1, 0, 1], "position 1 holds 2"),
+    "half": ([0, 0.5, -3, 0], "position 1 holds 0.5"),
+    "negative": (np.array([0, 1, -3, 0], dtype=np.int8), "position 2 holds -3"),
+    "block": (np.array([[0, 1, 1, 0], [0, 1, 3, 0]]), "position (1, 2) holds 3"),
+}
+ENTRY_POINTS = {
+    "run_scheme": lambda bits: run_scheme("offline", bits, G05),
+    "iter_scheme": lambda bits: iter_scheme("poly", bits, G05),  # refused when called
+    "scheme_columns": lambda bits: schemes.scheme_columns("eps", bits, E05),
+    "prefix_scan": schemes.prefix_scan,
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("bits, named", NOT_BITS.values(), ids=NOT_BITS)
+def test_a_path_of_non_bits_is_refused_and_named(entry, bits, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        ENTRY_POINTS[entry](bits)
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float64])
+def test_every_numeric_dtype_of_bits_gives_the_same_estimates(dtype):
+    bits = [0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0] * 3
+    assert run_scheme("offline", np.array(bits, dtype=dtype), G05) == run_scheme("offline", bits, G05)
 
 
 def _event_runs():
