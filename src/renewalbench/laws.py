@@ -145,6 +145,12 @@ def _build(masses: np.ndarray, provenance: dict) -> RenewalLaw:
     if bad.size:
         k = int(bad[0])
         raise LawError(f"mass at index {k} is invalid: {float(masses[k])!r}")
+    # masses that sum to within SUM_TOL of 1 are each at most 1 + SUM_TOL,
+    # and one far above it would overflow fsum
+    big = np.flatnonzero(masses > 1.0 + SUM_TOL)
+    if big.size:
+        k = int(big[0])
+        raise LawError(f"mass at index {k} is {float(masses[k])!r}, above 1 + {SUM_TOL}")
     total = math.fsum(masses.tolist())
     if abs(total - 1.0) > SUM_TOL:
         raise LawError(f"masses sum to {total!r}, expected 1 within {SUM_TOL}")

@@ -301,6 +301,8 @@ def prefix_scan(bits) -> PrefixScan:
     # array methods rather than numpy functions: on the short paths of
     # the adversary's Monte Carlo the call overhead is the cost
     arr = _as_path(bits)
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"expected one path or a 2-D block of paths, got an array of shape {arr.shape}")
     paths, length = arr.shape if arr.ndim == 2 else (1, arr.size)
     # every value below but the prefix sums is at most the block's size,
     # so each takes the row type

@@ -1,14 +1,19 @@
-"""Pinned payloads: each file a fixed call writes, and the sha256 of the bytes it must keep.
-``check(name, dir)`` writes one into dir and returns its problems; ``python tests/pins.py DIR``
-checks them all against the importable package, prints each problem and exits 1 if any."""
+"""Pinned payloads and module sets: each file a fixed call writes, with the sha256 of the bytes it
+must keep, and each entry point, with the modules it may not and must load.  ``check(name, dir)``
+checks one entry of either table in dir and returns its problems; ``python tests/pins.py DIR``
+checks both against the importable package, prints each problem and exits 1 if any."""
 
+import fnmatch
 import hashlib
 import io
 import json
+import re
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 GEOMETRIC = '{"type": "geometric", "q": 0.5, "truncate": 60}'
 ZIPF = '{"type": "zipf", "s": 3, "truncate": 10000}'
 SIMULATE = ("simulate", "--law", ZIPF, "--length", "2000", "--seed", "0")
@@ -30,6 +35,13 @@ def _evaluate(scheme, *flags, law=GEOMETRIC, length="2000"):
 
 def _adversary(scheme, seed, reps):
     return ("adversary", "--scheme", scheme, "--seed", seed, "--replicates", reps)
+
+
+def _readme_library(file):  # the python block under "## Library", as a reader would run it
+    block = re.search(r"## Library\s+```python\n(.*?)```", README.read_text(), re.S).group(1)
+    with redirect_stdout(io.StringIO()) as out:
+        exec(block, {})
+    file.write_text(out.getvalue())
 
 
 # file name: (a CLI argv, run with "--out FILE" appended, or a writer of FILE; its sha256)
@@ -67,6 +79,63 @@ PINS = {
     "adversary-log-0.json": (_adversary("log", "0", "1000"), "5abcdb6d6435cc282dc6119f461c355732d3001ac33c3545358103f953d52997"),
     # and before the search and the verification shared one Monte Carlo routine
     "adversary-eps-42.json": (_adversary("eps", "42", "1000"), "65e588831c50e5d66985dc42b022313c888a0bb401c10afe86e1b6370eaf09a1"),
+    # nothing fires within two bits, so the final decile is empty and each of its quantiles is null
+    "empty-decile.json": (
+        ("evaluate", "--scheme", "poly", "--gamma", "0.3", "--law", '{"type": "explicit", "p": [0, 0, 1]}', "--length", "2"),
+        "8fe726bc67c5905db7a1c13c465f733bb1b079e045ee11e2b627816a87fd8474",
+    ),
+    # the documented API imports and runs, and prints what it printed
+    "readme-library.txt": (_readme_library, "f2021838eb7ab0886e973829bd20a6d9322b2d1540777a0e48bf0a2a53ed91bf"),
+}
+
+
+def _main(*argv):
+    return f"from renewalbench.cli import main\ncode = main({list(argv)!r})"
+
+
+# Each entry point: what runs before the module set is taken, the code,
+# the module patterns that may not load after it, and the ones that must.
+# A bare import loads neither a submodule nor numpy, every public name
+# loads without the test oracles (a plain install ships no tests/), and
+# the benchmark's set-up probe skips evaluation.  On numpy 2,
+# np.quantile's first call imports numpy.ma (~10 ms); numpy 1 imports
+# numpy.ma with numpy itself, so the CLI cases import numpy first.  Each
+# subcommand imports only the modules it runs: csv and orjson are for
+# CSV export only, evaluation for evaluate, adversary for adversary, and
+# selfcheck for selftest.
+IMPORTS = {
+    "bare": ("", "import renewalbench", ["numpy", "renewalbench.*"], []),
+    "names": (
+        "",
+        "import renewalbench\n[getattr(renewalbench, name) for name in renewalbench.__all__]",
+        ["oracles", "pins", "tests", "tests.*"],
+        [],
+    ),
+    "probe": ("", "import renewalbench\nfrom renewalbench import adversary, laws", ["renewalbench.evaluation"], []),
+    "import": (
+        "import numpy",
+        "from renewalbench.cli import main",
+        ["numpy.ma", "csv", "orjson", "renewalbench.adversary", "renewalbench.evaluation", "renewalbench.selfcheck"],
+        [],
+    ),
+    "json": (
+        "import numpy",
+        _main(*_evaluate("offline"), "--out", "report"),
+        ["numpy.ma", "csv", "orjson", "renewalbench.adversary", "renewalbench.selfcheck"],
+        ["renewalbench.evaluation"],
+    ),
+    "csv": (
+        "import numpy",
+        _main(*_evaluate("offline", "--format", "csv"), "--out", "report"),
+        ["numpy.ma", "renewalbench.adversary", "renewalbench.selfcheck"],
+        ["csv", "orjson", "renewalbench.evaluation"],
+    ),
+    "adversary": (
+        "import numpy",
+        _main("adversary", "--replicates", "100", "--out", "audit.json"),
+        ["csv", "orjson", "renewalbench.evaluation", "renewalbench.selfcheck"],
+        ["renewalbench.adversary"],
+    ),
 }
 
 
@@ -76,8 +145,29 @@ def _run(argv, file):
         return main([*argv, "--out", str(file)])
 
 
+def _loads(name, directory):
+    """The problems of entry point name, run in a fresh interpreter from directory."""
+    first, code, absent, present = IMPORTS[name]
+    script = (
+        f"import json, sys\n{first}\n"
+        "before = set(sys.modules)\n"
+        "code = 0\n"
+        f"{code}\n"
+        "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], cwd=directory, capture_output=True, text=True, timeout=300)
+    if done.returncode:
+        return [f"{name}: exit {done.returncode}: {done.stderr.strip()}"]
+    status, loaded = json.loads(done.stdout.splitlines()[-1])
+    problems = [f"{name}: exit {status}"] if status else []
+    problems += [f"{name}: loaded {', '.join(found)}" for pattern in absent if (found := fnmatch.filter(loaded, pattern))]
+    return problems + [f"{name}: did not load {module}" for module in present if module not in loaded]
+
+
 def check(name, directory):
-    """The problems of the pinned file name, written into directory."""
+    """The problems of the pinned file or entry point name, checked in directory."""
+    if name in IMPORTS:
+        return _loads(name, directory)
     make, digest = PINS[name]
     file = Path(directory) / name
     code = make(file) if callable(make) else _run(make, file)
@@ -92,8 +182,9 @@ def check(name, directory):
 
 
 def main(directory):
-    problems = [problem for name in PINS for problem in check(name, directory)]
-    print("\n".join(problems) or f"all {len(PINS)} pinned files hold their recorded bytes")
+    problems = [problem for name in [*PINS, *IMPORTS] for problem in check(name, directory)]
+    held = f"all {len(PINS)} pinned files hold their recorded bytes, and all {len(IMPORTS)} entry points load what they should"
+    print("\n".join(problems) or held)
     return 1 if problems else 0
 
 

@@ -1,7 +1,6 @@
 """Command-line driver: subcommand behavior, exit codes, determinism."""
 
 import csv
-import fnmatch
 import hashlib
 import importlib
 import io
@@ -110,6 +109,19 @@ class TestNonFiniteInput:
         assert code == 2 and out == ""
         assert err == "error: zipf law needs a finite s > 0, got inf\n"
         assert list(tmp_path.iterdir()) == []
+
+    # each mass is finite, but their sum overflows fsum
+    HUGE_MASSES = {"type": "explicit", "p": [1e308, 1e308]}
+
+    @pytest.mark.parametrize("via", ["law-info", "config"])
+    def test_masses_whose_sum_overflows_exit_2(self, capsys, tmp_path, via):
+        if via == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"law": self.HUGE_MASSES, "scheme": "offline", "length": 40}))
+            argv = ["evaluate", "--config", str(cfg)]
+        else:
+            argv = ["law-info", "--law", json.dumps(self.HUGE_MASSES)]
+        assert run_cli(capsys, *argv) == (2, "", "error: mass at index 0 is 1e+308, above 1 + 1e-09\n")
 
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
     def test_non_finite_alpha_exits_2(self, capsys, alpha):
@@ -495,70 +507,6 @@ def test_benchmark_payloads_keep_their_recorded_digests(capsys, tmp_path, name):
     assert main([*entry["argv"], "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == entry["sha256"]
-
-
-def _main(*argv):
-    return f"from renewalbench.cli import main\ncode = main({list(argv)!r})"
-
-
-def _evaluate(fmt):
-    return _main("evaluate", "--scheme", "offline", "--law", GEOM_LAW, "--length", "2000", "--format", fmt, "--out", "report")
-
-
-# Each entry point: what runs before `before` is taken, the code, the
-# module patterns that may not load after it, and the ones that must.
-# A bare import loads neither a submodule nor numpy, and the benchmark's
-# set-up probe skips evaluation.  On numpy 2, np.quantile's first call
-# imports numpy.ma (~10 ms); numpy 1 imports numpy.ma with numpy itself,
-# so the CLI cases import numpy first.  Each subcommand imports only the
-# modules it runs: csv and orjson are for CSV export only, evaluation
-# for evaluate, adversary for adversary, and selfcheck for selftest.
-ENTRY_POINTS = {
-    "bare": ("", "import renewalbench", ["numpy", "renewalbench.*"], []),
-    "probe": ("", "import renewalbench\nfrom renewalbench import adversary, laws", ["renewalbench.evaluation"], []),
-    "import": (
-        "import numpy",
-        "from renewalbench.cli import main",
-        ["numpy.ma", "csv", "orjson", "renewalbench.adversary", "renewalbench.evaluation", "renewalbench.selfcheck"],
-        [],
-    ),
-    "json": (
-        "import numpy",
-        _evaluate("json"),
-        ["numpy.ma", "csv", "orjson", "renewalbench.adversary", "renewalbench.selfcheck"],
-        ["renewalbench.evaluation"],
-    ),
-    "csv": (
-        "import numpy",
-        _evaluate("csv"),
-        ["numpy.ma", "renewalbench.adversary", "renewalbench.selfcheck"],
-        ["csv", "orjson", "renewalbench.evaluation"],
-    ),
-    "adversary": (
-        "import numpy",
-        _main("adversary", "--replicates", "100", "--out", "audit.json"),
-        ["csv", "orjson", "renewalbench.evaluation", "renewalbench.selfcheck"],
-        ["renewalbench.adversary"],
-    ),
-}
-
-
-@pytest.mark.parametrize("entry", ENTRY_POINTS)
-def test_imports_stay_lazy(tmp_path, entry):
-    first, code, absent, present = ENTRY_POINTS[entry]
-    script = (
-        f"import json, sys\n{first}\n"
-        "before = set(sys.modules)\n"
-        "code = 0\n"
-        f"{code}\n"
-        "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
-    )
-    done = run_python("-c", script, cwd=tmp_path)
-    assert done.returncode == 0, done.stderr
-    status, loaded = json.loads(done.stdout.splitlines()[-1])
-    assert status == 0
-    assert [pattern for pattern in absent if fnmatch.filter(loaded, pattern)] == []
-    assert [name for name in present if name not in loaded] == []
 
 
 @pytest.mark.parametrize("name", cli._LAZY)

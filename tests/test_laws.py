@@ -573,6 +573,14 @@ def test_invalid_mass_is_named_by_its_first_index(bad, k):
     assert str(info.value) == f"mass at index {k} is invalid: {bad!r}"
 
 
+@pytest.mark.parametrize("p, k", [([1e308, 1e308], 0), ([0.5, 0.5, 1e308, 1e308], 2), ([1.0 + 2 * SUM_TOL, 0.0], 0)])
+def test_mass_above_one_is_named_by_its_first_index(p, k):
+    # before fsum, which overflows on the first two
+    with pytest.raises(LawError) as info:
+        make_law({"type": "explicit", "p": p})
+    assert str(info.value) == f"mass at index {k} is {p[k]!r}, above 1 + {SUM_TOL}"
+
+
 def test_negative_zero_mass_is_valid():
     law = laws._make_law({"type": "explicit", "p": [0.5, -0.0, 0.5]})
     assert law.probs.tolist() == [0.5, 0.0, 0.5]

@@ -243,7 +243,9 @@ class TestConfigValidation:
 
 
 # Text, a 2, a half or a negative number is not a bit: each is refused
-# with its first position named, not read as no zeros or as a one.
+# with its first position named, not read as no zeros or as a one.  A
+# 0-d or 3-D array is neither a path nor a block of paths: it is refused
+# with its shape named, not scanned flattened.
 NOT_BITS = {
     "str-list": (["0", "1", "1", "0", "1"], "got an array of dtype <U1"),
     "str": ("01101", "got an array of dtype <U1"),
@@ -252,6 +254,8 @@ NOT_BITS = {
     "half": ([0, 0.5, -3, 0], "position 1 holds 0.5"),
     "negative": (np.array([0, 1, -3, 0], dtype=np.int8), "position 2 holds -3"),
     "block": (np.array([[0, 1, 1, 0], [0, 1, 3, 0]]), "position (1, 2) holds 3"),
+    "scalar": (np.array(0), "got an array of shape ()"),
+    "cube": (np.array([[[0, 1], [1, 0]], [[0, 1], [1, 1]]]), "got an array of shape (2, 2, 2)"),
 }
 ENTRY_POINTS = {
     "run_scheme": lambda bits: run_scheme("offline", bits, G05),
