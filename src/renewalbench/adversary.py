@@ -45,7 +45,7 @@ import numpy as np
 from .laws import MAX_SUPPORT, LawError, RenewalLaw, make_law, perturb, residual_mean
 from .paths import StartMode, sample_paths
 from .paths import sample_path  # noqa: F401  bench/traced.py wraps adversary.sample_path
-from .schemes import _BLOCK_BITS, EstimateEvent, SchemeConfig, _scheme_scan, prefix_scan
+from .schemes import _BLOCK_BITS, _STOPPING_TAGS, EstimateEvent, SchemeConfig, _scheme_scan, prefix_scan
 
 __all__ = [
     "StageAudit",
@@ -69,33 +69,22 @@ _Z95 = 1.959963984540054
 
 SchemeRunner = Callable[[Sequence[int], SchemeConfig], Iterable[EstimateEvent]]
 
-# The tags a runner can be: each runs one kernel call per block.
-_TAGS = ("poly", "log", "eps")
-
 
 @dataclass(frozen=True)
 class StageAudit:
-    """What one stage advance measured while it was accepted."""
+    """What one stage advance measured while it was accepted.  Its window
+    is the state's window(stage) and its bounds _stage_bounds(stage)."""
 
     stage: int
-    marker: int
-    horizon: int
     delta: float
     k: int
     p0_before: float
-    mean_before: float
     mean_after: float
-    target_mu_search: float
     fooling_estimate: float
     fooling_ci: tuple[float, float]
-    fooling_reps: int
-    fooling_executed: int
-    fooling_any_fired: bool
     tv_exact_n: int
     tv_value: float
     tv_analytic_bound: float
-    tv_threshold: float
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -297,8 +286,8 @@ def _fooled(
     columns on the whole block at once; any other runner runs path by
     path.
     """
-    if isinstance(runner, str) and runner not in _TAGS:
-        raise ValueError(f"unknown scheme tag {runner!r}; expected one of {sorted(_TAGS)}")
+    if isinstance(runner, str) and runner not in _STOPPING_TAGS:
+        raise ValueError(f"unknown scheme tag {runner!r}; expected one of {sorted(_STOPPING_TAGS)}")
     bound = max(end for _, end, _ in windows)
     per_block = max(1, _BLOCK_BITS // (bound + 1))
     fooled_paths = counted_paths = 0
@@ -513,26 +502,17 @@ def advance_stage(
 
     audit = StageAudit(
         stage=next_stage,
-        marker=marker,
-        horizon=horizon,
         delta=delta,
         k=k,
         p0_before=p0,
-        mean_before=law.mean,
         mean_after=law_next.mean,
-        target_mu_search=target_mu,
         fooling_estimate=fooling.estimate,
         fooling_ci=(fooling.ci_low, fooling.ci_high),
-        fooling_reps=fooling.reps,
-        fooling_executed=fooling.executed_reps,
-        fooling_any_fired=fooling.any_fired,
         tv_exact_n=exact_n,
         tv_value=tv_value,
         # each completed or trailing run factor moves by at most delta
         # in one coordinate, two absolute terms per factor
         tv_analytic_bound=2.0 * delta * (exact_n + 1),
-        tv_threshold=tv_threshold,
-        seed=seed,
     )
     new_markers = stage.markers + ((marker,) if j >= 1 else ()) + (horizon,)
     return StageState(

@@ -26,7 +26,7 @@ from dataclasses import asdict, replace
 
 from .laws import law_from_json, law_info_text
 from .paths import parse_start_mode, sample_path, dump_path
-from .schemes import SCHEME_TAGS, SchemeConfig
+from .schemes import _STOPPING_TAGS, SCHEME_TAGS, SchemeConfig
 
 # The names a handler loads on first use (evaluation's, then the
 # adversary's), each through the package, which knows its home module.
@@ -54,10 +54,9 @@ _cli = sys.modules[__name__]
 # until it writes them
 MAX_CSV_POSITIONS = 2_000_000
 
-# The adversary's schemes by tag (adversary._TAGS, spelled out so that
-# building the parser imports no adversary).  A runner is its tag;
-# bench/traced.py wraps the values in place, and nothing calls them.
-_ADVERSARY_RUNNERS = {tag: tag for tag in ("poly", "log", "eps")}
+# The adversary's schemes by tag.  A runner is its tag; bench/traced.py
+# wraps the values in place, and nothing calls them.
+_ADVERSARY_RUNNERS = {tag: tag for tag in _STOPPING_TAGS}
 
 
 class _Parser(argparse.ArgumentParser):

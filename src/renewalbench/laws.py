@@ -19,7 +19,6 @@ from numbers import Integral, Real
 import numpy as np
 
 __all__ = [
-    "PROB_TOL",
     "SUM_TOL",
     "MAX_SUPPORT",
     "LawError",
@@ -36,9 +35,6 @@ __all__ = [
     "law_info_text",
 ]
 
-# Tolerance for identities that hold exactly up to float rounding
-# (single divisions, mass moved between two indices).
-PROB_TOL = 1e-12
 # Tolerance for order-sensitive accumulations (normalization checks,
 # moment identities over long supports).
 SUM_TOL = 1e-9

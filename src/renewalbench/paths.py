@@ -81,10 +81,6 @@ class Path:
     mode: StartMode
     law_provenance: dict
 
-    @property
-    def horizon(self) -> int:
-        return len(self.bits) - 1
-
 
 def _generator(seed: int, stream: int) -> np.random.Generator:
     key = (seed & _MASK64) | ((stream & _MASK64) << 64)

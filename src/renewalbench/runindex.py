@@ -5,7 +5,8 @@ bit by bit, as a per-bit baseline.  No scheme, CLI path or other module
 reads it; the schemes take every age, class and residual from one
 columnar scan of the whole path (schemes.prefix_scan), checked against
 the test oracle ref_run (tests/oracles.py).  The module goes with that
-layer (ROADMAP item 6).
+layer (ROADMAP item 11), in a change to the benchmark, since
+bench/traced.py imports it.
 
 Feeding one bit at a time maintains, in O(1) amortized work per bit
 (plus O(log) for the optional age counts):

@@ -144,10 +144,6 @@ class EstimateEvent(NamedTuple):
     window_start: int
     window_end: int
 
-    def distribution(self) -> dict[int, float]:
-        m = self.sample_count
-        return {value: count / m for value, count in self.residual_counts}
-
 
 class OfflineEstimate(NamedTuple):
     """Per-position report of the windowless scheme.
@@ -166,10 +162,6 @@ class OfflineEstimate(NamedTuple):
     def defined(self) -> bool:
         return self.sample_count > 0
 
-    def distribution(self) -> dict[int, float]:
-        m = self.sample_count
-        return {value: count / m for value, count in self.residual_counts}
-
 
 def _as_path(bits) -> np.ndarray:
     """The one input rule of every entry point: an ndarray is read as it
@@ -180,8 +172,11 @@ def _as_path(bits) -> np.ndarray:
     kind = arr.dtype.kind
     if kind not in "buif":
         raise ValueError(f"bits must be the numbers 0 and 1, got an array of dtype {arr.dtype}")
-    # bool and unsigned input, the sampler's uint8 among it, needs only max()
-    if not arr.size or (arr.max() <= 1 if kind in "bu" else ((arr == 0) | (arr == 1)).all()):
+    # bool and unsigned input, the sampler's uint8 among it, needs only
+    # max(), signed integers min() too; a float 0.5 passes both
+    if not arr.size or (
+        ((arr == 0) | (arr == 1)).all() if kind == "f" else arr.max() <= 1 and (kind in "bu" or arr.min() >= 0)
+    ):
         return arr
     at = np.unravel_index(np.argmax((arr != 0) & (arr != 1)), arr.shape)
     position = int(at[0]) if arr.ndim == 1 else tuple(map(int, at))
@@ -673,6 +668,8 @@ def _offline_columns(scan: PrefixScan, _parameter: None = None, keep=None) -> tu
 # rows that fired.
 _BUILDERS = {"poly": _poly_columns, "log": _log_columns, "offline": _offline_columns, "eps": _eps_columns}
 SCHEME_TAGS = tuple(_BUILDERS)
+# The schemes with a stopping rule, which the adversary can run.
+_STOPPING_TAGS = ("poly", "log", "eps")
 
 
 def _scheme_scan(tag: str, bits, config: SchemeConfig, keep=None) -> tuple[PrefixScan, int, EventColumns]:

@@ -14,13 +14,11 @@ import time
 import warnings
 from typing import Callable
 
-import numpy as np
-
 from .adversary import mu_L_shift, stage0, tv_prefix_exact
 from .evaluation import CSV_COLUMNS, _Scorer
 from .laws import make_law, perturb, residual_mean, stationary_zero_prob
 from .paths import StartMode, sample_path
-from .schemes import SCHEME_TAGS, SchemeConfig, prefix_scan, run_scheme, scheme_columns
+from .schemes import SCHEME_TAGS, SchemeConfig, run_scheme, scheme_columns
 
 P2_BITS = [0, 1, 1] * 14 + [0]
 
@@ -93,26 +91,6 @@ def _check_streaming_digests() -> None:
     _expect(not moved, f"estimates of {', '.join(moved)} differ from the oracle's digests")
 
 
-def _check_prefix_scan_bookkeeping() -> None:
-    law = make_law({"type": "geometric", "q": 0.4, "truncate": 40})
-    bits = sample_path(law, 1500, StartMode.AT_RENEWAL, seed=23).bits
-    scan = prefix_scan(bits)
-    zeros = np.flatnonzero(np.asarray(bits) == 0)
-    psi = int(zeros[0])
-    _expect(scan.psi[0] == psi and scan.ages.size == len(bits) - psi)
-    _expect(not scan.ages[zeros - psi].any())
-    # each completed run of s ones holds s+1 positions, whose residuals
-    # s, s-1, ..., 0 total s(s+1)/2; the open run's count as 0
-    runs = np.diff(zeros) - 1
-    _expect(int((runs + 1).sum()) == int(zeros[-1]) - psi)
-    _expect(int(scan.prefix[-1]) == int((runs * (runs + 1) // 2).sum()))
-    # ranks number each age class 0, 1, ... in path order
-    sizes = np.diff(scan.starts)
-    _expect(np.array_equal(sizes, np.bincount(scan.ages)))
-    _expect(int(scan.rank.sum()) == int((sizes * (sizes - 1) // 2).sum()))
-    _expect(runs.size >= 1)
-
-
 def _check_sharp_mean_bound() -> None:
     law = make_law({"type": "geometric", "q": 0.5, "truncate": 60})
     bits = sample_path(law, 4000, StartMode.STATIONARY, seed=31).bits
@@ -138,7 +116,6 @@ CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (
     ("law closed forms", _check_law_closed_forms),
     ("scheme hand traces", _check_scheme_traces),
     ("streaming vs oracle digests", _check_streaming_digests),
-    ("prefix scan bookkeeping", _check_prefix_scan_bookkeeping),
     ("sharp mean bound", _check_sharp_mean_bound),
     ("adversary closed forms", _check_adversary_closed_forms),
 )

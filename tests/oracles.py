@@ -32,8 +32,12 @@ from typing import Iterable
 import numpy as np
 
 from renewalbench.evaluation import ScoredRecord
-from renewalbench.laws import PROB_TOL, LawError, RenewalLaw, residual_mean
+from renewalbench.laws import LawError, RenewalLaw, residual_mean
 from renewalbench.schemes import EstimateEvent, OfflineEstimate, SchemeConfig, _one_path, _setting
+
+# Tolerance for identities that hold exactly up to float rounding
+# (single divisions, mass moved between two indices).
+PROB_TOL = 1e-12
 
 
 def tv(law: RenewalLaw, counts: tuple[tuple[int, int], ...], m: int, age: int, total: float) -> float:

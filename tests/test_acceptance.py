@@ -28,6 +28,7 @@ from renewalbench.schemes import (
     SchemeConfig,
     iter_scheme,
     run_scheme,
+    scheme_columns,
 )
 
 from oracles import markov_tail_bound_holds, ref_run, score_events
@@ -134,12 +135,14 @@ def test_criterion_4_dyadic_scheme_final_event_and_density():
     densities = []
     for r in range(50):
         bits = sample_path(law, 199_999, StartMode.STATIONARY, seed=777, stream=r).bits
-        last = None
-        count = 0
-        for event in iter_scheme("log", bits, config):
-            last = event
-            count += 1
-        final_errors.append(abs(last.estimate - residual_mean(law, last.run_age)))
+        cols = scheme_columns("log", bits, config)
+        count, age, final = cols.time.size, int(cols.age[-1]), float(cols.sum[-1] / cols.m[-1])
+        if r == 0:
+            # the events, drained once at this size, are the columns'
+            for drained, last in enumerate(iter_scheme("log", bits, config), 1):
+                pass
+            assert (drained, last.time, last.run_age, last.estimate) == (count, int(cols.time[-1]), age, final)
+        final_errors.append(abs(final - residual_mean(law, age)))
         densities.append(count / 200_000)
     assert statistics.median(final_errors) < 0.1
     assert statistics.median(densities) >= 0.8
@@ -150,7 +153,7 @@ def test_criterion_4_dyadic_scheme_final_event_and_density():
         per_rep = []
         for r in range(20):
             bits = sample_path(law, n_positions - 1, StartMode.STATIONARY, seed=777, stream=r).bits
-            per_rep.append(sum(1 for _ in iter_scheme("log", bits, config)) / n_positions)
+            per_rep.append(scheme_columns("log", bits, config).time.size / n_positions)
         medians.append(statistics.median(per_rep))
     assert medians[0] < medians[1] < medians[2]
 

@@ -18,6 +18,7 @@ from renewalbench.adversary import (
     BudgetExhausted,
     FoolingResult,
     StageState,
+    _stage_bounds,
     _wilson,
     advance_stage,
     audit_json,
@@ -445,12 +446,9 @@ def two_window_state(stage_one, marker, horizon, k, share):
     audit = dataclasses.replace(
         stage_one.audits[0],
         stage=2,
-        marker=marker,
-        horizon=horizon,
         delta=delta,
         k=k,
         p0_before=law.prob(0),
-        mean_before=law.mean,
         mean_after=law_next.mean,
     )
     return StageState(
@@ -472,7 +470,7 @@ class TestAdvanceStage:
         assert audit.k * audit.delta > 2.0
         assert audit.k * audit.delta < 2.01
         assert audit.delta < 0.25 * audit.p0_before
-        assert audit.tv_value <= audit.tv_threshold == 1e-3
+        assert audit.tv_value <= _stage_bounds(1)[1] == 1e-3
         assert audit.tv_exact_n == 20
         assert audit.fooling_estimate >= 1.0 - 2e-3
         # exact bookkeeping: the mean moves by k*delta
@@ -566,11 +564,12 @@ class TestAdvanceStage:
         advanced = advance_stage(state, "poly", CFG)
         audit = advanced.audits[-1]
         assert advanced.markers == (0, 64, 65, 128)
-        assert (audit.marker, audit.horizon, audit.k) == (65, 128, 253_692)
+        assert advanced.window(2) == (65, 128)
+        assert audit.k == 253_692
         assert audit.delta == 0.2 * law.prob(0) * 0.5**28
         assert mu_L_shift(law, 65, audit.delta, audit.k) > 2.0
         assert audit.k * audit.delta < 1e-4
-        assert audit.tv_value <= audit.tv_threshold == 1e-6
+        assert audit.tv_value <= _stage_bounds(2)[1] == 1e-6
         assert audit.k < MAX_SUPPORT
 
     def test_horizon_budget_can_exhaust(self, monkeypatch):

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import renewalbench
-from renewalbench import adversary, cli, evaluation, laws, selfcheck
+from renewalbench import adversary, cli, evaluation, laws, schemes, selfcheck
 from renewalbench.adversary import BudgetExhausted
 from renewalbench.cli import main
 from renewalbench.evaluation import CSV_COLUMNS, report_from_json
@@ -421,7 +421,9 @@ class TestAdversary:
         assert stdout == "" and not out.exists()
 
     def test_runner_tags_are_the_adversary_tags(self):
-        assert set(cli._ADVERSARY_RUNNERS) == set(adversary._TAGS)
+        # one tuple in schemes names the parser's choices and the tags
+        # the adversary runs
+        assert tuple(cli._ADVERSARY_RUNNERS) == adversary._STOPPING_TAGS == schemes._STOPPING_TAGS
 
     def test_offline_scheme_rejected(self, capsys):
         code, _, err = run_cli(capsys, "adversary", "--scheme", "offline")
@@ -443,7 +445,7 @@ class TestSelftest:
     def test_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0
-        assert "6/6 checks passed" in out
+        assert "5/5 checks passed" in out
         assert "FAIL" not in out
 
     def test_sabotage_still_fails_under_python_O(self):
@@ -473,6 +475,24 @@ class TestSelftest:
         lines = []
         assert selfcheck.run_selftest(write=lines.append) == 1
         assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == ["FAIL scheme hand traces"]
+
+    def test_checks_the_scan_that_runs(self, monkeypatch):
+        # no check re-derives the scan's bookkeeping: a residual off by
+        # one in every scan, its prefix sums kept consistent, must still
+        # move the estimates away from the oracle's digests
+        scan = schemes.prefix_scan
+
+        def off(bits):
+            done = scan(bits)
+            residuals, prefix = done.residuals.copy(), done.prefix.copy()
+            residuals[0] += 1
+            prefix[1:] += 1
+            return done._replace(residuals=residuals, prefix=prefix)
+
+        monkeypatch.setattr(schemes, "prefix_scan", off)
+        lines = []
+        assert selfcheck.run_selftest(write=lines.append) >= 1
+        assert "FAIL streaming vs oracle digests" in [line.split(":")[0] for line in lines]
 
     @pytest.mark.parametrize("tag", SCHEME_TAGS)
     def test_checks_the_estimates_that_run(self, monkeypatch, tag):

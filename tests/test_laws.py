@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from renewalbench import laws
 from renewalbench.laws import (
     MAX_SUPPORT,
-    PROB_TOL,
     SUM_TOL,
     LawError,
     gamma_limit,
@@ -35,7 +34,7 @@ from renewalbench.laws import (
     stationary_zero_prob,
 )
 
-from oracles import markov_tail_bound_holds, stationary_state_law, tv_l1
+from oracles import PROB_TOL, markov_tail_bound_holds, stationary_state_law, tv_l1
 
 
 def _read_only_float64(*tables):

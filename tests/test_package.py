@@ -149,3 +149,15 @@ def test_package_keeps_one_scorer():
 
     assert not hasattr(_Scorer, "tv")
     assert callable(_Scorer.score_columns)
+
+
+def test_every_stage_audit_field_is_read():
+    # a field that the adversary never reads restates the state or a
+    # constant, and could drift from it unnoticed
+    import dataclasses
+
+    from renewalbench.adversary import StageAudit
+
+    tree = ast.parse((SOURCE / "adversary.py").read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert [field.name for field in dataclasses.fields(StageAudit) if field.name not in read] == []

@@ -69,7 +69,6 @@ class TestExactTraces:
     def test_horizon_and_length(self):
         path = sample_path(geom_half(), 99, StartMode.AT_RENEWAL, seed=0)
         assert len(path.bits) == 100
-        assert path.horizon == 99
         with pytest.raises(PathError):
             sample_path(geom_half(), -1, StartMode.AT_RENEWAL, seed=0)
 

@@ -180,8 +180,8 @@ class TestOffline:
         # 1, 1 and 0; position 1 is the first of age 1
         rows = run_scheme("offline", [0, 1, 0, 1, 0, 0])
         assert rows[5].residual_counts == ((0, 1), (1, 2))
-        assert rows[5].distribution() == {0: 1 / 3, 1: 2 / 3}
-        assert not rows[1].defined and rows[1].distribution() == {}
+        assert {v: c / rows[5].sample_count for v, c in rows[5].residual_counts} == {0: 1 / 3, 1: 2 / 3}
+        assert not rows[1].defined and rows[1].residual_counts == ()
 
     def test_rows_start_at_first_zero(self):
         rows = run_scheme("offline", [1, 1, 0, 1])
@@ -305,7 +305,7 @@ class TestEventInvariants:
                 assert [v for v, _ in counts] == sorted({v for v, _ in counts})
                 mean = sum(v * c for v, c in counts) / event.sample_count
                 assert event.estimate == mean  # identical division, no fuzz
-                masses = event.distribution()
+                masses = {v: c / event.sample_count for v, c in counts}
                 assert abs(sum(masses.values()) - 1.0) < 1e-12
 
     def test_window_fields_are_observed_spans(self):
