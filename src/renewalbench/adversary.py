@@ -245,7 +245,6 @@ class FoolingResult:
     successes: int
     reps: int
     executed_reps: int
-    any_fired: bool
 
 
 def _runner_columns(runner: SchemeRunner, config: SchemeConfig, bits: np.ndarray, paths: np.ndarray, bound: int):
@@ -272,14 +271,13 @@ def _fooled(
     reps: int,
     seed: int,
     marker: int | None = None,
-) -> tuple[int, int, bool]:
+) -> tuple[int, int]:
     """The estimator on the renewal-started paths of streams 0..reps-1,
     positions 0..the largest window bound, a block of paths at a time.
 
     A path is fooled in the window (age, bound, cutoff) if the estimator
     fires in (age, bound) at that run age with an estimate below cutoff.
-    Returns the paths fooled in every window, the paths counted, and
-    whether any estimate fired after the first window's age.  With a
+    Returns the paths fooled in every window and the paths counted.  With a
     marker age, only the paths with a position in (marker, bound) at
     that age count, since no estimate at the marker can fire on the
     others; a runner is not run on them.  A tag runs the scheme's
@@ -291,7 +289,6 @@ def _fooled(
     bound = max(end for _, end, _ in windows)
     per_block = max(1, _BLOCK_BITS // (bound + 1))
     fooled_paths = counted_paths = 0
-    any_fired = False
     for start in range(0, reps, per_block):
         streams = range(start, min(reps, start + per_block))
         bits = sample_paths(law, bound, StartMode.AT_RENEWAL, seed, streams)
@@ -313,7 +310,6 @@ def _fooled(
             keep &= fooled[path]
             path, time, ages, estimate = path[keep], cols.time[keep], cols.age[keep], cols.sum[keep] / cols.m[keep]
         counted_paths += int(np.count_nonzero(fooled))
-        any_fired = any_fired or bool((time > windows[0][0]).any())
         for age, end, cutoff in windows:
             hit = time > age
             hit &= time < end
@@ -323,7 +319,7 @@ def _fooled(
             inside[path[hit]] = True
             fooled &= inside
         fooled_paths += int(np.count_nonzero(fooled))
-    return fooled_paths, counted_paths, any_fired
+    return fooled_paths, counted_paths
 
 
 def fooling_probability(
@@ -348,7 +344,7 @@ def fooling_probability(
         raise ValueError(f"window must satisfy 0 <= age < bound, got {window}")
     if reps < 100:
         raise ValueError(f"need at least 100 reps for a usable interval, got {reps}")
-    successes, executed, any_fired = _fooled(law, runner, config, [(age, n_bound, target_mu - 1.0)], reps, seed, age)
+    successes, executed = _fooled(law, runner, config, [(age, n_bound, target_mu - 1.0)], reps, seed, age)
     low, high = _wilson(successes, reps)
     return FoolingResult(
         estimate=successes / reps,
@@ -357,7 +353,6 @@ def fooling_probability(
         successes=successes,
         reps=reps,
         executed_reps=executed,
-        any_fired=any_fired,
     )
 
 

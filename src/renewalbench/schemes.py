@@ -172,11 +172,8 @@ def _as_path(bits) -> np.ndarray:
     kind = arr.dtype.kind
     if kind not in "buif":
         raise ValueError(f"bits must be the numbers 0 and 1, got an array of dtype {arr.dtype}")
-    # bool and unsigned input, the sampler's uint8 among it, needs only
-    # max(), signed integers min() too; a float 0.5 passes both
-    if not arr.size or (
-        ((arr == 0) | (arr == 1)).all() if kind == "f" else arr.max() <= 1 and (kind in "bu" or arr.min() >= 0)
-    ):
+    # bool and unsigned input, the sampler's uint8 among it, needs only max()
+    if not arr.size or (arr.max() <= 1 if kind in "bu" else ((arr == 0) | (arr == 1)).all()):
         return arr
     at = np.unravel_index(np.argmax((arr != 0) & (arr != 1)), arr.shape)
     position = int(at[0]) if arr.ndim == 1 else tuple(map(int, at))

@@ -1,5 +1,6 @@
 """Command-line driver: subcommand behavior, exit codes, determinism."""
 
+import argparse
 import csv
 import hashlib
 import importlib
@@ -420,10 +421,15 @@ class TestAdversary:
         assert err == "error: need at least 100 reps, got 50\n"
         assert stdout == "" and not out.exists()
 
-    def test_runner_tags_are_the_adversary_tags(self):
-        # one tuple in schemes names the parser's choices and the tags
-        # the adversary runs
-        assert tuple(cli._ADVERSARY_RUNNERS) == adversary._STOPPING_TAGS == schemes._STOPPING_TAGS
+    def test_scheme_choices_are_the_tags_the_adversary_runs(self):
+        # every scheme but the windowless offline one has a stopping rule,
+        # and the adversary's Monte Carlo accepts each choice as a tag
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        scheme = next(a for a in sub.choices["adversary"]._actions if a.dest == "scheme")
+        assert sorted(scheme.choices) == sorted(set(SCHEME_TAGS) - {"offline"})
+        config = schemes.SchemeConfig(gamma=0.3, epsilon=0.1)
+        for tag in scheme.choices:
+            assert adversary._fooled(adversary.stage0().law, tag, config, [(0, 8, 0.0)], 1, seed=0) == (0, 1)
 
     def test_offline_scheme_rejected(self, capsys):
         code, _, err = run_cli(capsys, "adversary", "--scheme", "offline")

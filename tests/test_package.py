@@ -158,6 +158,25 @@ def test_every_stage_audit_field_is_read():
 
     from renewalbench.adversary import StageAudit
 
-    tree = ast.parse((SOURCE / "adversary.py").read_text())
-    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    def audits(node):
+        return isinstance(node, ast.Attribute) and node.attr == "audits"
+
+    # per function, the names bound to an audit (`for a in x.audits`,
+    # `a = x.audits[i]`) and the attributes read off those names
+    read = set()
+    for func in ast.walk(ast.parse((SOURCE / "adversary.py").read_text())):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        names = {n.target.id for n in ast.walk(func) if isinstance(n, ast.For) and audits(n.iter)}
+        names |= {
+            target.id
+            for n in ast.walk(func)
+            if isinstance(n, ast.Assign) and isinstance(n.value, ast.Subscript) and audits(n.value.value)
+            for target in n.targets
+        }
+        read |= {
+            n.attr
+            for n in ast.walk(func)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in names
+        }
     assert [field.name for field in dataclasses.fields(StageAudit) if field.name not in read] == []
